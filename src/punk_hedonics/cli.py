@@ -1,8 +1,8 @@
 """Command-line pipeline: ``score``, ``keywords``, ``regress``, ``heatmap``, ``all``.
 
-Each subcommand reads CSV inputs named in a key-value config file and
-emits plot-ready CSV/JSON into the output directory.  No charts are
-rendered here; the outputs are the data behind them.
+Each subcommand reads CSV inputs named in a key-value config file, each
+at most once per run, and emits plot-ready CSV/JSON into the output
+directory.  No charts are rendered here; the outputs are the data behind them.
 """
 
 from __future__ import annotations
@@ -13,12 +13,14 @@ import datetime as dt
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from . import market, panel, study, tweets
 from .econometrics import significance_stars
-from .sentiment import load_lexicon
+from .ingest import IngestReport
+from .sentiment import SentimentLexicon, load_lexicon
 from .series import DailySeries, pct_change
 
 DATA_DIR_ENV = "PUNK_HEDONICS_DATA_DIR"
@@ -50,7 +52,6 @@ class RunConfig:
     max_adf_lag: int | None = None
     keywords: tuple[str, ...] = tweets.DEFAULT_KEYWORDS
     language: str = "en"
-    warnings: list[str] = field(default_factory=list)
 
     def require(self, *names: str) -> None:
         for name in names:
@@ -120,36 +121,54 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
         writer.writerows(rows)
 
 
-def _write_rejects(path: Path, report: tweets.IngestReport) -> None:
+def _write_rejects(path: Path, report: IngestReport) -> None:
     _write_csv(path, ["row_number", "reason"],
                [[str(n), reason] for n, reason in report.rejects])
 
 
-def _load_tweet_corpus(config: RunConfig, which: str):
-    path = getattr(config, which)
-    with open(path, "rb") as fh:
+class RunInputs:
+    """One run's inputs, each read at most once, when first used; reading
+    one writes its rejects file and records its warnings for the run."""
+
+    def __init__(self, config: RunConfig):
+        self.config = config
+        self.warnings: list[str] = []
+
+    def read_tweets(self, which: str, rejects_name: str) -> list[tweets.Tweet]:
+        """The corpus at config key ``which``; its rejects go to ``rejects_name``."""
+        config = self.config
+        path = getattr(config, which)
         corpus, report = tweets.ingest_tweets(
-            fh, language_filter=config.language,
+            path.read_bytes(), language_filter=config.language,
             window_start=config.window_start, window_end=config.window_end)
-    if report.out_of_window:
-        config.warnings.append(
-            f"{path}: {report.out_of_window} rows outside the study window dropped")
-    return corpus, report
+        _write_rejects(config.output_dir / rejects_name, report)
+        if report.out_of_window:
+            self.warnings.append(
+                f"{path}: {report.out_of_window} rows outside the study window dropped")
+        return corpus
+
+    @cached_property
+    def lexicon(self) -> SentimentLexicon:
+        return load_lexicon(self.config.lexicon.read_bytes())
+
+    @cached_property
+    def sentiment(self) -> DailySeries:
+        """Daily mean compound of the tweet corpus, which is not kept."""
+        corpus = self.read_tweets("tweet_corpus", "tweet_rejects.csv")
+        return tweets.daily_mean_sentiment(corpus, self.lexicon)
+
+    @cached_property
+    def sales(self) -> list[market.SaleRecord]:
+        sales, report = market.ingest_sales(self.config.sales.read_bytes())
+        _write_rejects(self.config.output_dir / "sales_rejects.csv", report)
+        return sales
 
 
-def _lexicon(config: RunConfig):
-    with open(config.lexicon, "rb") as fh:
-        return load_lexicon(fh)
-
-
-def cmd_score(config: RunConfig) -> None:
+def cmd_score(inputs: RunInputs) -> None:
     """Daily mean sentiment plus the sign distribution over observed days."""
-    config.require("tweet_corpus", "lexicon")
-    out = config.output_dir
-    corpus, report = _load_tweet_corpus(config, "tweet_corpus")
-    _write_rejects(out / "tweet_rejects.csv", report)
-    lexicon = _lexicon(config)
-    daily = tweets.daily_mean_sentiment(corpus, lexicon)
+    inputs.config.require("tweet_corpus", "lexicon")
+    out = inputs.config.output_dir
+    daily = inputs.sentiment
     _write_csv(out / "daily_sentiment.csv", ["date", "value"],
                [[d.isoformat(), _fmt(v)] for d, v in daily.items()])
     values = daily.values
@@ -158,38 +177,35 @@ def cmd_score(config: RunConfig) -> None:
                     ("neutral", sum(1 for v in values if v == 0))]
     _write_csv(out / "sentiment_distribution.csv", ["sign", "day_count"],
                [[sign, str(count)] for sign, count in distribution])
-    if not corpus:
-        config.warnings.append("no data: tweet corpus is empty after filtering")
+    if not daily:
+        inputs.warnings.append("no data: tweet corpus is empty after filtering")
 
 
-def cmd_keywords(config: RunConfig) -> None:
+def cmd_keywords(inputs: RunInputs) -> None:
     """Keyword frequencies and per-keyword mean sentiment."""
+    config = inputs.config
     config.require("keyword_corpus", "lexicon")
     out = config.output_dir
-    corpus, report = _load_tweet_corpus(config, "keyword_corpus")
-    _write_rejects(out / "keyword_rejects.csv", report)
-    lexicon = _lexicon(config)
+    corpus = inputs.read_tweets("keyword_corpus", "keyword_rejects.csv")
     kw_filter = tweets.KeywordFilter(config.keywords)
     freq = tweets.keyword_frequency(corpus, kw_filter)
     _write_csv(out / "keyword_frequency.csv", ["keyword", "count"],
                [[kw, str(freq[kw])] for kw in config.keywords])
-    sentiments = tweets.keyword_sentiment(corpus, kw_filter, lexicon)
+    sentiments = tweets.keyword_sentiment(corpus, kw_filter, inputs.lexicon)
     _write_csv(out / "keyword_sentiment.csv", ["keyword", "mean_compound"],
                [[kw, "" if sentiments[kw] is None else _fmt(sentiments[kw])]
                 for kw in config.keywords])
 
 
-def _build_panel(config: RunConfig):
-    corpus, tweet_report = _load_tweet_corpus(config, "tweet_corpus")
-    lexicon = _lexicon(config)
-    sentiment = tweets.daily_mean_sentiment(corpus, lexicon)
-    with open(config.sales, "rb") as fh:
-        sales, sales_report = market.ingest_sales(fh)
-    sales = [s for s in sales if config.window_start <= s.date <= config.window_end]
-    with open(config.gas, "rb") as fh:
-        gas = market.ingest_gas(fh)
-    with open(config.fx, "rb") as fh:
-        fx = market.ingest_fx(fh)
+def cmd_regress(inputs: RunInputs) -> None:
+    """Panel build, stationarity screen, 3 x 4 regression grid, reports."""
+    config = inputs.config
+    config.require("tweet_corpus", "lexicon", "sales", "gas", "fx")
+    out = config.output_dir
+    sentiment = inputs.sentiment
+    sales = [s for s in inputs.sales if config.window_start <= s.date <= config.window_end]
+    gas = market.ingest_gas(config.gas.read_bytes())
+    fx = market.ingest_fx(config.fx.read_bytes())
     active, volume = market.daily_aggregates(sales, fx)
     active_pct, active_gaps = pct_change(active)
     volume_pct, volume_gaps = pct_change(volume)
@@ -197,20 +213,6 @@ def _build_panel(config: RunConfig):
     rarity_map = market.rarity_score(sales)
     rows, coverage = panel.build_panel(
         sales, sentiment, active_pct, volume_pct, gas, fx_pct, fx, rarity_map)
-    reports = {"tweets": tweet_report, "sales": sales_report,
-               "pct_change_gaps": {"active_wallets": len(active_gaps),
-                                   "sales_volume": len(volume_gaps),
-                                   "fx": len(fx_gaps)}}
-    return rows, coverage, reports
-
-
-def cmd_regress(config: RunConfig) -> None:
-    """Panel build, stationarity screen, 3 x 4 regression grid, reports."""
-    config.require("tweet_corpus", "lexicon", "sales", "gas", "fx")
-    out = config.output_dir
-    rows, coverage, reports = _build_panel(config)
-    _write_rejects(out / "tweet_rejects.csv", reports["tweets"])
-    _write_rejects(out / "sales_rejects.csv", reports["sales"])
     with open(out / "panel.csv", "w", encoding="utf-8", newline="") as fh:
         panel.write_panel_csv(rows, fh)
 
@@ -219,7 +221,7 @@ def cmd_regress(config: RunConfig) -> None:
                                     config.split_date)
     suite = study.run_suite(rows, windows)
     for label, reason in suite.skipped_windows.items():
-        config.warnings.append(f"window {label} skipped: {reason}")
+        inputs.warnings.append(f"window {label} skipped: {reason}")
     precheck = study.correlation_precheck(rows, study.model_specs()[-1],
                                           threshold=config.correlation_threshold)
 
@@ -228,7 +230,9 @@ def cmd_regress(config: RunConfig) -> None:
         "total_sales": coverage.total_sales,
         "rows_emitted": coverage.rows_emitted,
         "drop_counts": dict(sorted(coverage.drop_counts.items())),
-        "pct_change_gaps": reports["pct_change_gaps"],
+        "pct_change_gaps": {"active_wallets": len(active_gaps),
+                            "sales_volume": len(volume_gaps),
+                            "fx": len(fx_gaps)},
     }
     doc["stationarity"] = {
         variable: ({"skip_reason": entry.skip_reason} if entry.result is None else {
@@ -323,21 +327,18 @@ def _lollipop_rows(suite: study.SuiteResult) -> list[list[str]]:
     return rows
 
 
-def cmd_heatmap(config: RunConfig) -> None:
+def cmd_heatmap(inputs: RunInputs) -> None:
     """Gender x skin-tone counts and shares from the sales records."""
-    config.require("sales")
-    out = config.output_dir
-    with open(config.sales, "rb") as fh:
-        sales, report = market.ingest_sales(fh)
-    _write_rejects(out / "sales_rejects.csv", report)
-    distribution = market.attribute_distribution(sales)
+    inputs.config.require("sales")
+    distribution = market.attribute_distribution(inputs.sales)
     rows = []
     for gender in (market.Gender.MALE, market.Gender.FEMALE):
         for skin in market.SkinTone:
             count = distribution.count(gender, skin)
             share = distribution.share(gender, skin)
             rows.append([gender.value, skin.value, str(count), f"{100 * share:.1f}"])
-    _write_csv(out / "heatmap.csv", ["gender", "skin_tone", "count", "share_pct"], rows)
+    _write_csv(inputs.config.output_dir / "heatmap.csv",
+               ["gender", "skin_tone", "count", "share_pct"], rows)
 
 
 COMMANDS = {
@@ -348,9 +349,9 @@ COMMANDS = {
 }
 
 
-def cmd_all(config: RunConfig) -> None:
-    for name in ("score", "keywords", "regress", "heatmap"):
-        COMMANDS[name](config)
+def cmd_all(inputs: RunInputs) -> None:
+    for command in COMMANDS.values():
+        command(inputs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -385,15 +386,15 @@ def main(argv: list[str] | None = None) -> int:
             if value is not None:
                 setattr(config, flag, value)
         config.output_dir.mkdir(parents=True, exist_ok=True)
+        inputs = RunInputs(config)
         if args.command == "all":
-            cmd_all(config)
+            cmd_all(inputs)
         else:
-            COMMANDS[args.command](config)
-    except (ConfigError, tweets.SchemaError, market.UncoveredDatesError,
-            panel.PanelError, OSError, ValueError) as exc:
+            COMMANDS[args.command](inputs)
+    except (OSError, ValueError) as exc:      # every input and config error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    for warning in config.warnings:
+    for warning in inputs.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     return 0
 

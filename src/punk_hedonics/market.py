@@ -5,11 +5,11 @@ from __future__ import annotations
 import csv
 import datetime as dt
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
-from .series import DailySeries, pct_change  # noqa: F401  (re-exported)
-from .tweets import IngestReport, SchemaError, _as_text_stream
+from .ingest import IngestReport, SchemaError, text_stream
+from .series import DailySeries
 
 
 class Gender(Enum):
@@ -92,7 +92,7 @@ def ingest_sales(source) -> tuple[list[SaleRecord], IngestReport]:
     Header: ``punk_id,date,price_eth,skin_tone,gender,buyer,seller[,rarity]``.
     Unknown extra columns are ignored.
     """
-    reader = csv.DictReader(_as_text_stream(source))
+    reader = csv.DictReader(text_stream(source))
     header = reader.fieldnames or []
     missing = [c for c in SALES_COLUMNS if c not in header]
     if missing:
@@ -146,7 +146,7 @@ def ingest_sales(source) -> tuple[list[SaleRecord], IngestReport]:
 
 def _ingest_two_column_series(source, date_col: str, value_col: str,
                               positive: bool) -> DailySeries:
-    reader = csv.DictReader(_as_text_stream(source))
+    reader = csv.DictReader(text_stream(source))
     header = reader.fieldnames or []
     missing = [c for c in (date_col, value_col) if c not in header]
     if missing:

@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import io
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
 
 from .econometrics import (ADF_MIN_LENGTH, AdfResult, adf_test,
                            ConstantColumnError, InsufficientDataError)
+from .ingest import text_stream
 from .market import Gender, SaleRecord, SkinTone
 from .series import DailySeries
 
@@ -186,11 +186,7 @@ def write_panel_csv(panel: list[PanelRow], stream) -> None:
 
 def read_panel_csv(source) -> list[PanelRow]:
     """Parse a panel CSV written by write_panel_csv."""
-    if isinstance(source, bytes):
-        source = io.StringIO(source.decode("utf-8"))
-    elif isinstance(source, str):
-        source = io.StringIO(source)
-    reader = csv.DictReader(source)
+    reader = csv.DictReader(text_stream(source))
     if tuple(reader.fieldnames or ()) != PANEL_COLUMNS:
         raise PanelError(f"panel CSV header must be exactly {','.join(PANEL_COLUMNS)}")
     types = {f.name: f.type for f in fields(PanelRow)}

@@ -9,10 +9,11 @@ All rule constants live in this module so tests can pin them.
 
 from __future__ import annotations
 
-import io
 import math
 import string
 from dataclasses import dataclass
+
+from .ingest import text_stream
 
 # Rule constants.  Kept in one table; changing any of these changes the
 # compound scores of every text.
@@ -119,16 +120,8 @@ def load_lexicon(source) -> SentimentLexicon:
     resolve to the last occurrence.  Tokens that collide with the
     compiled-in booster list are skipped (the modifier role wins).
     """
-    if isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif isinstance(source, str):
-        text = source
-    else:
-        raw = source.read()
-        text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
-
     entries: dict[str, float] = {}
-    for lineno, line in enumerate(io.StringIO(text), start=1):
+    for lineno, line in enumerate(text_stream(source), start=1):
         line = line.rstrip("\n\r")
         if not line.strip() or line.lstrip().startswith("#"):
             continue

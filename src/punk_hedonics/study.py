@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .econometrics import (ConstantColumnError, InsufficientDataError, OlsFit,
-                           ols_fit, pearson_matrix, significance_stars)
+                           SingularDesignError, ols_fit, pearson_matrix, significance_stars)
 from .panel import PanelRow
 
 INTERCEPT = "intercept"
@@ -141,7 +141,7 @@ def run_suite(panel: list[PanelRow],
             for spec in specs:
                 X, y, names = design_for(rows, spec)
                 fits[(window.label, spec.id)] = ols_fit(X, y, names=names)
-        except (InsufficientDataError, ConstantColumnError) as exc:
+        except (InsufficientDataError, ConstantColumnError, SingularDesignError) as exc:
             skipped[window.label] = str(exc)
             fits = {k: v for k, v in fits.items() if k[0] != window.label}
     return SuiteResult(fits=fits, skipped_windows=skipped, windows=tuple(windows))

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import io
 import re
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from .ingest import IngestReport, SchemaError, text_stream
 from .sentiment import SentimentLexicon, compound_only
 from .series import DailySeries
 
@@ -22,26 +22,12 @@ DEFAULT_KEYWORDS = ("female", "male", "dark", "light", "medium",
                     "albino", "alien", "ape", "zombie")
 
 
-class SchemaError(ValueError):
-    """Input file is missing required columns."""
-
-
 @dataclass(frozen=True)
 class Tweet:
     id: str
     timestamp: dt.datetime          # always UTC
     text: str
     language: str
-
-
-@dataclass
-class IngestReport:
-    """Row-level outcomes of one ingestion pass."""
-
-    rejects: list[tuple[int, str]] = field(default_factory=list)  # (row_number, reason)
-    out_of_window: int = 0
-    filtered_language: int = 0
-    accepted: int = 0
 
 
 @dataclass(frozen=True)
@@ -71,17 +57,6 @@ def _parse_timestamp(raw: str) -> dt.datetime:
     return ts.astimezone(dt.timezone.utc)
 
 
-def _as_text_stream(source):
-    if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8"))
-    if isinstance(source, str):
-        return io.StringIO(source)
-    if hasattr(source, "read"):
-        probe = source.read()
-        return io.StringIO(probe.decode("utf-8") if isinstance(probe, bytes) else probe)
-    raise TypeError(f"unsupported source type {type(source)!r}")
-
-
 def ingest_tweets(source, language_filter: str = "en",
                   window_start: dt.date = STUDY_WINDOW_START,
                   window_end: dt.date = STUDY_WINDOW_END,
@@ -93,7 +68,7 @@ def ingest_tweets(source, language_filter: str = "en",
     unparseable timestamp or duplicate id go to the rejects report and
     ingestion continues.
     """
-    reader = csv.DictReader(_as_text_stream(source))
+    reader = csv.DictReader(text_stream(source))
     header = reader.fieldnames or []
     missing = [c for c in TWEET_COLUMNS if c not in header]
     if missing:

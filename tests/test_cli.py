@@ -1,12 +1,15 @@
 import csv
 import datetime as dt
 import json
+import re
 import textwrap
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from conftest import write_synthetic_dataset
+from punk_hedonics import cli, market, tweets
 from punk_hedonics.cli import (ConfigError, main, parse_config_file)
 
 HEADER = "id,timestamp,text,lang"
@@ -58,6 +61,13 @@ class TestConfig:
 
     def test_missing_config_file_is_fatal(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.txt"), "score"]) == 1
+
+    def test_readme_config_table_matches_parser(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("Keys:", 1)[1].split("\n\n", 2)[1]
+        documented = {key for line in table.splitlines()[2:]
+                      for key in re.findall(r"`(\w+)`", line.split("|")[1])}
+        assert documented == set(cli._CONFIG_KEYS)
 
 
 class TestScore:
@@ -210,3 +220,34 @@ class TestAll:
         assert files_a == files_b
         for rel in files_a:
             assert (out_a / rel).read_bytes() == (out_b / rel).read_bytes(), rel
+
+    def test_each_input_read_and_each_tweet_scored_once(self, synthetic_dataset, tmp_path,
+                                                       monkeypatch, capsys):
+        tweet_csv = synthetic_dataset.parent / "tweets.csv"
+        with open(tweet_csv, "a", encoding="utf-8") as fh:
+            fh.write("early,2016-01-01T00:00:00+00:00,good,en\n")
+        calls, corpora = Counter(), []
+
+        def count(module, name):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                result = original(*args, **kwargs)
+                if name == "ingest_tweets":
+                    corpora.append(result[0])
+                return result
+            monkeypatch.setattr(module, name, counted)
+
+        for module, name in ((tweets, "ingest_tweets"), (market, "ingest_sales"),
+                             (cli, "load_lexicon"), (tweets, "compound_only")):
+            count(module, name)
+        assert main(["--config", str(synthetic_dataset), "--output-dir",
+                     str(tmp_path / "out"), "all"]) == 0
+        corpus, keyword_corpus = corpora
+        hit = re.compile(r"\b(" + "|".join(tweets.DEFAULT_KEYWORDS) + r")\b", re.IGNORECASE)
+        keyword_hits = sum(1 for t in keyword_corpus if hit.search(t.text))
+        assert calls == {"ingest_tweets": 2, "ingest_sales": 1, "load_lexicon": 1,
+                         "compound_only": len(corpus) + keyword_hits}
+        err = capsys.readouterr().err
+        assert err.count(f"{tweet_csv}: 1 rows outside the study window dropped") == 1

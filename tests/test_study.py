@@ -1,4 +1,5 @@
 import datetime as dt
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -110,6 +111,13 @@ class TestRunSuite:
         suite = run_suite(panel, windows)
         assert "2017-2021" in suite.skipped_windows
         assert ("2021-2022", 4) in suite.fits
+        # No non-human sale before the split: a zero dummy column there.
+        panel = [replace(row, x_nonhuman=0) if row.date < windows[1].start else row
+                 for row in synthetic_panel(seed=4, n=800)]
+        suite = run_suite(panel, windows)
+        assert "rank deficient" in suite.skipped_windows["2017-2021"]
+        assert ("2021-2022", 4) in suite.fits and ("2017-2022", 4) in suite.fits
+        assert not any(label == "2017-2021" for label, _ in suite.fits)
 
     def test_determinism(self):
         panel = synthetic_panel(seed=5, n=800)
