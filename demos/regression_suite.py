@@ -13,8 +13,9 @@ import datetime as dt
 
 import numpy as np
 
-from punk_hedonics import PanelRow, default_windows, run_suite
+from punk_hedonics import Panel, default_windows, run_suite
 from punk_hedonics.econometrics import significance_stars
+from punk_hedonics.panel import PANEL_COLUMNS
 from punk_hedonics.study import REGRESSOR_LABELS, model_specs
 
 TRUTH = {
@@ -25,7 +26,7 @@ TRUTH = {
 }
 
 rng = np.random.default_rng(42)
-rows = []
+columns = {name: [] for name in PANEL_COLUMNS}
 for _ in range(6000):
     date = dt.date(2019, 1, 1) + dt.timedelta(days=int(rng.integers(0, 1400)))
     roll = rng.random()
@@ -43,9 +44,12 @@ for _ in range(6000):
         "sentiment": float(rng.uniform(-0.5, 0.5)),
     }
     y = TRUTH["intercept"] + sum(TRUTH[k] * v for k, v in fields.items())
-    rows.append(PanelRow(date=date, log_usd_price=y + float(rng.normal()), **fields))
+    fields.update(date=date, log_usd_price=y + float(rng.normal()))
+    for name, value in fields.items():
+        columns[name].append(value)
 
-suite = run_suite(rows, default_windows())
+# One numpy column per panel field; each window is a date mask over them.
+suite = run_suite(Panel(columns), default_windows())
 
 # r-squared climbs as each nested model adds regressors.
 print("R^2 by window and model:")

@@ -7,7 +7,7 @@ from .econometrics import (AdfResult, OlsFit, adf_test, ols_fit,
 from .market import (AttributeDistribution, Gender, SaleRecord, SkinTone,
                      attribute_distribution, daily_aggregates, ingest_fx,
                      ingest_gas, ingest_sales, rarity_score)
-from .panel import (CoverageReport, PanelRow, build_panel, encode_dummies,
+from .panel import (CoverageReport, Panel, build_panel, encode_dummies,
                     read_panel_csv, stationarity_screen, write_panel_csv)
 from .sentiment import (SentimentLexicon, SentimentScore, compound_only,
                         load_lexicon, score_text)

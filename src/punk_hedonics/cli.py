@@ -18,7 +18,7 @@ from functools import cached_property
 from pathlib import Path
 
 from . import market, panel, study, tweets
-from .econometrics import significance_stars
+from .econometrics import ConstantColumnError, significance_stars
 from .ingest import IngestReport
 from .sentiment import SentimentLexicon, load_lexicon
 from .series import DailySeries, pct_change
@@ -211,19 +211,17 @@ def cmd_regress(inputs: RunInputs) -> None:
     volume_pct, volume_gaps = pct_change(volume)
     fx_pct, fx_gaps = pct_change(fx)
     rarity_map = market.rarity_score(sales)
-    rows, coverage = panel.build_panel(
+    sale_panel, coverage = panel.build_panel(
         sales, sentiment, active_pct, volume_pct, gas, fx_pct, fx, rarity_map)
     with open(out / "panel.csv", "w", encoding="utf-8", newline="") as fh:
-        panel.write_panel_csv(rows, fh)
+        panel.write_panel_csv(sale_panel, fh)
 
-    screen = panel.stationarity_screen(rows, max_lag=config.max_adf_lag)
+    screen = panel.stationarity_screen(sale_panel, max_lag=config.max_adf_lag)
     windows = study.default_windows(config.window_start, config.window_end,
                                     config.split_date)
-    suite = study.run_suite(rows, windows)
+    suite = study.run_suite(sale_panel, windows)
     for label, reason in suite.skipped_windows.items():
         inputs.warnings.append(f"window {label} skipped: {reason}")
-    precheck = study.correlation_precheck(rows, study.model_specs()[-1],
-                                          threshold=config.correlation_threshold)
 
     doc = study.suite_to_dict(suite)
     doc["panel_coverage"] = {
@@ -244,13 +242,20 @@ def cmd_regress(inputs: RunInputs) -> None:
         })
         for variable, entry in screen.items()
     }
-    doc["correlation_precheck"] = {
-        "threshold": precheck.threshold,
-        "weakly_correlated": precheck.weakly_correlated,
-        "names": list(precheck.names),
-        "matrix": [[float(v) for v in row] for row in precheck.matrix],
-        "offending_pairs": [[a, b, float(r)] for a, b, r in precheck.offending_pairs],
-    }
+    try:
+        precheck = study.correlation_precheck(sale_panel, study.model_specs()[-1],
+                                              threshold=config.correlation_threshold)
+    except ConstantColumnError as exc:
+        doc["correlation_precheck"] = {"skip_reason": str(exc)}
+        inputs.warnings.append(f"correlation precheck skipped: {exc}")
+    else:
+        doc["correlation_precheck"] = {
+            "threshold": precheck.threshold,
+            "weakly_correlated": precheck.weakly_correlated,
+            "names": list(precheck.names),
+            "matrix": [[float(v) for v in row] for row in precheck.matrix],
+            "offending_pairs": [[a, b, float(r)] for a, b, r in precheck.offending_pairs],
+        }
     with open(out / "suite.json", "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
@@ -307,12 +312,15 @@ def _format_window_table(suite: study.SuiteResult, label: str) -> str:
 def _lollipop_rows(suite: study.SuiteResult) -> list[list[str]]:
     """Coefficient/stars rows for the two comparison charts: with vs
     without sentiment (models 3 and 4, pre-split window) and model 4
-    before vs after the split."""
+    before vs after the split.  The split is named by its ISO date, or
+    by its year alone when it falls on 1 January."""
+    before, after = suite.windows[0].label, suite.windows[1].label
+    split_name = suite.windows[1].start.isoformat().removesuffix("-01-01")
     comparisons = [
-        (("2017-2021", 3), "2017-2021.without_sentiment"),
-        (("2017-2021", 4), "2017-2021.with_sentiment"),
-        (("2017-2021", 4), "before_2021"),
-        (("2021-2022", 4), "after_2021"),
+        ((before, 3), f"{before}.without_sentiment"),
+        ((before, 4), f"{before}.with_sentiment"),
+        ((before, 4), f"before_{split_name}"),
+        ((after, 4), f"after_{split_name}"),
     ]
     rows = []
     for key, tag in comparisons:

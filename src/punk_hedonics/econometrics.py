@@ -61,9 +61,6 @@ class OlsFit:
     def standard_error(self, name: str) -> float:
         return float(self.standard_errors[self.names.index(name)])
 
-    def p_value(self, name: str) -> float:
-        return float(self.p_values[self.names.index(name)])
-
 
 @dataclass(frozen=True)
 class AdfResult:

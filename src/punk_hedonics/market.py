@@ -200,21 +200,18 @@ def daily_aggregates(sales: list[SaleRecord],
     return active, DailySeries(volume)
 
 
-def rarity_score(sales: list[SaleRecord],
-                 combination=None) -> dict[int, float]:
+def rarity_score(sales: list[SaleRecord]) -> dict[int, float]:
     """Inverse attribute-combination frequency over distinct punks.
 
     rarity(p) = N / |{punks with p's combination}| with N the number of
-    distinct punks observed.  The combination key defaults to
-    (gender, skin tone) and is pluggable.  Precomputed per-sale rarity
-    values (the optional CSV column) take precedence over computation.
+    distinct punks observed, the combination being (gender, skin tone).
+    Precomputed per-sale rarity values (the optional CSV column) take
+    precedence over computation.
     """
-    if combination is None:
-        combination = lambda s: (s.gender, s.skin_tone)
     combo_by_punk: dict[int, tuple] = {}
     override: dict[int, float] = {}
     for sale in sales:
-        combo_by_punk[sale.punk_id] = combination(sale)
+        combo_by_punk[sale.punk_id] = (sale.gender, sale.skin_tone)
         if sale.rarity is not None:
             override[sale.punk_id] = sale.rarity
     n = len(combo_by_punk)

@@ -5,8 +5,9 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import math
-from collections import defaultdict
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from .econometrics import (ADF_MIN_LENGTH, AdfResult, adf_test,
                            ConstantColumnError, InsufficientDataError)
@@ -14,9 +15,15 @@ from .ingest import text_stream
 from .market import Gender, SaleRecord, SkinTone
 from .series import DailySeries
 
-PANEL_COLUMNS = ("date", "log_usd_price", "x_dark", "x_light", "x_medium",
-                 "x_nonhuman", "x_male", "rarity", "active_wallet_pct",
-                 "sales_volume_pct", "gas_price_gwei", "fx_pct", "sentiment")
+# Integer columns: the one-hot encoding returned by encode_dummies, in order.
+DUMMY_COLUMNS = ("x_dark", "x_light", "x_medium", "x_nonhuman", "x_male")
+PANEL_COLUMNS = ("date", "log_usd_price", *DUMMY_COLUMNS, "rarity",
+                 "active_wallet_pct", "sales_volume_pct", "gas_price_gwei",
+                 "fx_pct", "sentiment")
+_DTYPES = {name: "datetime64[D]" if name == "date"
+           else np.int64 if name in DUMMY_COLUMNS else np.float64
+           for name in PANEL_COLUMNS}
+_WRITE_ROWS = 1024      # rows turned into Python objects at a time when writing
 
 # Daily control/regressor fields screened for stationarity.
 SCREEN_VARIABLES = ("log_usd_price", "active_wallet_pct", "sales_volume_pct",
@@ -27,21 +34,22 @@ class PanelError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class PanelRow:
-    date: dt.date
-    log_usd_price: float
-    x_dark: int
-    x_light: int
-    x_medium: int
-    x_nonhuman: int
-    x_male: int
-    rarity: float
-    active_wallet_pct: float
-    sales_volume_pct: float
-    gas_price_gwei: float
-    fx_pct: float
-    sentiment: float
+class Panel:
+    """Sale-level panel in sale order: one equal-length numpy array per
+    name in PANEL_COLUMNS, ``date`` as datetime64[D], the dummies as
+    integers and every other column as floats."""
+
+    def __init__(self, columns):
+        self.columns = {name: np.asarray(columns[name], dtype=_DTYPES[name])
+                        for name in PANEL_COLUMNS}
+        if len({len(column) for column in self.columns.values()}) > 1:
+            raise PanelError("panel columns differ in length")
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self.columns[name]
+
+    def __len__(self) -> int:
+        return len(self.columns["date"])
 
 
 @dataclass
@@ -85,21 +93,21 @@ def build_panel(sales: list[SaleRecord],
                 fx_pct: DailySeries,
                 fx_close: DailySeries,
                 rarity_map: dict[int, float],
-                ) -> tuple[list[PanelRow], CoverageReport]:
+                ) -> tuple[Panel, CoverageReport]:
     """One row per sale, inner-joined on day-level inputs.
 
     A row is emitted only when every daily input exists for its date;
     anything else is dropped and counted, never imputed.  An entirely
     empty result raises rather than returning a silent empty panel.
     """
-    daily_inputs = (("sentiment", sentiment),
-                    ("active_wallet_pct", active_wallet_pct),
-                    ("sales_volume_pct", sales_volume_pct),
-                    ("gas_price_gwei", gas),
-                    ("fx_pct", fx_pct),
-                    ("fx_close", fx_close))
+    controls = {"sentiment": sentiment,
+                "active_wallet_pct": active_wallet_pct,
+                "sales_volume_pct": sales_volume_pct,
+                "gas_price_gwei": gas,
+                "fx_pct": fx_pct}
+    daily_inputs = (*controls.items(), ("fx_close", fx_close))
     report = CoverageReport(total_sales=len(sales))
-    rows: list[PanelRow] = []
+    columns: dict[str, list] = {name: [] for name in PANEL_COLUMNS}
     for idx, sale in enumerate(sales):
         missing = [name for name, series in daily_inputs if sale.date not in series]
         if sale.punk_id not in rarity_map:
@@ -112,34 +120,32 @@ def build_panel(sales: list[SaleRecord],
             for name in missing:
                 report.drop_counts[name] = report.drop_counts.get(name, 0) + 1
             continue
-        dark, light, medium, nonhuman, male = encode_dummies(sale.skin_tone, sale.gender)
-        rows.append(PanelRow(
-            date=sale.date,
-            log_usd_price=math.log(sale.price_eth * fx_close[sale.date]),
-            x_dark=dark, x_light=light, x_medium=medium,
-            x_nonhuman=nonhuman, x_male=male,
-            rarity=rarity_map[sale.punk_id],
-            active_wallet_pct=active_wallet_pct[sale.date],
-            sales_volume_pct=sales_volume_pct[sale.date],
-            gas_price_gwei=gas[sale.date],
-            fx_pct=fx_pct[sale.date],
-            sentiment=sentiment[sale.date],
-        ))
-    report.rows_emitted = len(rows)
-    if sales and not rows:
+        columns["date"].append(sale.date)
+        columns["log_usd_price"].append(math.log(sale.price_eth * fx_close[sale.date]))
+        for name, value in zip(DUMMY_COLUMNS, encode_dummies(sale.skin_tone, sale.gender)):
+            columns[name].append(value)
+        columns["rarity"].append(rarity_map[sale.punk_id])
+        for name, series in controls.items():
+            columns[name].append(series[sale.date])
+    panel = Panel(columns)
+    report.rows_emitted = len(panel)
+    if sales and not panel:
         raise PanelError("no sale date is covered by every daily input series")
-    return rows, report
+    return panel, report
 
 
-def daily_collapse(panel: list[PanelRow], variable: str) -> DailySeries:
-    """Daily mean of one panel field (controls are constant within a day)."""
-    by_day: dict[dt.date, list[float]] = defaultdict(list)
-    for row in panel:
-        by_day[row.date].append(float(getattr(row, variable)))
-    return DailySeries({d: sum(v) / len(v) for d, v in by_day.items()})
+def daily_collapse(panel: Panel, variable: str) -> DailySeries:
+    """Daily mean of one panel column (controls are constant within a day).
+
+    Each day's values are summed in row order, as a Python running sum
+    would, so the means do not depend on numpy's summation order.
+    """
+    days, day_index = np.unique(panel["date"], return_inverse=True)
+    means = np.bincount(day_index, weights=panel[variable]) / np.bincount(day_index)
+    return DailySeries(zip(days.tolist(), means.tolist()))
 
 
-def stationarity_screen(panel: list[PanelRow],
+def stationarity_screen(panel: Panel,
                         max_lag: int | None = None) -> dict[str, ScreenEntry]:
     """ADF screen over daily-collapsed log price and every daily control.
 
@@ -150,8 +156,7 @@ def stationarity_screen(panel: list[PanelRow],
         raise PanelError("panel is empty")
     report: dict[str, ScreenEntry] = {}
     for variable in SCREEN_VARIABLES:
-        series = daily_collapse(panel, variable)
-        values = series.values
+        values = daily_collapse(panel, variable).values
         if len(values) < ADF_MIN_LENGTH:
             report[variable] = ScreenEntry(variable, None,
                                            f"series too short ({len(values)} < {ADF_MIN_LENGTH})")
@@ -168,37 +173,28 @@ def stationarity_screen(panel: list[PanelRow],
     return report
 
 
-def _format_value(value) -> str:
-    if isinstance(value, dt.date):
-        return value.isoformat()
-    if isinstance(value, int):
-        return str(value)
-    return format(value, ".17g")
-
-
-def write_panel_csv(panel: list[PanelRow], stream) -> None:
-    """Serialize the panel with the fixed column contract in PANEL_COLUMNS."""
+def write_panel_csv(panel: Panel, stream) -> None:
+    """Serialize the panel with the fixed column contract in PANEL_COLUMNS:
+    ISO dates, integer dummies, floats to 17 significant digits."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(PANEL_COLUMNS)
-    for row in panel:
-        writer.writerow([_format_value(getattr(row, col)) for col in PANEL_COLUMNS])
+    for start in range(0, len(panel), _WRITE_ROWS):
+        cells = []
+        for name in PANEL_COLUMNS:
+            values = panel[name][start:start + _WRITE_ROWS].tolist()   # Python scalars
+            cells.append([format(v, ".17g") for v in values]
+                         if panel[name].dtype.kind == "f" else values)
+        writer.writerows(zip(*cells))
 
 
-def read_panel_csv(source) -> list[PanelRow]:
+def read_panel_csv(source) -> Panel:
     """Parse a panel CSV written by write_panel_csv."""
-    reader = csv.DictReader(text_stream(source))
-    if tuple(reader.fieldnames or ()) != PANEL_COLUMNS:
+    reader = csv.reader(text_stream(source))
+    if tuple(next(reader, ())) != PANEL_COLUMNS:
         raise PanelError(f"panel CSV header must be exactly {','.join(PANEL_COLUMNS)}")
-    types = {f.name: f.type for f in fields(PanelRow)}
-    rows = []
-    for raw in reader:
-        kwargs = {}
-        for col in PANEL_COLUMNS:
-            if col == "date":
-                kwargs[col] = dt.date.fromisoformat(raw[col])
-            elif types[col] in ("int", int):
-                kwargs[col] = int(raw[col])
-            else:
-                kwargs[col] = float(raw[col])
-        rows.append(PanelRow(**kwargs))
-    return rows
+    rows = [row for row in reader if row]
+    if any(len(row) != len(PANEL_COLUMNS) for row in rows):
+        raise PanelError(f"every panel CSV row must have {len(PANEL_COLUMNS)} fields")
+    columns = {name: [row[i] for row in rows] for i, name in enumerate(PANEL_COLUMNS)}
+    columns["date"] = [dt.date.fromisoformat(d) for d in columns["date"]]  # numpy truncates a time
+    return Panel(columns)

@@ -10,10 +10,9 @@ import numpy as np
 
 from .econometrics import (ConstantColumnError, InsufficientDataError, OlsFit,
                            SingularDesignError, ols_fit, pearson_matrix, significance_stars)
-from .panel import PanelRow
+from .panel import DUMMY_COLUMNS, Panel
 
 INTERCEPT = "intercept"
-DUMMY_REGRESSORS = ("x_dark", "x_light", "x_medium", "x_nonhuman", "x_male")
 
 DEFAULT_SPLIT_DATE = dt.date(2021, 1, 1)
 DEFAULT_CORRELATION_THRESHOLD = 0.5
@@ -47,7 +46,7 @@ class ModelSpec:
 
 def model_specs() -> tuple[ModelSpec, ...]:
     """The four strictly nested regressor sets."""
-    base = DUMMY_REGRESSORS + ("rarity",)
+    base = DUMMY_COLUMNS + ("rarity",)
     demand = base + ("active_wallet_pct", "sales_volume_pct", "gas_price_gwei")
     with_fx = demand + ("fx_pct",)
     with_sentiment = with_fx + ("sentiment",)
@@ -65,24 +64,31 @@ class WindowSpec:
         if self.start >= self.end:
             raise ValueError(f"window {self.label}: start must precede end")
 
-    def contains(self, date: dt.date) -> bool:
-        return self.start <= date <= self.end
-
 
 def default_windows(study_start: dt.date = dt.date(2017, 6, 23),
                     study_end: dt.date = dt.date(2022, 10, 31),
                     split_date: dt.date = DEFAULT_SPLIT_DATE) -> tuple[WindowSpec, ...]:
-    """The three study periods: pre-split, post-split, and full span."""
-    return (WindowSpec("2017-2021", study_start, split_date - dt.timedelta(days=1)),
-            WindowSpec("2021-2022", split_date, study_end),
-            WindowSpec("2017-2022", study_start, study_end))
+    """The three study periods, in this order: pre-split, post-split, full span.
+
+    Each is labelled by the years it runs from and up to, e.g. 2017-2021
+    for 2017-06-23 to 2020-12-31.  Labels key the results, so when two
+    coincide every window is labelled by its ISO start and end dates.
+    """
+    one_day = dt.timedelta(days=1)
+    bounds = ((study_start, split_date - one_day), (split_date, study_end),
+              (study_start, study_end))
+    labels = [f"{start.year}-{(end + one_day).year}" for start, end in bounds]
+    if len(set(labels)) < len(labels):
+        labels = [f"{start.isoformat()}_{end.isoformat()}" for start, end in bounds]
+    return tuple(WindowSpec(label, start, end)
+                 for label, (start, end) in zip(labels, bounds))
 
 
 @dataclass
 class SuiteResult:
     fits: dict[tuple[str, int], OlsFit]
     skipped_windows: dict[str, str]
-    windows: tuple[WindowSpec, ...]
+    windows: tuple[WindowSpec, ...]     # pre-split, post-split, full span
 
 
 @dataclass
@@ -109,22 +115,15 @@ class RegressorChange:
 class StructuralChangeReport:
     changes: dict[str, RegressorChange]
 
-    def change(self, regressor: str) -> RegressorChange:
-        return self.changes[regressor]
 
-
-def design_for(panel: list[PanelRow], model: ModelSpec) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+def design_for(panel: Panel, model: ModelSpec) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
     """Design matrix (intercept first), response, and column names."""
     names = (INTERCEPT,) + model.regressors
-    X = np.empty((len(panel), len(names)))
-    X[:, 0] = 1.0
-    for j, reg in enumerate(model.regressors, start=1):
-        X[:, j] = [float(getattr(row, reg)) for row in panel]
-    y = np.array([row.log_usd_price for row in panel])
-    return X, y, names
+    X = np.column_stack([np.ones(len(panel)), *(panel[reg] for reg in model.regressors)])
+    return X, panel["log_usd_price"], names
 
 
-def run_suite(panel: list[PanelRow],
+def run_suite(panel: Panel,
               windows: tuple[WindowSpec, ...]) -> SuiteResult:
     """Fit every (window, model) cell; windows that cannot support the
     widest model are skipped with a reason, the rest still run."""
@@ -132,14 +131,16 @@ def run_suite(panel: list[PanelRow],
     max_params = 1 + len(specs[-1].regressors)
     fits: dict[tuple[str, int], OlsFit] = {}
     skipped: dict[str, str] = {}
+    dates = panel["date"]
     for window in windows:
-        rows = [r for r in panel if window.contains(r.date)]
-        if len(rows) <= max_params:
-            skipped[window.label] = f"only {len(rows)} rows for {max_params} parameters"
+        mask = (dates >= np.datetime64(window.start)) & (dates <= np.datetime64(window.end))
+        in_window = Panel({name: column[mask] for name, column in panel.columns.items()})
+        if len(in_window) <= max_params:
+            skipped[window.label] = f"only {len(in_window)} rows for {max_params} parameters"
             continue
         try:
             for spec in specs:
-                X, y, names = design_for(rows, spec)
+                X, y, names = design_for(in_window, spec)
                 fits[(window.label, spec.id)] = ols_fit(X, y, names=names)
         except (InsufficientDataError, ConstantColumnError, SingularDesignError) as exc:
             skipped[window.label] = str(exc)
@@ -147,7 +148,7 @@ def run_suite(panel: list[PanelRow],
     return SuiteResult(fits=fits, skipped_windows=skipped, windows=tuple(windows))
 
 
-def correlation_precheck(panel: list[PanelRow], model: ModelSpec,
+def correlation_precheck(panel: Panel, model: ModelSpec,
                          threshold: float = DEFAULT_CORRELATION_THRESHOLD) -> PrecheckResult:
     """Pairwise correlations among the model's regressors.
 
@@ -157,9 +158,7 @@ def correlation_precheck(panel: list[PanelRow], model: ModelSpec,
     """
     if not panel:
         raise ValueError("panel is empty")
-    columns = [(reg, np.array([float(getattr(row, reg)) for row in panel]))
-               for reg in model.regressors]
-    names, matrix = pearson_matrix(columns)
+    names, matrix = pearson_matrix([(reg, panel[reg]) for reg in model.regressors])
     offending = []
     for i in range(len(names)):
         for j in range(i + 1, len(names)):
@@ -220,10 +219,13 @@ def suite_to_dict(suite: SuiteResult) -> dict:
         "skipped_windows": dict(sorted(suite.skipped_windows.items())),
         "results": results,
     }
-    before = suite.fits.get(("2017-2021", 4))
-    after = suite.fits.get(("2021-2022", 4))
-    if before is not None and after is not None:
-        report = structural_change(before, after)
+    skipped = [f"window {w.label} skipped: {suite.skipped_windows[w.label]}"
+               for w in suite.windows[:2] if w.label in suite.skipped_windows]
+    if skipped:
+        doc["structural_change"] = {"skip_reason": "; ".join(skipped)}
+    else:
+        report = structural_change(suite.fits[(suite.windows[0].label, 4)],
+                                   suite.fits[(suite.windows[1].label, 4)])
         doc["structural_change"] = {
             name: {
                 "coef_before": c.coef_before,

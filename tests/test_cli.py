@@ -23,6 +23,17 @@ def write_config(tmp_path, **extra):
     return path
 
 
+NONHUMAN = ("Alien", "Ape", "Zombie")
+
+
+def drop_sales(root, predicate):
+    """Remove the sales rows for which predicate(date, skin_tone) holds."""
+    path = root / "sales.csv"
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    kept = [r for r in rows if not predicate(r.split(",")[1], r.split(",")[3])]
+    path.write_text("\n".join([header, *kept]) + "\n", encoding="utf-8")
+
+
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.reader(fh))
@@ -197,6 +208,49 @@ class TestRegress:
         rows = read_panel_csv((out / "panel.csv").read_text())
         doc = json.loads((out / "suite.json").read_text())
         assert len(rows) == doc["panel_coverage"]["rows_emitted"]
+
+    def test_non_default_split_date_names_windows_and_tags(self, synthetic_dataset,
+                                                            tmp_path):
+        out = tmp_path / "out"
+        assert main(["--config", str(synthetic_dataset), "--output-dir", str(out),
+                     "--split-date", "2020-11-01", "regress"]) == 0
+        doc = json.loads((out / "suite.json").read_text())
+        assert [w["label"] for w in doc["windows"]] == ["2017-2020", "2020-2022",
+                                                        "2017-2022"]
+        assert doc["windows"][0]["end"] == "2020-10-31"
+        assert {key.split(".")[0] for key in doc["results"]} == {
+            "2017-2020", "2020-2022", "2017-2022"}
+        assert "skip_reason" not in doc["structural_change"]
+        tags = {r[3] for r in read_csv(out / "lollipop.csv")[1:]}
+        assert tags == {"2017-2020.without_sentiment", "2017-2020.with_sentiment",
+                        "before_2020-11-01", "after_2020-11-01"}
+
+    def test_skipped_pre_split_window_gives_structural_change_reason(
+            self, synthetic_dataset, tmp_path, capsys):
+        drop_sales(synthetic_dataset.parent,
+                   lambda date, skin: date < "2021-01-01" and skin in NONHUMAN)
+        out = tmp_path / "out"
+        assert main(["--config", str(synthetic_dataset), "--output-dir", str(out),
+                     "all"]) == 0
+        doc = json.loads((out / "suite.json").read_text())
+        assert list(doc["skipped_windows"]) == ["2017-2021"]
+        reason = doc["structural_change"]["skip_reason"]
+        assert reason.startswith("window 2017-2021 skipped: ")
+        assert "warning: window 2017-2021 skipped" in capsys.readouterr().err
+
+    def test_no_nonhuman_sale_skips_precheck_and_exits_zero(self, synthetic_dataset,
+                                                            tmp_path, capsys):
+        drop_sales(synthetic_dataset.parent, lambda date, skin: skin in NONHUMAN)
+        out = tmp_path / "out"
+        assert main(["--config", str(synthetic_dataset), "--output-dir", str(out),
+                     "all"]) == 0
+        doc = json.loads((out / "suite.json").read_text())
+        assert doc["correlation_precheck"] == {
+            "skip_reason": "column 'x_nonhuman' is constant"}
+        assert len(doc["skipped_windows"]) == 3
+        assert "warning: correlation precheck skipped" in capsys.readouterr().err
+        for name in ("tables.txt", "lollipop.csv", "heatmap.csv"):
+            assert (out / name).is_file(), name
 
 
 class TestAll:

@@ -221,10 +221,3 @@ class TestRarity:
         scores = rarity_score(sales)
         assert scores[1] == 7.5
         assert scores[2] == 1.0
-
-    def test_pluggable_combination(self):
-        day = dt.date(2021, 5, 1)
-        sales = [sale(1, day, skin=SkinTone.DARK, gender=Gender.MALE),
-                 sale(2, day, skin=SkinTone.LIGHT, gender=Gender.MALE)]
-        scores = rarity_score(sales, combination=lambda s: s.gender)
-        assert scores == {1: 1.0, 2: 1.0}

@@ -1,16 +1,20 @@
 import datetime as dt
 import io
 import math
+from collections import defaultdict
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from punk_hedonics.market import Gender, SaleRecord, SkinTone
-from punk_hedonics.panel import (PANEL_COLUMNS, PanelError, PanelRow, build_panel,
-                                 daily_collapse, encode_dummies, read_panel_csv,
-                                 stationarity_screen, write_panel_csv)
+from punk_hedonics.panel import (_WRITE_ROWS, DUMMY_COLUMNS, PANEL_COLUMNS, Panel,
+                                 PanelError, build_panel, daily_collapse, encode_dummies,
+                                 read_panel_csv, stationarity_screen, write_panel_csv)
 from punk_hedonics.series import DailySeries
+from punk_hedonics.study import design_for, model_specs
 
 DAY0 = dt.date(2021, 5, 1)
 
@@ -72,26 +76,32 @@ class TestEncodeDummies:
 class TestBuildPanel:
     def test_single_complete_row(self):
         inputs = full_inputs(3)
-        rows, report = build_panel([sale(1, day(1))], rarity_map={1: 2.5}, **inputs)
-        assert len(rows) == 1
+        panel, report = build_panel([sale(1, day(1))], rarity_map={1: 2.5}, **inputs)
+        assert len(panel) == 1
         assert report.rows_emitted == 1 and report.drops == []
-        row = rows[0]
-        assert row.log_usd_price == pytest.approx(
+        assert panel["date"].tolist() == [day(1)]
+        assert panel["log_usd_price"][0] == pytest.approx(
             math.log(2.0 * inputs["fx_close"][day(1)]))
-        assert (row.x_dark, row.x_male) == (1, 1)
-        assert row.rarity == 2.5
-        assert row.sentiment == inputs["sentiment"][day(1)]
+        assert (panel["x_dark"][0], panel["x_male"][0]) == (1, 1)
+        assert panel["rarity"][0] == 2.5
+        assert panel["sentiment"][0] == inputs["sentiment"][day(1)]
+
+    def test_column_dtypes(self):
+        panel, _ = build_panel([sale(1, day(1))], rarity_map={1: 2.5}, **full_inputs(3))
+        assert list(panel.columns) == list(PANEL_COLUMNS)
+        assert panel["date"].dtype == np.dtype("datetime64[D]")
+        for name in PANEL_COLUMNS[1:]:
+            assert panel[name].dtype.kind == ("i" if name in DUMMY_COLUMNS else "f"), name
 
     def test_missing_sentiment_drops_with_reason(self):
         inputs = full_inputs(3)
         inputs["sentiment"] = DailySeries({day(0): 0.1})  # not day 1
-        rows, report = [], None
         with pytest.raises(PanelError):
             build_panel([sale(1, day(1))], rarity_map={1: 1.0}, **inputs)
         # With one covered sale present the dropped one is reported, not fatal.
         sales = [sale(1, day(0)), sale(2, day(1))]
-        rows, report = build_panel(sales, rarity_map={1: 1.0, 2: 1.0}, **inputs)
-        assert len(rows) == 1
+        panel, report = build_panel(sales, rarity_map={1: 1.0, 2: 1.0}, **inputs)
+        assert len(panel) == 1
         assert report.drops == [(1, "sentiment")]
         assert report.drop_counts == {"sentiment": 1}
 
@@ -99,16 +109,16 @@ class TestBuildPanel:
         inputs = full_inputs(5)
         inputs["gas"] = DailySeries({day(i): 50.0 for i in (0, 2, 4)})
         sales = [sale(i, day(i % 5)) for i in range(20)]
-        rows, report = build_panel(sales, rarity_map={i: 1.0 for i in range(20)},
-                                   **inputs)
-        assert len(rows) + len(report.drops) == len(sales)
+        panel, report = build_panel(sales, rarity_map={i: 1.0 for i in range(20)},
+                                    **inputs)
+        assert len(panel) + len(report.drops) == len(sales)
 
     def test_price_roundtrip_invariant(self):
         inputs = full_inputs(4, seed=3)
         sales = [sale(i, day(i), price=0.5 + i) for i in range(4)]
-        rows, _ = build_panel(sales, rarity_map={i: 1.0 for i in range(4)}, **inputs)
-        for row, s in zip(rows, sales):
-            assert math.exp(row.log_usd_price) / inputs["fx_close"][s.date] == \
+        panel, _ = build_panel(sales, rarity_map={i: 1.0 for i in range(4)}, **inputs)
+        for log_price, s in zip(panel["log_usd_price"], sales):
+            assert math.exp(log_price) / inputs["fx_close"][s.date] == \
                 pytest.approx(s.price_eth, rel=1e-9)
 
     def test_matches_per_sale_lookup_oracle(self):
@@ -120,22 +130,21 @@ class TestBuildPanel:
                       gender=list(Gender)[int(rng.integers(0, 2))])
                  for i in range(50)]
         rarity = {i: float(rng.uniform(1, 50)) for i in range(50)}
-        rows, report = build_panel(sales, rarity_map=rarity, **inputs)
+        panel, report = build_panel(sales, rarity_map=rarity, **inputs)
         assert report.drops == []
-        for row, s in zip(rows, sales):
-            assert row.date == s.date
-            assert row.log_usd_price == pytest.approx(
+        for i, s in enumerate(sales):
+            assert panel["date"][i] == np.datetime64(s.date)
+            assert panel["log_usd_price"][i] == pytest.approx(
                 math.log(s.price_eth * inputs["fx_close"][s.date]), abs=1e-12)
             expected = encode_dummies(s.skin_tone, s.gender)
-            assert (row.x_dark, row.x_light, row.x_medium,
-                    row.x_nonhuman, row.x_male) == expected
-            assert row.rarity == rarity[s.punk_id]
-            for field, series in (("active_wallet_pct", inputs["active_wallet_pct"]),
-                                  ("sales_volume_pct", inputs["sales_volume_pct"]),
-                                  ("gas_price_gwei", inputs["gas"]),
-                                  ("fx_pct", inputs["fx_pct"]),
-                                  ("sentiment", inputs["sentiment"])):
-                assert getattr(row, field) == series[s.date]
+            assert tuple(panel[name][i] for name in DUMMY_COLUMNS) == expected
+            assert panel["rarity"][i] == rarity[s.punk_id]
+            for column, series in (("active_wallet_pct", inputs["active_wallet_pct"]),
+                                   ("sales_volume_pct", inputs["sales_volume_pct"]),
+                                   ("gas_price_gwei", inputs["gas"]),
+                                   ("fx_pct", inputs["fx_pct"]),
+                                   ("sentiment", inputs["sentiment"])):
+                assert panel[column][i] == series[s.date]
 
     def test_no_overlap_raises_not_silent_empty(self):
         inputs = full_inputs(2)
@@ -144,25 +153,25 @@ class TestBuildPanel:
 
     def test_missing_rarity_drops(self):
         inputs = full_inputs(2)
-        rows, report = build_panel([sale(1, day(0)), sale(2, day(1))],
-                                   rarity_map={1: 1.0}, **inputs)
-        assert len(rows) == 1
+        panel, report = build_panel([sale(1, day(0)), sale(2, day(1))],
+                                    rarity_map={1: 1.0}, **inputs)
+        assert len(panel) == 1
         assert report.drop_counts == {"rarity": 1}
 
 
 def panel_from_series(values, dates=None):
-    """One PanelRow per value, with log price carrying the series."""
-    rows = []
-    for i, v in enumerate(values):
-        rows.append(PanelRow(date=dates[i] if dates else day(i),
-                             log_usd_price=float(v), x_dark=0, x_light=0,
-                             x_medium=0, x_nonhuman=0, x_male=0, rarity=1.0,
-                             active_wallet_pct=0.1 * ((i % 7) - 3),
-                             sales_volume_pct=0.05 * ((i % 5) - 2),
-                             gas_price_gwei=50.0 + (i % 11),
-                             fx_pct=0.01 * ((i % 3) - 1),
-                             sentiment=0.2 * ((i % 9) / 8 - 0.5)))
-    return rows
+    """One panel row per value, with log price carrying the series."""
+    i = np.arange(len(values))
+    zeros = np.zeros(len(values), dtype=int)
+    return Panel({"date": dates if dates else [day(k) for k in i],
+                  "log_usd_price": values,
+                  **{name: zeros for name in DUMMY_COLUMNS},
+                  "rarity": np.ones(len(values)),
+                  "active_wallet_pct": 0.1 * ((i % 7) - 3),
+                  "sales_volume_pct": 0.05 * ((i % 5) - 2),
+                  "gas_price_gwei": 50.0 + (i % 11),
+                  "fx_pct": 0.01 * ((i % 3) - 1),
+                  "sentiment": 0.2 * ((i % 9) / 8 - 0.5)})
 
 
 class TestStationarityScreen:
@@ -194,7 +203,7 @@ class TestStationarityScreen:
 
     def test_empty_panel_errors(self):
         with pytest.raises(PanelError):
-            stationarity_screen([])
+            stationarity_screen(panel_from_series([]))
 
     def test_collapse_averages_within_day(self):
         rows = panel_from_series([1.0, 3.0], dates=[day(0), day(0)])
@@ -207,11 +216,38 @@ class TestPanelCsv:
         inputs = full_inputs(4, seed=9)
         sales = [sale(i, day(i), price=1.0 + i, skin=list(SkinTone)[i],
                       gender=list(Gender)[i % 2]) for i in range(4)]
-        rows, _ = build_panel(sales, rarity_map={i: 1.5 + i for i in range(4)},
-                              **inputs)
+        panel, _ = build_panel(sales, rarity_map={i: 1.5 + i for i in range(4)},
+                               **inputs)
         buf = io.StringIO()
-        write_panel_csv(rows, buf)
-        assert read_panel_csv(buf.getvalue()) == rows
+        write_panel_csv(panel, buf)
+        assert_panels_equal(read_panel_csv(buf.getvalue()), panel)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                    max_size=20))
+    def test_round_trip_is_exact_for_any_float(self, values):
+        panel = panel_from_series(values)
+        buf = io.StringIO()
+        write_panel_csv(panel, buf)
+        assert_panels_equal(read_panel_csv(buf.getvalue()), panel)
+
+    def test_round_trip_longer_than_one_write_chunk(self):
+        values = np.random.default_rng(5).normal(size=2 * _WRITE_ROWS + 3)
+        panel = panel_from_series(values, dates=[day(k % 400) for k in range(len(values))])
+        buf = io.StringIO()
+        write_panel_csv(panel, buf)
+        assert buf.getvalue().count("\n") == len(values) + 1
+        assert_panels_equal(read_panel_csv(buf.getvalue()), panel)
+
+    def test_short_row_rejected(self):
+        with pytest.raises(PanelError, match="13 fields"):
+            read_panel_csv(",".join(PANEL_COLUMNS) + "\n2021-05-01,1.5\n")
+
+    def test_datetime_in_date_column_rejected(self):
+        buf = io.StringIO()
+        write_panel_csv(panel_from_series([1.0]), buf)
+        with pytest.raises(ValueError):
+            read_panel_csv(buf.getvalue().replace("2021-05-01", "2021-05-01T05"))
 
     def test_header_contract_enforced(self):
         with pytest.raises(PanelError, match="header"):
@@ -219,5 +255,65 @@ class TestPanelCsv:
 
     def test_header_is_fixed_contract(self):
         buf = io.StringIO()
-        write_panel_csv([], buf)
+        write_panel_csv(panel_from_series([]), buf)
         assert buf.getvalue().strip() == ",".join(PANEL_COLUMNS)
+
+
+def assert_panels_equal(a, b):
+    assert list(a.columns) == list(b.columns)
+    for name in PANEL_COLUMNS:
+        assert a[name].dtype == b[name].dtype, name
+        assert a[name].tolist() == b[name].tolist(), name
+
+
+def reference_daily_collapse(panel, variable):
+    """Per-row reference: a Python running sum and count per day."""
+    totals, counts = defaultdict(float), defaultdict(int)
+    for date, value in zip(panel["date"].tolist(), panel[variable].tolist()):
+        totals[date] += value
+        counts[date] += 1
+    return DailySeries({d: totals[d] / counts[d] for d in totals})
+
+
+def reference_design(panel, model):
+    """Per-row reference: the design filled row by row, one cell at a time."""
+    names = ("intercept",) + model.regressors
+    X = np.empty((len(panel), len(names)))
+    for i in range(len(panel)):
+        X[i, 0] = 1.0
+        for j, name in enumerate(model.regressors, start=1):
+            X[i, j] = float(panel[name][i])
+    return X, np.array([float(v) for v in panel["log_usd_price"]]), names
+
+
+finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+
+
+@st.composite
+def random_panels(draw):
+    """Unsorted dates over a few days, so each day holds many rows."""
+    n = draw(st.integers(min_value=1, max_value=60))
+    n_days = draw(st.integers(min_value=1, max_value=5))
+    column = lambda elements: draw(st.lists(elements, min_size=n, max_size=n))
+    return Panel({"date": [day(k) for k in column(st.integers(0, n_days - 1))],
+                  **{name: column(st.integers(0, 1)) for name in DUMMY_COLUMNS},
+                  **{name: column(finite) for name in PANEL_COLUMNS
+                     if name != "date" and name not in DUMMY_COLUMNS}})
+
+
+class TestColumnarMatchesRowReference:
+    @settings(max_examples=40, deadline=None)
+    @given(random_panels())
+    def test_daily_collapse(self, panel):
+        for variable in ("log_usd_price", "x_male", "sentiment"):
+            assert daily_collapse(panel, variable) == reference_daily_collapse(panel, variable)
+
+    @settings(max_examples=40, deadline=None)
+    @given(random_panels())
+    def test_design_for(self, panel):
+        for model in model_specs():
+            X, y, names = design_for(panel, model)
+            X_ref, y_ref, names_ref = reference_design(panel, model)
+            assert names == names_ref
+            assert X.dtype == X_ref.dtype and np.array_equal(X, X_ref)
+            assert y.dtype == y_ref.dtype and np.array_equal(y, y_ref)

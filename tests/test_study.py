@@ -1,10 +1,9 @@
 import datetime as dt
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from punk_hedonics.panel import PanelRow
+from punk_hedonics.panel import PANEL_COLUMNS, Panel
 from punk_hedonics.study import (AlignmentError, correlation_precheck,
                                  default_windows, design_for, model_specs,
                                  run_suite, structural_change, suite_to_dict,
@@ -22,7 +21,7 @@ def synthetic_panel(n=4000, seed=0, noise=1.0, coeffs=TRUE_COEFFS,
                     start=dt.date(2019, 1, 1), span_days=1400):
     """Panel drawn from the hedonic model structure with known coefficients."""
     rng = np.random.default_rng(seed)
-    rows = []
+    columns = {name: [] for name in PANEL_COLUMNS}
     for _ in range(n):
         date = start + dt.timedelta(days=int(rng.integers(0, span_days)))
         skin_roll = rng.random()
@@ -43,8 +42,9 @@ def synthetic_panel(n=4000, seed=0, noise=1.0, coeffs=TRUE_COEFFS,
         }
         y = coeffs["intercept"] + sum(coeffs[k] * fields[k] for k in fields)
         y += float(rng.normal(0, noise))
-        rows.append(PanelRow(date=date, log_usd_price=y, **fields))
-    return rows
+        for name, value in dict(fields, date=date, log_usd_price=y).items():
+            columns[name].append(value)
+    return Panel(columns)
 
 
 class TestModelSpecs:
@@ -72,6 +72,19 @@ class TestWindows:
         assert w[0].end == dt.date(2020, 12, 31)
         assert w[1].start == dt.date(2021, 1, 1)
         assert w[2].start == w[0].start and w[2].end == w[1].end
+
+    def test_labels_follow_the_split_date(self):
+        w = default_windows(split_date=dt.date(2020, 11, 1))
+        assert [x.label for x in w] == ["2017-2020", "2020-2022", "2017-2022"]
+        assert w[0].end == dt.date(2020, 10, 31)
+        assert w[1].start == dt.date(2020, 11, 1)
+
+    def test_coinciding_labels_fall_back_to_iso_dates(self):
+        w = default_windows(dt.date(2021, 1, 1), dt.date(2021, 12, 31),
+                            split_date=dt.date(2021, 7, 1))
+        assert [x.label for x in w] == ["2021-01-01_2021-06-30",
+                                        "2021-07-01_2021-12-31",
+                                        "2021-01-01_2021-12-31"]
 
     def test_invalid_window(self):
         with pytest.raises(ValueError):
@@ -112,8 +125,10 @@ class TestRunSuite:
         assert "2017-2021" in suite.skipped_windows
         assert ("2021-2022", 4) in suite.fits
         # No non-human sale before the split: a zero dummy column there.
-        panel = [replace(row, x_nonhuman=0) if row.date < windows[1].start else row
-                 for row in synthetic_panel(seed=4, n=800)]
+        panel = synthetic_panel(seed=4, n=800)
+        pre_split = panel["date"] < np.datetime64(windows[1].start)
+        panel = Panel({**panel.columns,
+                       "x_nonhuman": np.where(pre_split, 0, panel["x_nonhuman"])})
         suite = run_suite(panel, windows)
         assert "rank deficient" in suite.skipped_windows["2017-2021"]
         assert ("2021-2022", 4) in suite.fits and ("2017-2022", 4) in suite.fits
@@ -132,9 +147,8 @@ class TestRunSuite:
 class TestCorrelationPrecheck:
     def test_duplicated_regressor_flags_pair(self):
         panel = synthetic_panel(seed=6, n=300)
-        rows = [row.__class__(**{**row.__dict__, "fx_pct": row.sentiment})
-                for row in panel]
-        result = correlation_precheck(rows, model_specs()[-1])
+        panel = Panel({**panel.columns, "fx_pct": panel["sentiment"]})
+        result = correlation_precheck(panel, model_specs()[-1])
         assert not result.weakly_correlated
         assert ("fx_pct", "sentiment", pytest.approx(1.0)) in [
             (a, b, r) for a, b, r in result.offending_pairs] or \
