@@ -134,15 +134,16 @@ def build_panel(sales: list[SaleRecord],
     return panel, report
 
 
-def daily_collapse(panel: Panel, variable: str) -> DailySeries:
-    """Daily mean of one panel column (controls are constant within a day).
+def _daily_means(day_index: np.ndarray, column: np.ndarray) -> list[float]:
+    """Mean of ``column`` per day of ``day_index``, each day summed in row
+    order as a Python running sum would, so numpy's order does not matter."""
+    return (np.bincount(day_index, weights=column) / np.bincount(day_index)).tolist()
 
-    Each day's values are summed in row order, as a Python running sum
-    would, so the means do not depend on numpy's summation order.
-    """
+
+def daily_collapse(panel: Panel, variable: str) -> DailySeries:
+    """Daily mean of one panel column (controls are constant within a day)."""
     days, day_index = np.unique(panel["date"], return_inverse=True)
-    means = np.bincount(day_index, weights=panel[variable]) / np.bincount(day_index)
-    return DailySeries(zip(days.tolist(), means.tolist()))
+    return DailySeries(zip(days.tolist(), _daily_means(day_index, panel[variable])))
 
 
 def stationarity_screen(panel: Panel,
@@ -154,9 +155,10 @@ def stationarity_screen(panel: Panel,
     """
     if not panel:
         raise PanelError("panel is empty")
+    _, day_index = np.unique(panel["date"], return_inverse=True)    # once for every variable
     report: dict[str, ScreenEntry] = {}
     for variable in SCREEN_VARIABLES:
-        values = daily_collapse(panel, variable).values
+        values = _daily_means(day_index, panel[variable])
         if len(values) < ADF_MIN_LENGTH:
             report[variable] = ScreenEntry(variable, None,
                                            f"series too short ({len(values)} < {ADF_MIN_LENGTH})")

@@ -144,21 +144,6 @@ def load_lexicon(source) -> SentimentLexicon:
                             negations=NEGATIONS, but_words=BUT_WORDS)
 
 
-def _tokenize(text: str) -> list[str]:
-    """Whitespace-split, strip edge punctuation unless the token is all punctuation."""
-    tokens = []
-    for raw in text.split():
-        stripped = raw.strip(_STRIP_CHARS)
-        tok = stripped if stripped else raw
-        if tok:
-            tokens.append(tok)
-    return tokens
-
-
-def _is_shouting(token: str) -> bool:
-    return token.isupper() and any(c.isalpha() for c in token)
-
-
 def normalize_valence_sum(total: float) -> float:
     """Squash an unbounded valence sum into [-1, 1]."""
     score = total / math.sqrt(total * total + NORMALIZATION_ALPHA)
@@ -175,71 +160,83 @@ def _punctuation_emphasis(text: str) -> float:
     return ep + qm
 
 
-def score_text(lexicon: SentimentLexicon, text: str) -> SentimentScore:
-    """Score one text.  Pure and total: any UTF-8 string is accepted."""
-    tokens = _tokenize(text)
-    if not tokens:
-        return _EMPTY_SCORE
-    lowered = [t.lower() for t in tokens]
+def _valences(lexicon: SentimentLexicon, text: str) -> tuple[int, list[float]]:
+    """Token count of ``text`` and, in token order, the final valence of each
+    token with a nonzero lexicon valence; every other token scores 0.
+
+    Tokens are the whitespace-split words stripped of edge punctuation,
+    unless all punctuation.  One walk finds the lexicon hits, the shouting
+    tokens and the first "but"; only the hits look back for modifiers.
+    """
+    get = lexicon.entries.get
+    but_words = lexicon.but_words
+    lowered: list[str] = []
+    hits: list[tuple[int, float, bool]] = []     # (index, lexicon valence, shouting)
+    shouted = 0
+    but_at = None
+    for raw in text.split():
+        token = raw.strip(_STRIP_CHARS) or raw
+        low = token.lower()
+        shouting = token.isupper() and any(c.isalpha() for c in token)
+        shouted += shouting
+        if but_at is None and low in but_words:
+            but_at = len(lowered)
+        valence = get(low)      # no booster is an entry (SentimentLexicon checks)
+        if valence:
+            hits.append((len(lowered), valence, shouting))
+        lowered.append(low)
 
     # Caps emphasis applies only when the text mixes cased styles.
-    shouting = [_is_shouting(t) for t in tokens]
-    cap_differential = any(shouting) and not all(shouting)
-
+    cap_differential = 0 < shouted < len(lowered)
+    boosters = lexicon.boosters
+    booster_words = boosters.keys()
+    negations = lexicon.negations
     valences = []
-    for i, low in enumerate(lowered):
-        if low in lexicon.boosters or low not in lexicon.entries:
-            valences.append(0.0)
-            continue
-        v = lexicon.entries[low]
-        if v == 0.0:
-            # Neutral entry: nothing for boosters/caps/negation to act on.
-            valences.append(0.0)
-            continue
-        if cap_differential and shouting[i]:
+    for i, v, shouting in hits:
+        if cap_differential and shouting:
             v += CAPS_INCREMENT if v > 0 else -CAPS_INCREMENT
-        for dist in range(1, BOOSTER_SCOPE + 1):
-            j = i - dist
-            if j < 0:
-                break
-            step = lexicon.boosters.get(lowered[j])
-            if step is not None:
-                step *= BOOSTER_DISTANCE_SCALE[dist - 1]
-                v += -step if v < 0 else step
-        if any(lowered[i - d] in lexicon.negations
-               for d in range(1, NEGATION_SCOPE + 1) if i - d >= 0):
+        before = lowered[max(i - BOOSTER_SCOPE, 0):i]
+        if not booster_words.isdisjoint(before):
+            for scale, word in zip(BOOSTER_DISTANCE_SCALE, reversed(before)):
+                step = boosters.get(word)
+                if step is not None:
+                    step *= scale
+                    v += -step if v < 0 else step
+        if not negations.isdisjoint(lowered[max(i - NEGATION_SCOPE, 0):i]):
             v *= NEGATION_FACTOR
+        if but_at is not None and i != but_at:
+            v *= BUT_BEFORE_FACTOR if i < but_at else BUT_AFTER_FACTOR
         valences.append(v)
+    return len(lowered), valences
 
-    for bi, low in enumerate(lowered):
-        if low in lexicon.but_words:
-            valences = [v * BUT_BEFORE_FACTOR if k < bi
-                        else v * BUT_AFTER_FACTOR if k > bi else v
-                        for k, v in enumerate(valences)]
-            break
 
+def _compound(total: float, text: str) -> float:
+    """Squash a valence sum pushed away from 0 by the text's ! and ? emphasis."""
+    if not total:
+        return 0.0
     emphasis = _punctuation_emphasis(text)
-    total = sum(valences)
-    if total > 0:
-        total += emphasis
-    elif total < 0:
-        total -= emphasis
-    compound = normalize_valence_sum(total)
+    return normalize_valence_sum(total + emphasis if total > 0 else total - emphasis)
 
+
+def score_text(lexicon: SentimentLexicon, text: str) -> SentimentScore:
+    """Score one text.  Pure and total: any UTF-8 string is accepted."""
+    n_tokens, valences = _valences(lexicon, text)
+    if not n_tokens:
+        return _EMPTY_SCORE
     pos = sum(v + 1.0 for v in valences if v > 0)
     neg = sum(v - 1.0 for v in valences if v < 0)
-    neu = float(sum(1 for v in valences if v == 0))
+    neu = float(n_tokens - len(valences) + valences.count(0.0))
+    emphasis = _punctuation_emphasis(text)
     if pos > abs(neg):
         pos += emphasis
     elif pos < abs(neg):
         neg -= emphasis
     mass = pos + abs(neg) + neu
-    if mass == 0:
-        return _EMPTY_SCORE
     return SentimentScore(positive=pos / mass, negative=abs(neg) / mass,
-                          neutral=neu / mass, compound=compound)
+                          neutral=neu / mass, compound=_compound(sum(valences), text))
 
 
 def compound_only(lexicon: SentimentLexicon, text: str) -> float:
     """Compound score alone; identical to ``score_text(...).compound``."""
-    return score_text(lexicon, text).compound
+    # The zero valences are left out of the sum, which keeps it exact.
+    return _compound(sum(_valences(lexicon, text)[1]), text)

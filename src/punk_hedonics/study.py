@@ -134,7 +134,8 @@ def run_suite(panel: Panel,
     dates = panel["date"]
     for window in windows:
         mask = (dates >= np.datetime64(window.start)) & (dates <= np.datetime64(window.end))
-        in_window = Panel({name: column[mask] for name, column in panel.columns.items()})
+        in_window = panel if mask.all() else Panel({name: column[mask]
+                                                    for name, column in panel.columns.items()})
         if len(in_window) <= max_params:
             skipped[window.label] = f"only {len(in_window)} rows for {max_params} parameters"
             continue

@@ -1,7 +1,10 @@
 import csv
 import datetime as dt
 import json
+import os
 import re
+import subprocess
+import sys
 import textwrap
 from collections import Counter
 from pathlib import Path
@@ -37,6 +40,15 @@ def drop_sales(root, predicate):
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.reader(fh))
+
+
+def test_runs_as_python_dash_m():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "punk_hedonics", "--help"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: punk-hedonics")
 
 
 class TestConfig:

@@ -10,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from punk_hedonics.market import Gender, SaleRecord, SkinTone
-from punk_hedonics.panel import (_WRITE_ROWS, DUMMY_COLUMNS, PANEL_COLUMNS, Panel,
-                                 PanelError, build_panel, daily_collapse, encode_dummies,
-                                 read_panel_csv, stationarity_screen, write_panel_csv)
+from punk_hedonics.econometrics import adf_test
+from punk_hedonics.panel import (_WRITE_ROWS, DUMMY_COLUMNS, PANEL_COLUMNS,
+                                 SCREEN_VARIABLES, Panel, PanelError, build_panel,
+                                 daily_collapse, encode_dummies, read_panel_csv,
+                                 stationarity_screen, write_panel_csv)
 from punk_hedonics.series import DailySeries
 from punk_hedonics.study import design_for, model_specs
 
@@ -302,6 +304,18 @@ def random_panels(draw):
 
 
 class TestColumnarMatchesRowReference:
+    def test_screen_tests_each_daily_mean_series(self):
+        rng = np.random.default_rng(17)
+        n = 900
+        panel = Panel({"date": [day(k) for k in rng.integers(0, 150, n)],
+                       **{name: rng.integers(0, 2, n) for name in DUMMY_COLUMNS},
+                       **{name: rng.normal(size=n).cumsum() for name in PANEL_COLUMNS
+                          if name != "date" and name not in DUMMY_COLUMNS}})
+        report = stationarity_screen(panel, max_lag=4)
+        for variable in SCREEN_VARIABLES:
+            expected = adf_test(reference_daily_collapse(panel, variable).values, max_lag=4)
+            assert report[variable].result == expected, variable
+
     @settings(max_examples=40, deadline=None)
     @given(random_panels())
     def test_daily_collapse(self, panel):

@@ -1,13 +1,19 @@
+import dataclasses
 import math
+import string
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_lexicon
-from punk_hedonics.sentiment import (BOOSTERS, LexiconError, compound_only,
-                                     load_lexicon, normalize_valence_sum,
-                                     score_text)
+from punk_hedonics.sentiment import (BOOSTER_DISTANCE_SCALE, BOOSTER_SCOPE,
+                                     BOOSTERS, BUT_AFTER_FACTOR, BUT_BEFORE_FACTOR,
+                                     CAPS_INCREMENT, EXCLAIM_INCREMENT, MAX_EXCLAIM,
+                                     NEGATION_FACTOR, NEGATION_SCOPE, NEGATIONS,
+                                     QUESTION_CAP, QUESTION_INCREMENT, LexiconError,
+                                     SentimentScore, compound_only, load_lexicon,
+                                     normalize_valence_sum, score_text)
 
 ALPHA = 15.0
 
@@ -192,3 +198,159 @@ def test_fuzzed_invariants(text):
 
 def test_booster_table_signs():
     assert all(abs(v) == 0.293 for v in BOOSTERS.values())
+
+
+# Reference scorer: the rule-by-rule implementation the one-pass scorer
+# replaced, kept verbatim.  It builds the token, lowered and shouting lists,
+# then the valence list, then rebuilds that list for "but".
+_STRIP_CHARS = string.punctuation + "¡¿‘’“”…"
+_EMPTY_SCORE = SentimentScore(0.0, 0.0, 0.0, 0.0)
+
+
+def _tokenize(text: str) -> list[str]:
+    """Whitespace-split, strip edge punctuation unless the token is all punctuation."""
+    tokens = []
+    for raw in text.split():
+        stripped = raw.strip(_STRIP_CHARS)
+        tok = stripped if stripped else raw
+        if tok:
+            tokens.append(tok)
+    return tokens
+
+
+def _is_shouting(token: str) -> bool:
+    return token.isupper() and any(c.isalpha() for c in token)
+
+
+def _punctuation_emphasis(text: str) -> float:
+    ep = min(text.count("!"), MAX_EXCLAIM) * EXCLAIM_INCREMENT
+    qm_count = text.count("?")
+    if qm_count > 1:
+        qm = qm_count * QUESTION_INCREMENT if qm_count <= 3 else QUESTION_CAP
+    else:
+        qm = 0.0
+    return ep + qm
+
+
+def reference_score_text(lexicon, text: str) -> SentimentScore:
+    """Score one text.  Pure and total: any UTF-8 string is accepted."""
+    tokens = _tokenize(text)
+    if not tokens:
+        return _EMPTY_SCORE
+    lowered = [t.lower() for t in tokens]
+
+    # Caps emphasis applies only when the text mixes cased styles.
+    shouting = [_is_shouting(t) for t in tokens]
+    cap_differential = any(shouting) and not all(shouting)
+
+    valences = []
+    for i, low in enumerate(lowered):
+        if low in lexicon.boosters or low not in lexicon.entries:
+            valences.append(0.0)
+            continue
+        v = lexicon.entries[low]
+        if v == 0.0:
+            # Neutral entry: nothing for boosters/caps/negation to act on.
+            valences.append(0.0)
+            continue
+        if cap_differential and shouting[i]:
+            v += CAPS_INCREMENT if v > 0 else -CAPS_INCREMENT
+        for dist in range(1, BOOSTER_SCOPE + 1):
+            j = i - dist
+            if j < 0:
+                break
+            step = lexicon.boosters.get(lowered[j])
+            if step is not None:
+                step *= BOOSTER_DISTANCE_SCALE[dist - 1]
+                v += -step if v < 0 else step
+        if any(lowered[i - d] in lexicon.negations
+               for d in range(1, NEGATION_SCOPE + 1) if i - d >= 0):
+            v *= NEGATION_FACTOR
+        valences.append(v)
+
+    for bi, low in enumerate(lowered):
+        if low in lexicon.but_words:
+            valences = [v * BUT_BEFORE_FACTOR if k < bi
+                        else v * BUT_AFTER_FACTOR if k > bi else v
+                        for k, v in enumerate(valences)]
+            break
+
+    emphasis = _punctuation_emphasis(text)
+    total = sum(valences)
+    if total > 0:
+        total += emphasis
+    elif total < 0:
+        total -= emphasis
+    compound = normalize_valence_sum(total)
+
+    pos = sum(v + 1.0 for v in valences if v > 0)
+    neg = sum(v - 1.0 for v in valences if v < 0)
+    neu = float(sum(1 for v in valences if v == 0))
+    if pos > abs(neg):
+        pos += emphasis
+    elif pos < abs(neg):
+        neg -= emphasis
+    mass = pos + abs(neg) + neu
+    if mass == 0:
+        return _EMPTY_SCORE
+    return SentimentScore(positive=pos / mass, negative=abs(neg) / mass,
+                          neutral=neu / mass, compound=compound)
+
+
+def same_float(a: float, b: float) -> bool:
+    """Equal, and equal in the sign of a zero."""
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+# Lexicon words whose valences each example draws: "but" and "no" also have
+# the but/negation role, and a dampener right before "tiny" takes it to 0.
+LEXICON_WORDS = ("good", "bad", "meh", "tiny", "but", "no")
+valences = st.one_of(
+    st.sampled_from([0.0, 0.293, -0.293, 0.1, 5e-324, 1.9, -2.5, 4.0]),
+    st.floats(min_value=-4.0, max_value=4.0))
+lexicons = st.fixed_dictionaries(
+    {**{word: valences for word in LEXICON_WORDS},
+     "tiny": st.sampled_from([0.293, -0.293])}).map(make_lexicon)
+
+words = st.one_of(
+    st.sampled_from(LEXICON_WORDS + ("plain", "BUT")),
+    st.sampled_from(sorted(BOOSTERS)),
+    st.sampled_from(sorted(NEGATIONS)),
+    st.sampled_from(["slightly tiny", "kinda tiny", "very good", "not bad",
+                     "good but bad"]),
+    st.text(min_size=1, max_size=6))
+cased = st.tuples(words, st.sampled_from([str, str.upper, str.lower, str.title,
+                                          str.swapcase])).map(lambda wc: wc[1](wc[0]))
+edges = st.text(alphabet=_STRIP_CHARS + "!?", max_size=3)
+tokens = st.builds(lambda pre, word, post: pre + word + post, edges, cased, edges)
+separators = st.sampled_from([" ", "  ", "\t", "\n", "\u00a0", "\u3000"])
+texts = st.one_of(
+    st.lists(st.tuples(tokens, separators), max_size=14).map(
+        lambda parts: "".join(token + sep for token, sep in parts)),
+    st.text(max_size=80))
+
+
+class TestMatchesReference:
+    @settings(max_examples=600, deadline=None)
+    @given(lexicons, texts)
+    def test_score_text(self, lexicon, text):
+        got, want = score_text(lexicon, text), reference_score_text(lexicon, text)
+        for field in dataclasses.fields(SentimentScore):
+            assert same_float(getattr(got, field.name), getattr(want, field.name)), field.name
+
+    @settings(max_examples=600, deadline=None)
+    @given(lexicons, texts)
+    def test_compound_only(self, lexicon, text):
+        assert same_float(compound_only(lexicon, text),
+                          reference_score_text(lexicon, text).compound)
+
+    @pytest.mark.parametrize("text", [
+        "tiny slightly tiny",               # 0.293 - 0.293 == 0: a neutral token
+        "good but bad but good",            # only the first "but" reweights
+        "GOOD day", "GOOD DAY", "NOT very good!!", "kinda not tiny??",
+        "no but no", "'but' good", "…good… ¿bad?", "Ⓐ good", ""])
+    def test_fixed_cases(self, text):
+        lexicon = make_lexicon({"good": 1.9, "bad": -2.5, "tiny": 0.293,
+                                "no": -1.2, "but": 0.5})
+        assert score_text(lexicon, text) == reference_score_text(lexicon, text)
+        assert compound_only(lexicon, text) == reference_score_text(lexicon, text).compound

@@ -134,6 +134,22 @@ class TestRunSuite:
         assert ("2021-2022", 4) in suite.fits and ("2017-2022", 4) in suite.fits
         assert not any(label == "2017-2021" for label, _ in suite.fits)
 
+    def test_full_window_fits_same_as_from_a_masked_copy(self):
+        # Every row lies in the full window, so it is fitted on the panel
+        # itself; one extra sale before the study start forces a copy.
+        panel = synthetic_panel(seed=6, n=800)
+        windows = default_windows()
+        early = np.datetime64(windows[2].start) - np.timedelta64(1, "D")
+        padded = Panel({name: np.concatenate([[early] if name == "date" else column[:1],
+                                              column])
+                        for name, column in panel.columns.items()})
+        whole, masked = run_suite(panel, windows), run_suite(padded, windows)
+        for spec in model_specs():
+            a, b = whole.fits[(windows[2].label, spec.id)], masked.fits[(windows[2].label, spec.id)]
+            for field in ("coefficients", "standard_errors", "t_stats", "p_values"):
+                assert np.array_equal(getattr(a, field), getattr(b, field)), field
+            assert (a.r2, a.adj_r2, a.n_obs) == (b.r2, b.adj_r2, b.n_obs)
+
     def test_determinism(self):
         panel = synthetic_panel(seed=5, n=800)
         a = run_suite(panel, default_windows())
