@@ -4,18 +4,18 @@ numerics, and the nested-model study grid."""
 
 from .econometrics import (AdfResult, OlsFit, adf_test, ols_fit,
                            pearson_matrix, significance_stars)
-from .market import (AttributeDistribution, Gender, SaleRecord, SkinTone,
+from .market import (AttributeDistribution, Gender, Sales, SkinTone,
                      attribute_distribution, daily_aggregates, ingest_fx,
                      ingest_gas, ingest_sales, rarity_score)
-from .panel import (CoverageReport, Panel, build_panel, encode_dummies,
-                    read_panel_csv, stationarity_screen, write_panel_csv)
+from .panel import (CoverageReport, Panel, build_panel, read_panel_csv,
+                    stationarity_screen, write_panel_csv)
 from .sentiment import (SentimentLexicon, SentimentScore, compound_only,
                         load_lexicon, score_text)
 from .series import DailySeries, pct_change
 from .study import (ModelSpec, StructuralChangeReport, SuiteResult, WindowSpec,
                     correlation_precheck, default_windows, model_specs,
                     run_suite, structural_change)
-from .tweets import (KeywordFilter, Tweet, daily_mean_sentiment, daily_volume,
-                     ingest_tweets, keyword_frequency, keyword_sentiment)
+from .tweets import (KeywordFilter, Tweet, daily_mean_sentiment, ingest_tweets,
+                     keyword_frequency, keyword_sentiment)
 
 __version__ = "0.1.0"

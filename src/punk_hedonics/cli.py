@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
+import numpy as np
+
 from . import market, panel, study, tweets
 from .econometrics import ConstantColumnError, significance_stars
 from .ingest import IngestReport
@@ -158,7 +160,7 @@ class RunInputs:
         return tweets.daily_mean_sentiment(corpus, self.lexicon)
 
     @cached_property
-    def sales(self) -> list[market.SaleRecord]:
+    def sales(self) -> market.Sales:
         sales, report = market.ingest_sales(self.config.sales.read_bytes())
         _write_rejects(self.config.output_dir / "sales_rejects.csv", report)
         return sales
@@ -203,7 +205,9 @@ def cmd_regress(inputs: RunInputs) -> None:
     config.require("tweet_corpus", "lexicon", "sales", "gas", "fx")
     out = config.output_dir
     sentiment = inputs.sentiment
-    sales = [s for s in inputs.sales if config.window_start <= s.date <= config.window_end]
+    day = inputs.sales["day"]
+    sales = inputs.sales.select((day >= np.datetime64(config.window_start))
+                                & (day <= np.datetime64(config.window_end)))
     gas = market.ingest_gas(config.gas.read_bytes())
     fx = market.ingest_fx(config.fx.read_bytes())
     active, volume = market.daily_aggregates(sales, fx)
@@ -336,7 +340,7 @@ def _lollipop_rows(suite: study.SuiteResult) -> list[list[str]]:
 
 
 def cmd_heatmap(inputs: RunInputs) -> None:
-    """Gender x skin-tone counts and shares from the sales records."""
+    """Gender x skin-tone counts and shares over the accepted sales."""
     inputs.config.require("sales")
     distribution = market.attribute_distribution(inputs.sales)
     rows = []

@@ -1,9 +1,11 @@
-"""Shared by every input reader: the source normaliser, the ingest report
-and the schema error."""
+"""Shared by every input reader: the source normaliser, the CSV record
+reader, the ingest report and the schema error."""
 
 from __future__ import annotations
 
+import csv
 import io
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 
@@ -30,3 +32,34 @@ def text_stream(source) -> io.StringIO:
     if isinstance(source, str):
         return io.StringIO(source)
     raise TypeError(f"unsupported source type {type(source)!r}")
+
+
+def csv_records(source, required: tuple[str, ...], what: str,
+                ) -> tuple[dict[str, int], Iterator[tuple[int, list]]]:
+    """The header and the records of a CSV, read as ``csv.DictReader`` reads them.
+
+    Returns the column of each header name (a repeated name keeps its last
+    column) and an iterator of ``(row_number, row)``.  ``row_number``
+    counts CSV records with the header as 1; blank lines are skipped and
+    not counted.  A row shorter than the header is padded with None;
+    fields past the header are never looked up.  A header without every
+    name in ``required`` is a SchemaError naming the ``what`` CSV.
+    """
+    reader = csv.reader(text_stream(source))
+    header = next(reader, [])
+    index = {name: i for i, name in enumerate(header)}
+    missing = [c for c in required if c not in index]
+    if missing:
+        raise SchemaError(f"{what} CSV missing columns: {', '.join(missing)}")
+    return index, _numbered(reader, len(header))
+
+
+def _numbered(reader, width: int) -> Iterator[tuple[int, list]]:
+    row_number = 1
+    for row in reader:
+        if not row:
+            continue
+        row_number += 1
+        if len(row) < width:
+            row += [None] * (width - len(row))
+        yield row_number, row

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
-from collections import defaultdict
+import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import product
 
-from .ingest import IngestReport, SchemaError, text_stream
+import numpy as np
+
+from .ingest import IngestReport, csv_records
 from .series import DailySeries
 
 
@@ -33,10 +35,18 @@ class SkinTone(Enum):
 
 _NONHUMAN = frozenset({SkinTone.ALIEN, SkinTone.APE, SkinTone.ZOMBIE})
 
-_GENDER_BY_LABEL = {g.value.lower(): g for g in Gender}
-_SKIN_BY_LABEL = {s.value.lower(): s for s in SkinTone}
+# A sale's ``skin`` and ``gender`` codes index these tuples.
+SKIN_TONES = tuple(SkinTone)
+GENDERS = tuple(Gender)
+_SKIN_CODES = {s.value.lower(): code for code, s in enumerate(SKIN_TONES)}
+_GENDER_CODES = {g.value.lower(): code for code, g in enumerate(GENDERS)}
 
 SALES_COLUMNS = ("punk_id", "date", "price_eth", "skin_tone", "gender", "buyer", "seller")
+_SALES_DTYPES = {"punk_id": np.int64, "day": "datetime64[D]", "price_eth": np.float64,
+                 "rarity": np.float64, "has_rarity": np.bool_, "skin": np.int8,
+                 "gender": np.int8, "buyer": np.int64, "seller": np.int64}
+_INT64_LIMIT = 2 ** 63
+_EPOCH = dt.date(1970, 1, 1).toordinal()
 
 
 class UncoveredDatesError(ValueError):
@@ -50,16 +60,33 @@ class UncoveredDatesError(ValueError):
         super().__init__(f"{series_name} series missing sale dates: {listed}{more}")
 
 
-@dataclass(frozen=True)
-class SaleRecord:
-    punk_id: int
-    date: dt.date
-    price_eth: float
-    skin_tone: SkinTone
-    gender: Gender
-    buyer_wallet: str
-    seller_wallet: str
-    rarity: float | None = None    # optional precomputed override
+class Sales:
+    """Accepted sales in file order: one equal-length numpy array per name.
+
+    - ``punk_id`` (int64) and ``day`` (datetime64[D]);
+    - ``price_eth``, and ``rarity``, the optional precomputed rarity: NaN
+      where ``has_rarity`` is false;
+    - ``skin`` and ``gender``, int8 codes: ``SKIN_TONES[code]`` and
+      ``GENDERS[code]`` are the sale's SkinTone and Gender;
+    - ``buyer`` and ``seller``, wallet ids interned per file: two ids are
+      equal when the two addresses are equal after stripping whitespace.
+    """
+
+    def __init__(self, columns):
+        self.columns = {name: np.asarray(columns[name], dtype=dtype)
+                        for name, dtype in _SALES_DTYPES.items()}
+        if len({len(column) for column in self.columns.values()}) > 1:
+            raise ValueError("sales columns differ in length")
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self.columns[name]
+
+    def __len__(self) -> int:
+        return len(self.columns["day"])
+
+    def select(self, mask: np.ndarray) -> Sales:
+        """The sales where ``mask`` is true, in the same order."""
+        return Sales({name: column[mask] for name, column in self.columns.items()})
 
 
 @dataclass
@@ -86,76 +113,128 @@ class AttributeDistribution:
         return sum(c for (_, s), c in self.counts.items() if s is skin) / self.total
 
 
-def ingest_sales(source) -> tuple[list[SaleRecord], IngestReport]:
+class _Memo(dict):
+    """``parse(raw)`` for each distinct raw field, computed on first lookup."""
+
+    def __init__(self, parse):
+        super().__init__()
+        self.parse = parse
+
+    def __missing__(self, raw):
+        value = self[raw] = self.parse(raw)
+        return value
+
+
+def _day_number(raw: str | None) -> int | None:
+    """Days since 1970-01-01 of an ISO date, or None if it is not one."""
+    try:
+        return dt.date.fromisoformat((raw or "").strip()).toordinal() - _EPOCH
+    except ValueError:
+        return None
+
+
+def ingest_sales(source) -> tuple[Sales, IngestReport]:
     """Read the sales CSV; invalid rows go to the rejects report.
 
     Header: ``punk_id,date,price_eth,skin_tone,gender,buyer,seller[,rarity]``.
-    Unknown extra columns are ignored.
+    Unknown extra columns are ignored.  A row is rejected, with the first
+    reason that applies, for a punk_id that is not an integer in 64 bits,
+    a date that is not ISO, a price_eth that is not a number, not finite
+    or negative, a skin_tone or gender label that is not a SkinTone or
+    Gender value (any case, surrounding space ignored), or a non-empty
+    rarity that is not a finite number.  A reject's row number counts CSV
+    records with the header as 1; blank lines are not counted.  See Sales
+    for the columns of the accepted rows.
     """
-    reader = csv.DictReader(text_stream(source))
-    header = reader.fieldnames or []
-    missing = [c for c in SALES_COLUMNS if c not in header]
-    if missing:
-        raise SchemaError(f"sales CSV missing columns: {', '.join(missing)}")
-    has_rarity = "rarity" in header
+    index, records = csv_records(source, SALES_COLUMNS, "sales")
+    i_punk, i_date, i_price, i_skin, i_gender, i_buyer, i_seller = (
+        index[c] for c in SALES_COLUMNS)
+    i_rarity = index.get("rarity")
+    days = _Memo(_day_number)                   # each distinct date string parsed once
+    skins = _Memo(lambda raw: _SKIN_CODES.get((raw or "").strip().lower()))
+    genders = _Memo(lambda raw: _GENDER_CODES.get((raw or "").strip().lower()))
+    isfinite = math.isfinite
 
     report = IngestReport()
-    sales: list[SaleRecord] = []
-    for row_number, row in enumerate(reader, start=2):
+    rejects = report.rejects
+    accepted = []
+    for row_number, row in records:
         try:
-            punk_id = int(row["punk_id"])
+            punk_id = int(row[i_punk])
         except (TypeError, ValueError):
-            report.rejects.append((row_number, "bad punk_id"))
+            rejects.append((row_number, "bad punk_id"))
+            continue
+        if not -_INT64_LIMIT <= punk_id < _INT64_LIMIT:
+            rejects.append((row_number, "bad punk_id"))
+            continue
+        day = days[row[i_date]]
+        if day is None:
+            rejects.append((row_number, "bad date"))
             continue
         try:
-            date = dt.date.fromisoformat((row["date"] or "").strip())
-        except ValueError:
-            report.rejects.append((row_number, "bad date"))
-            continue
-        try:
-            price = float(row["price_eth"])
+            price = float(row[i_price])
         except (TypeError, ValueError):
-            report.rejects.append((row_number, "bad price_eth"))
+            rejects.append((row_number, "bad price_eth"))
+            continue
+        if not isfinite(price):
+            rejects.append((row_number, "non-finite price_eth"))
             continue
         if price < 0:
-            report.rejects.append((row_number, "negative price_eth"))
+            rejects.append((row_number, "negative price_eth"))
             continue
-        skin = _SKIN_BY_LABEL.get((row["skin_tone"] or "").strip().lower())
+        skin = skins[row[i_skin]]
         if skin is None:
-            report.rejects.append((row_number, f"unknown skin_tone {row['skin_tone']!r}"))
+            rejects.append((row_number, f"unknown skin_tone {row[i_skin]!r}"))
             continue
-        gender = _GENDER_BY_LABEL.get((row["gender"] or "").strip().lower())
+        gender = genders[row[i_gender]]
         if gender is None:
-            report.rejects.append((row_number, f"unknown gender {row['gender']!r}"))
+            rejects.append((row_number, f"unknown gender {row[i_gender]!r}"))
             continue
-        rarity = None
-        if has_rarity and (row.get("rarity") or "").strip():
+        rarity = math.nan
+        raw_rarity = None if i_rarity is None else row[i_rarity]
+        if raw_rarity and raw_rarity.strip():
             try:
-                rarity = float(row["rarity"])
+                rarity = float(raw_rarity)
             except ValueError:
-                report.rejects.append((row_number, "bad rarity"))
+                rejects.append((row_number, "bad rarity"))
                 continue
-        sales.append(SaleRecord(punk_id=punk_id, date=date, price_eth=price,
-                                skin_tone=skin, gender=gender,
-                                buyer_wallet=(row["buyer"] or "").strip(),
-                                seller_wallet=(row["seller"] or "").strip(),
-                                rarity=rarity))
-    report.accepted = len(sales)
-    return sales, report
+            if not isfinite(rarity):
+                rejects.append((row_number, "non-finite rarity"))
+                continue
+        accepted.append((punk_id, day, price, rarity, skin, gender,
+                         row[i_buyer], row[i_seller]))
+    report.accepted = len(accepted)
+    names = ("punk_id", "day", "price_eth", "rarity", "skin", "gender", "buyer", "seller")
+    columns = dict(zip(names, zip(*accepted))) if accepted else dict.fromkeys(names, ())
+    columns["day"] = np.array(columns["day"], dtype=np.int64).astype("datetime64[D]")
+    wallet_ids: dict[str, int] = {}
+    for role in ("buyer", "seller"):
+        columns[role] = [wallet_ids.setdefault((raw or "").strip(), len(wallet_ids))
+                         for raw in columns[role]]
+    # NaN marks a row without rarity: a non-finite rarity given is rejected.
+    columns["has_rarity"] = ~np.isnan(np.array(columns["rarity"], dtype=np.float64))
+    return Sales(columns), report
 
 
-def _ingest_two_column_series(source, date_col: str, value_col: str,
-                              positive: bool) -> DailySeries:
-    reader = csv.DictReader(text_stream(source))
-    header = reader.fieldnames or []
-    missing = [c for c in (date_col, value_col) if c not in header]
-    if missing:
-        raise SchemaError(f"series CSV missing columns: {', '.join(missing)}")
+def _ingest_two_column_series(source, date_col: str, value_col: str) -> DailySeries:
+    """Read a ``date,value`` CSV of finite values > 0; any bad row is fatal,
+    a ValueError naming the row as ingest_sales numbers it."""
+    index, records = csv_records(source, (date_col, value_col), "series")
+    i_date, i_value = index[date_col], index[value_col]
     out = {}
-    for row_number, row in enumerate(reader, start=2):
-        date = dt.date.fromisoformat((row[date_col] or "").strip())
-        value = float(row[value_col])
-        if positive and value <= 0:
+    for row_number, row in records:
+        raw_date, raw_value = row[i_date], row[i_value]
+        try:
+            date = dt.date.fromisoformat((raw_date or "").strip())
+        except ValueError:
+            raise ValueError(f"row {row_number}: bad {date_col} {raw_date!r}") from None
+        try:
+            value = float(raw_value)
+        except (TypeError, ValueError):
+            raise ValueError(f"row {row_number}: bad {value_col} {raw_value!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"row {row_number}: {value_col} must be finite, got {value}")
+        if value <= 0:
             raise ValueError(f"row {row_number}: {value_col} must be > 0, got {value}")
         if date in out:
             raise ValueError(f"row {row_number}: duplicate date {date.isoformat()}")
@@ -165,59 +244,70 @@ def _ingest_two_column_series(source, date_col: str, value_col: str,
 
 def ingest_gas(source) -> DailySeries:
     """Gas CSV: ``date,gwei_avg``; mean daily gas price in gwei, > 0."""
-    return _ingest_two_column_series(source, "date", "gwei_avg", positive=True)
+    return _ingest_two_column_series(source, "date", "gwei_avg")
 
 
 def ingest_fx(source) -> DailySeries:
     """FX CSV: ``date,eth_usd_close``; daily USD-per-ETH close, > 0."""
-    return _ingest_two_column_series(source, "date", "eth_usd_close", positive=True)
+    return _ingest_two_column_series(source, "date", "eth_usd_close")
 
 
-def attribute_distribution(sales: list[SaleRecord]) -> AttributeDistribution:
-    counts: dict[tuple[Gender, SkinTone], int] = defaultdict(int)
-    for sale in sales:
-        counts[(sale.gender, sale.skin_tone)] += 1
-    return AttributeDistribution(counts=dict(counts), total=len(sales))
+def _combinations(sales: Sales, rows=slice(None)) -> np.ndarray:
+    """The (gender, skin tone) cell of each sale in ``rows``, as
+    ``gender * len(SKIN_TONES) + skin``."""
+    return (sales["gender"][rows].astype(np.intp) * len(SKIN_TONES)
+            + sales["skin"][rows])
 
 
-def daily_aggregates(sales: list[SaleRecord],
-                     fx: DailySeries) -> tuple[DailySeries, DailySeries]:
+def _last_occurrences(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each distinct key, sorted, and the index of its last occurrence."""
+    distinct, first_from_end = np.unique(keys[::-1], return_index=True)
+    return distinct, len(keys) - 1 - first_from_end
+
+
+def attribute_distribution(sales: Sales) -> AttributeDistribution:
+    cells = np.bincount(_combinations(sales), minlength=len(GENDERS) * len(SKIN_TONES))
+    counts = {cell: n for cell, n in zip(product(GENDERS, SKIN_TONES), cells.tolist()) if n}
+    return AttributeDistribution(counts=counts, total=len(sales))
+
+
+def daily_aggregates(sales: Sales, fx: DailySeries) -> tuple[DailySeries, DailySeries]:
     """Distinct active wallets and USD sales volume per day.
 
     Active wallets are the union of buyer and seller addresses seen that
-    day.  The FX series must cover every sale date.
+    day.  Volume adds each sale's USD value in sale order.  The FX series
+    must cover every sale date.
     """
-    uncovered = sorted({s.date for s in sales if s.date not in fx})
+    days, day_index = np.unique(sales["day"], return_inverse=True)
+    dates = days.tolist()
+    rates = [fx.get(d) for d in dates]
+    uncovered = [d for d, rate in zip(dates, rates) if rate is None]
     if uncovered:
         raise UncoveredDatesError("fx", uncovered)
-    wallets: dict[dt.date, set[str]] = defaultdict(set)
-    volume: dict[dt.date, float] = defaultdict(float)
-    for sale in sales:
-        wallets[sale.date].add(sale.buyer_wallet)
-        wallets[sale.date].add(sale.seller_wallet)
-        volume[sale.date] += sale.price_eth * fx[sale.date]
-    active = DailySeries({d: float(len(w)) for d, w in wallets.items()})
-    return active, DailySeries(volume)
+    buyer, seller = sales["buyer"], sales["seller"]
+    n_wallets = int(max(buyer.max(), seller.max())) + 1 if len(sales) else 1
+    day_wallets = np.unique(np.concatenate([day_index * n_wallets + buyer,
+                                            day_index * n_wallets + seller]))
+    active = np.bincount(day_wallets // n_wallets, minlength=len(dates))
+    usd = sales["price_eth"] * np.array(rates, dtype=np.float64)[day_index]
+    volume = np.bincount(day_index, weights=usd, minlength=len(dates))
+    return DailySeries(zip(dates, active.tolist())), DailySeries(zip(dates, volume.tolist()))
 
 
-def rarity_score(sales: list[SaleRecord]) -> dict[int, float]:
+def rarity_score(sales: Sales) -> dict[int, float]:
     """Inverse attribute-combination frequency over distinct punks.
 
     rarity(p) = N / |{punks with p's combination}| with N the number of
-    distinct punks observed, the combination being (gender, skin tone).
-    Precomputed per-sale rarity values (the optional CSV column) take
-    precedence over computation.
+    distinct punks observed, the combination being (gender, skin tone)
+    at the punk's last sale.  A punk's last precomputed rarity (the
+    optional CSV column) takes precedence over computation.
     """
-    combo_by_punk: dict[int, tuple] = {}
-    override: dict[int, float] = {}
-    for sale in sales:
-        combo_by_punk[sale.punk_id] = (sale.gender, sale.skin_tone)
-        if sale.rarity is not None:
-            override[sale.punk_id] = sale.rarity
-    n = len(combo_by_punk)
-    combo_counts: dict[tuple, int] = defaultdict(int)
-    for combo in combo_by_punk.values():
-        combo_counts[combo] += 1
-    scores = {punk: n / combo_counts[combo] for punk, combo in combo_by_punk.items()}
-    scores.update(override)
-    return scores
+    punks, last = _last_occurrences(sales["punk_id"])
+    combination = _combinations(sales, last)
+    scores = len(punks) / np.bincount(combination)[combination]
+    result = dict(zip(punks.tolist(), scores.tolist()))
+    given = sales["has_rarity"]
+    if given.any():
+        punks, last = _last_occurrences(sales["punk_id"][given])
+        result.update(zip(punks.tolist(), sales["rarity"][given][last].tolist()))
+    return result

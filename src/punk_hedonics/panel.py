@@ -12,18 +12,23 @@ import numpy as np
 from .econometrics import (ADF_MIN_LENGTH, AdfResult, adf_test,
                            ConstantColumnError, InsufficientDataError)
 from .ingest import text_stream
-from .market import Gender, SaleRecord, SkinTone
+from .market import GENDERS, SKIN_TONES, Gender, Sales, SkinTone
 from .series import DailySeries
 
-# Integer columns: the one-hot encoding returned by encode_dummies, in order.
+# Integer columns: the one-hot encoding of a sale's skin tone and gender
+# against the Female + Albino base case; Alien, Ape and Zombie all set
+# x_nonhuman.
 DUMMY_COLUMNS = ("x_dark", "x_light", "x_medium", "x_nonhuman", "x_male")
+_SKIN_DUMMIES = np.array([(s is SkinTone.DARK, s is SkinTone.LIGHT, s is SkinTone.MEDIUM,
+                           s.is_nonhuman) for s in SKIN_TONES], dtype=np.int64)
+_MALE = GENDERS.index(Gender.MALE)
 PANEL_COLUMNS = ("date", "log_usd_price", *DUMMY_COLUMNS, "rarity",
                  "active_wallet_pct", "sales_volume_pct", "gas_price_gwei",
                  "fx_pct", "sentiment")
 _DTYPES = {name: "datetime64[D]" if name == "date"
            else np.int64 if name in DUMMY_COLUMNS else np.float64
            for name in PANEL_COLUMNS}
-_WRITE_ROWS = 1024      # rows turned into Python objects at a time when writing
+_WRITE_ROWS = 1024      # rows joined into one string at a time when writing
 
 # Daily control/regressor fields screened for stationarity.
 SCREEN_VARIABLES = ("log_usd_price", "active_wallet_pct", "sales_volume_pct",
@@ -54,11 +59,19 @@ class Panel:
 
 @dataclass
 class CoverageReport:
-    """Per-sale join outcomes; emitted rows + drops = sales in."""
+    """Join outcomes of build_panel.
+
+    ``total_sales`` sales went in and ``rows_emitted`` rows came out.
+    ``drop_counts`` maps each missing input to the number of dropped
+    sales that lack it: a daily input's name (``sentiment``,
+    ``active_wallet_pct``, ``sales_volume_pct``, ``gas_price_gwei``,
+    ``fx_pct``, ``fx_close``), ``rarity`` or ``positive price``.  A sale
+    lacking several inputs counts under each, so the counts can add up to
+    more than the ``total_sales - rows_emitted`` dropped sales.
+    """
 
     total_sales: int = 0
     rows_emitted: int = 0
-    drops: list[tuple[int, str]] = field(default_factory=list)  # (sale index, missing inputs)
     drop_counts: dict[str, int] = field(default_factory=dict)
 
 
@@ -75,17 +88,15 @@ class ScreenEntry:
         return None if self.result is None else self.result.reject_at["5%"]
 
 
-def encode_dummies(skin: SkinTone, gender: Gender) -> tuple[int, int, int, int, int]:
-    """One-hot (dark, light, medium, nonhuman, male) against the
-    Female + Albino base case; Alien/Ape/Zombie collapse to nonhuman."""
-    return (int(skin is SkinTone.DARK),
-            int(skin is SkinTone.LIGHT),
-            int(skin is SkinTone.MEDIUM),
-            int(skin.is_nonhuman),
-            int(gender is Gender.MALE))
+def _lookup(table, keys: list) -> tuple[np.ndarray, np.ndarray]:
+    """``table.get(key)`` for each key: the values, NaN where absent, and
+    where each was present."""
+    values = [table.get(key) for key in keys]
+    present = np.array([v is not None for v in values], dtype=bool)
+    return np.array([math.nan if v is None else v for v in values], dtype=np.float64), present
 
 
-def build_panel(sales: list[SaleRecord],
+def build_panel(sales: Sales,
                 sentiment: DailySeries,
                 active_wallet_pct: DailySeries,
                 sales_volume_pct: DailySeries,
@@ -94,42 +105,47 @@ def build_panel(sales: list[SaleRecord],
                 fx_close: DailySeries,
                 rarity_map: dict[int, float],
                 ) -> tuple[Panel, CoverageReport]:
-    """One row per sale, inner-joined on day-level inputs.
+    """One row per sale in sale order, inner-joined on day-level inputs.
 
-    A row is emitted only when every daily input exists for its date;
-    anything else is dropped and counted, never imputed.  An entirely
-    empty result raises rather than returning a silent empty panel.
+    Each daily input is looked up once per distinct sale day and
+    ``rarity_map`` once per distinct punk.  A row is emitted only when
+    every daily input has the sale's day, the punk has a rarity and the
+    price is positive; anything else is dropped and counted in the
+    CoverageReport, never imputed.  ``log_usd_price`` is
+    ``math.log(price_eth * fx_close)``; the dummies encode the sale's
+    skin and gender codes (see DUMMY_COLUMNS).  An entirely empty result
+    raises rather than returning a silent empty panel.
     """
     controls = {"sentiment": sentiment,
                 "active_wallet_pct": active_wallet_pct,
                 "sales_volume_pct": sales_volume_pct,
                 "gas_price_gwei": gas,
                 "fx_pct": fx_pct}
-    daily_inputs = (*controls.items(), ("fx_close", fx_close))
-    report = CoverageReport(total_sales=len(sales))
-    columns: dict[str, list] = {name: [] for name in PANEL_COLUMNS}
-    for idx, sale in enumerate(sales):
-        missing = [name for name, series in daily_inputs if sale.date not in series]
-        if sale.punk_id not in rarity_map:
-            missing.append("rarity")
-        if sale.price_eth <= 0:
-            missing.append("positive price")
-        if missing:
-            reason = ",".join(missing)
-            report.drops.append((idx, reason))
-            for name in missing:
-                report.drop_counts[name] = report.drop_counts.get(name, 0) + 1
-            continue
-        columns["date"].append(sale.date)
-        columns["log_usd_price"].append(math.log(sale.price_eth * fx_close[sale.date]))
-        for name, value in zip(DUMMY_COLUMNS, encode_dummies(sale.skin_tone, sale.gender)):
-            columns[name].append(value)
-        columns["rarity"].append(rarity_map[sale.punk_id])
-        for name, series in controls.items():
-            columns[name].append(series[sale.date])
+    days, day_index = np.unique(sales["day"], return_inverse=True)
+    dates = days.tolist()
+    daily, missing = {}, {}         # missing: input name -> sales without it
+    for name, series in (*controls.items(), ("fx_close", fx_close)):
+        daily[name], present = _lookup(series, dates)
+        missing[name] = ~present[day_index]
+    punks, punk_index = np.unique(sales["punk_id"], return_inverse=True)
+    rarity, present = _lookup(rarity_map, punks.tolist())
+    missing["rarity"] = ~present[punk_index]
+    missing["positive price"] = sales["price_eth"] <= 0
+    keep = ~np.logical_or.reduce(list(missing.values()))
+
+    day_index, punk_index = day_index[keep], punk_index[keep]
+    usd = sales["price_eth"][keep] * daily["fx_close"][day_index]
+    columns = {"date": sales["day"][keep],
+               "log_usd_price": [math.log(v) for v in usd.tolist()],
+               **dict(zip(DUMMY_COLUMNS[:-1], _SKIN_DUMMIES[sales["skin"][keep]].T)),
+               "x_male": sales["gender"][keep] == _MALE,
+               "rarity": rarity[punk_index],
+               **{name: daily[name][day_index] for name in controls}}
     panel = Panel(columns)
-    report.rows_emitted = len(panel)
-    if sales and not panel:
+    report = CoverageReport(total_sales=len(sales), rows_emitted=len(panel),
+                            drop_counts={name: int(mask.sum())
+                                         for name, mask in missing.items() if mask.any()})
+    if len(sales) and not panel:
         raise PanelError("no sale date is covered by every daily input series")
     return panel, report
 
@@ -175,18 +191,28 @@ def stationarity_screen(panel: Panel,
     return report
 
 
+def _column_text(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The text of each distinct value of a panel column, as an object
+    array, and the index into it of each row.  A float is written as
+    ``format(v, ".17g")``, anything else as ``str`` of its Python scalar.
+    Floats and dates are told apart by their bits, so -0.0 and 0.0 differ."""
+    floats = column.dtype.kind == "f"
+    keys = column.view(np.int64) if column.dtype.kind in "fM" else column
+    distinct, index = np.unique(keys, return_inverse=True)
+    values = distinct.view(column.dtype).tolist()
+    text = [format(v, ".17g") for v in values] if floats else [str(v) for v in values]
+    return np.array(text, dtype=object), index
+
+
 def write_panel_csv(panel: Panel, stream) -> None:
     """Serialize the panel with the fixed column contract in PANEL_COLUMNS:
-    ISO dates, integer dummies, floats to 17 significant digits."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(PANEL_COLUMNS)
+    ISO dates, integer dummies, floats to 17 significant digits.  Each
+    distinct value of a column is formatted once; no field needs quoting."""
+    stream.write(",".join(PANEL_COLUMNS) + "\n")
+    columns = [_column_text(panel[name]) for name in PANEL_COLUMNS]
     for start in range(0, len(panel), _WRITE_ROWS):
-        cells = []
-        for name in PANEL_COLUMNS:
-            values = panel[name][start:start + _WRITE_ROWS].tolist()   # Python scalars
-            cells.append([format(v, ".17g") for v in values]
-                         if panel[name].dtype.kind == "f" else values)
-        writer.writerows(zip(*cells))
+        cells = [text[index[start:start + _WRITE_ROWS]].tolist() for text, index in columns]
+        stream.write("".join([",".join(row) + "\n" for row in zip(*cells)]))
 
 
 def read_panel_csv(source) -> Panel:

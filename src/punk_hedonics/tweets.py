@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import re
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .ingest import IngestReport, SchemaError, text_stream
@@ -101,12 +101,6 @@ def ingest_tweets(source, language_filter: str = "en",
                             text=row["text"] or "", language=language_filter))
     report.accepted = len(tweets)
     return tweets, report
-
-
-def daily_volume(corpus: list[Tweet]) -> DailySeries:
-    """Tweets per UTC calendar day; days with no tweets are absent."""
-    counts = Counter(t.timestamp.date() for t in corpus)
-    return DailySeries({d: float(c) for d, c in counts.items()})
 
 
 def daily_mean_sentiment(corpus: list[Tweet], lexicon: SentimentLexicon) -> DailySeries:

@@ -1,9 +1,12 @@
 import datetime as dt
+import math
 import textwrap
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
+from punk_hedonics.market import GENDERS, SKIN_TONES, Gender, Sales, SkinTone
 from punk_hedonics.sentiment import load_lexicon
 
 BASIC_LEXICON_TEXT = (
@@ -24,6 +27,35 @@ BASIC_LEXICON_TEXT = (
 @pytest.fixture(scope="session")
 def lexicon():
     return load_lexicon(BASIC_LEXICON_TEXT)
+
+
+class Sale(NamedTuple):
+    """One sale, written out for a test; make_sales turns a list into Sales."""
+
+    punk_id: int
+    date: dt.date
+    price_eth: float = 1.0
+    skin_tone: SkinTone = SkinTone.DARK
+    gender: Gender = Gender.MALE
+    buyer_wallet: str = "A"
+    seller_wallet: str = "B"
+    rarity: float | None = None
+
+
+def make_sales(sales):
+    """Sales columns of a list of Sale; wallets get ids in order of first use."""
+    wallet_ids = {}
+    return Sales({
+        "punk_id": [s.punk_id for s in sales],
+        "day": np.array([s.date for s in sales], dtype="datetime64[D]"),
+        "price_eth": [s.price_eth for s in sales],
+        "rarity": [math.nan if s.rarity is None else s.rarity for s in sales],
+        "has_rarity": [s.rarity is not None for s in sales],
+        "skin": [SKIN_TONES.index(s.skin_tone) for s in sales],
+        "gender": [GENDERS.index(s.gender) for s in sales],
+        "buyer": [wallet_ids.setdefault(s.buyer_wallet, len(wallet_ids)) for s in sales],
+        "seller": [wallet_ids.setdefault(s.seller_wallet, len(wallet_ids)) for s in sales],
+    })
 
 
 def make_lexicon(valences):

@@ -265,6 +265,57 @@ class TestRegress:
             assert (out / name).is_file(), name
 
 
+def replace_line(path, number, text):
+    """Replace line ``number`` (1 is the header) of a CSV file."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[number - 1] = text
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+class TestBadMarketValues:
+    """Non-finite or missing market values end in a reject with exit 0 or
+    in error: with exit 1, never in a traceback."""
+
+    def run_all(self, config, tmp_path):
+        return main(["--config", str(config), "--output-dir", str(tmp_path / "out"), "all"])
+
+    @pytest.mark.parametrize("price", ["nan", "inf", "-inf"])
+    def test_non_finite_price_is_a_reject(self, synthetic_dataset, tmp_path, price):
+        sales = synthetic_dataset.parent / "sales.csv"
+        header, first, *_ = sales.read_text(encoding="utf-8").splitlines()
+        fields = first.split(",")
+        fields[2] = price
+        replace_line(sales, 2, ",".join(fields))
+        assert self.run_all(synthetic_dataset, tmp_path) == 0
+        assert read_csv(tmp_path / "out" / "sales_rejects.csv") == [
+            ["row_number", "reason"], ["2", "non-finite price_eth"]]
+
+    def test_non_finite_rarity_is_a_reject(self, synthetic_dataset, tmp_path):
+        sales = synthetic_dataset.parent / "sales.csv"
+        header, *rows = sales.read_text(encoding="utf-8").splitlines()
+        rows = [row + ("," if i != 3 else ",inf") for i, row in enumerate(rows)]
+        sales.write_text("\n".join([header + ",rarity", *rows]) + "\n", encoding="utf-8")
+        assert self.run_all(synthetic_dataset, tmp_path) == 0
+        assert read_csv(tmp_path / "out" / "sales_rejects.csv")[1:] == [
+            ["5", "non-finite rarity"]]
+
+    @pytest.mark.parametrize("name, line, message", [
+        ("gas.csv", "2020-09-02", "row 3: bad gwei_avg None"),
+        ("gas.csv", "2020-09-02,", "row 3: bad gwei_avg ''"),
+        ("gas.csv", "2020-09-02,nan", "row 3: gwei_avg must be finite, got nan"),
+        ("gas.csv", "2020-09-02,-inf", "row 3: gwei_avg must be finite, got -inf"),
+        ("fx.csv", "2020-09-02,inf", "row 3: eth_usd_close must be finite, got inf"),
+        ("fx.csv", "2020-09-02,1e999", "row 3: eth_usd_close must be finite, got inf"),
+        ("fx.csv", ",412.5", "row 3: bad date ''"),
+        ("fx.csv", "2020-09-31,412.5", "row 3: bad date '2020-09-31'"),
+    ])
+    def test_bad_gas_or_fx_row_is_an_error(self, synthetic_dataset, tmp_path, capsys,
+                                           name, line, message):
+        replace_line(synthetic_dataset.parent / name, 3, line)
+        assert self.run_all(synthetic_dataset, tmp_path) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestAll:
     def test_emits_every_output(self, synthetic_dataset, tmp_path):
         out = tmp_path / "out"

@@ -1,12 +1,15 @@
 import datetime as dt
+import math
 from collections import defaultdict
 
 import numpy as np
 import pytest
 
-from punk_hedonics.market import (Gender, SaleRecord, SkinTone, UncoveredDatesError,
-                                  attribute_distribution, daily_aggregates,
-                                  ingest_fx, ingest_gas, ingest_sales, rarity_score)
+from conftest import Sale, make_sales
+from punk_hedonics.market import (GENDERS, SKIN_TONES, Gender, SkinTone,
+                                  UncoveredDatesError, attribute_distribution,
+                                  daily_aggregates, ingest_fx, ingest_gas, ingest_sales,
+                                  rarity_score)
 from punk_hedonics.series import DailySeries, pct_change
 from punk_hedonics.tweets import SchemaError
 
@@ -15,9 +18,7 @@ HEADER = "punk_id,date,price_eth,skin_tone,gender,buyer,seller"
 
 def sale(punk_id, day, price=1.0, skin=SkinTone.DARK, gender=Gender.MALE,
          buyer="A", seller="B", rarity=None):
-    return SaleRecord(punk_id=punk_id, date=day, price_eth=price, skin_tone=skin,
-                      gender=gender, buyer_wallet=buyer, seller_wallet=seller,
-                      rarity=rarity)
+    return Sale(punk_id, day, price, skin, gender, buyer, seller, rarity)
 
 
 class TestIngestSales:
@@ -27,9 +28,14 @@ class TestIngestSales:
                               "2,2021-05-02,0.8,Albino,Female,0xc,0xd"]) + "\n"
         sales, report = ingest_sales(csv_text)
         assert len(sales) == 2
-        assert sales[0].skin_tone is SkinTone.DARK
-        assert sales[1].gender is Gender.FEMALE
-        assert report.rejects == []
+        assert sales["punk_id"].tolist() == [1, 2]
+        assert sales["day"].tolist() == [dt.date(2021, 5, 1), dt.date(2021, 5, 2)]
+        assert sales["price_eth"].tolist() == [2.5, 0.8]
+        assert [SKIN_TONES[c] for c in sales["skin"]] == [SkinTone.DARK, SkinTone.ALBINO]
+        assert [GENDERS[c] for c in sales["gender"]] == [Gender.MALE, Gender.FEMALE]
+        assert sales["skin"].dtype == sales["gender"].dtype == np.int8
+        assert sales["has_rarity"].tolist() == [False, False]
+        assert report.rejects == [] and report.accepted == 2
 
     def test_unknown_skin_rejected(self):
         csv_text = "\n".join([HEADER,
@@ -44,7 +50,7 @@ class TestIngestSales:
                               "1,2021-05-01,2.5,Dark,Robot,0xa,0xb",
                               "2,2021-05-02,-1,Dark,Male,0xc,0xd"]) + "\n"
         sales, report = ingest_sales(csv_text)
-        assert sales == []
+        assert len(sales) == 0
         assert [r for _, r in report.rejects] == ["unknown gender 'Robot'",
                                                   "negative price_eth"]
 
@@ -57,14 +63,73 @@ class TestIngestSales:
                     "1,2021-05-01,2.5,Dark,Male,0xa,0xb,42.5\n"
                     "2,2021-05-02,0.8,Albino,Female,0xc,0xd,\n")
         sales, _ = ingest_sales(csv_text)
-        assert sales[0].rarity == 42.5
-        assert sales[1].rarity is None
+        assert sales["has_rarity"].tolist() == [True, False]
+        assert sales["rarity"][0] == 42.5 and math.isnan(sales["rarity"][1])
 
     def test_extra_columns_ignored(self):
         csv_text = (HEADER + ",block,marketplace\n"
                     "1,2021-05-01,2.5,Dark,Male,0xa,0xb,123,os\n")
         sales, _ = ingest_sales(csv_text)
         assert len(sales) == 1
+
+
+    @pytest.mark.parametrize("price, reason", [("nan", "non-finite price_eth"),
+                                               ("inf", "non-finite price_eth"),
+                                               ("-inf", "non-finite price_eth"),
+                                               ("1e999", "non-finite price_eth"),
+                                               ("-0.5", "negative price_eth")])
+    def test_price_rejects(self, price, reason):
+        sales, report = ingest_sales(f"{HEADER}\n1,2021-05-01,{price},Dark,Male,a,b\n")
+        assert len(sales) == 0
+        assert report.rejects == [(2, reason)]
+
+    @pytest.mark.parametrize("rarity", ["nan", "inf", "-Infinity"])
+    def test_non_finite_rarity_rejected(self, rarity):
+        csv_text = (HEADER + ",rarity\n"
+                    f"1,2021-05-01,2.5,Dark,Male,0xa,0xb,{rarity}\n"
+                    "2,2021-05-01,2.5,Dark,Male,0xa,0xb,3.5\n")
+        sales, report = ingest_sales(csv_text)
+        assert report.rejects == [(2, "non-finite rarity")]
+        assert sales["rarity"].tolist() == [3.5]
+
+    def test_punk_id_beyond_64_bits_rejected(self):
+        csv_text = (f"{HEADER}\n{2 ** 63},2021-05-01,1,Dark,Male,a,b\n"
+                    f"{-2 ** 63},2021-05-01,1,Dark,Male,a,b\n")
+        sales, report = ingest_sales(csv_text)
+        assert report.rejects == [(2, "bad punk_id")]
+        assert sales["punk_id"].tolist() == [-2 ** 63]
+
+    def test_row_numbers_count_records_not_blank_lines(self):
+        csv_text = "\n".join([HEADER, "1,2021-05-01,1,Dark,Male,a,b", "",
+                              "2,2021-05-01,1,Dark,Male,a,b", "x,2021-05-01,1,Dark,Male,a,b",
+                              "3,2021-05-01,1,Dark", "4,2021-05-01,1,Dark,Male,\"a\nb\",c",
+                              "y,2021-05-01,1,Dark,Male,a,b"]) + "\n"
+        sales, report = ingest_sales(csv_text)
+        # The bad row on line 5 is record 4; the short row reads gender as None.
+        assert report.rejects == [(4, "bad punk_id"), (5, "unknown gender None"),
+                                  (7, "bad punk_id")]
+        assert sales["punk_id"].tolist() == [1, 2, 4]
+
+    def test_repeated_header_name_reads_its_last_column(self):
+        csv_text = (HEADER + ",price_eth\n"
+                    "1,2021-05-01,oops,Dark,Male,a,b,2.5\n"
+                    "2,2021-05-01,1.5,Dark,Male,a,b\n")
+        sales, report = ingest_sales(csv_text)
+        assert sales["price_eth"].tolist() == [2.5]
+        assert report.rejects == [(3, "bad price_eth")]
+
+    def test_wallets_interned_after_stripping(self):
+        csv_text = (f"{HEADER}\n1,2021-05-01,1,Dark,Male,0xa, 0xb\n"
+                    "2,2021-05-01,1,Dark,Male,0xb ,0xa\n")
+        sales, _ = ingest_sales(csv_text)
+        assert sales["buyer"].tolist() == sales["seller"].tolist()[::-1]
+        assert sales["buyer"][0] != sales["buyer"][1]
+
+    def test_select_keeps_order(self):
+        sales = make_sales([sale(i, dt.date(2021, 5, 1 + i)) for i in range(4)])
+        picked = sales.select(np.array([True, False, True, True]))
+        assert picked["punk_id"].tolist() == [0, 2, 3]
+        assert all(picked[name].dtype == sales[name].dtype for name in sales.columns)
 
 
 class TestSeriesIngest:
@@ -78,10 +143,29 @@ class TestSeriesIngest:
         with pytest.raises(ValueError, match="> 0"):
             ingest_gas("date,gwei_avg\n2021-05-01,0\n")
 
+    @pytest.mark.parametrize("body, message", [
+        ("2021-05-01\n", "row 2: bad gwei_avg None"),
+        ("2021-05-01,\n", "row 2: bad gwei_avg ''"),
+        ("2021-05-01,fast\n", "row 2: bad gwei_avg 'fast'"),
+        ("2021-05-01,nan\n", "row 2: gwei_avg must be finite, got nan"),
+        ("2021-05-01,1\n\n2021-05-02,inf\n", "row 3: gwei_avg must be finite, got inf"),
+        ("2021-05-01,1\n2021-13-01,1\n", "row 3: bad date '2021-13-01'"),
+        (",1\n", "row 2: bad date ''"),
+        ("2021-05-01,1\n2021-05-01,2\n", "row 3: duplicate date 2021-05-01"),
+    ])
+    def test_bad_row_is_a_value_error_naming_it(self, body, message):
+        with pytest.raises(ValueError) as info:
+            ingest_gas("date,gwei_avg\n" + body)
+        assert str(info.value) == message
+
+    def test_missing_column_is_schema_error(self):
+        with pytest.raises(SchemaError, match="eth_usd_close"):
+            ingest_fx("date,close\n2021-05-01,1\n")
+
 
 class TestAttributeDistribution:
     def test_empty(self):
-        dist = attribute_distribution([])
+        dist = attribute_distribution(make_sales([]))
         assert dist.total == 0
         assert dist.gender_share(Gender.MALE) == 0.0
 
@@ -91,7 +175,7 @@ class TestAttributeDistribution:
                  sale(2, day, skin=SkinTone.DARK, gender=Gender.MALE),
                  sale(3, day, skin=SkinTone.ALBINO, gender=Gender.FEMALE),
                  sale(4, day, skin=SkinTone.APE, gender=Gender.MALE)]
-        dist = attribute_distribution(sales)
+        dist = attribute_distribution(make_sales(sales))
         assert dist.total == len(sales)
         assert dist.count(Gender.MALE, SkinTone.DARK) == 2
         assert dist.share(Gender.FEMALE, SkinTone.ALBINO) == 0.25
@@ -102,7 +186,7 @@ class TestAttributeDistribution:
         day = dt.date(2021, 5, 1)
         sales = [sale(i, day, skin=list(SkinTone)[i % 7],
                       gender=list(Gender)[i % 2]) for i in range(23)]
-        dist = attribute_distribution(sales)
+        dist = attribute_distribution(make_sales(sales))
         assert sum(dist.counts.values()) == dist.total == 23
 
 
@@ -112,7 +196,8 @@ class TestDailyAggregates:
 
     def test_one_sale_two_wallets(self):
         day = dt.date(2021, 5, 1)
-        active, volume = daily_aggregates([sale(1, day, price=2.0)], self.fx_for([day]))
+        active, volume = daily_aggregates(make_sales([sale(1, day, price=2.0)]),
+                                         self.fx_for([day]))
         assert active[day] == 2
         assert volume[day] == 200.0
 
@@ -120,13 +205,13 @@ class TestDailyAggregates:
         day = dt.date(2021, 5, 1)
         sales = [sale(1, day, buyer="A", seller="B"),
                  sale(2, day, buyer="A", seller="C")]
-        active, _ = daily_aggregates(sales, self.fx_for([day]))
+        active, _ = daily_aggregates(make_sales(sales), self.fx_for([day]))
         assert active[day] == 3
 
     def test_uncovered_date_error(self):
         day = dt.date(2021, 5, 1)
         with pytest.raises(UncoveredDatesError, match="2021-05-01"):
-            daily_aggregates([sale(1, day)], DailySeries({}))
+            daily_aggregates(make_sales([sale(1, day)]), DailySeries({}))
 
     def test_matches_group_by_oracle(self):
         rng = np.random.default_rng(7)
@@ -136,7 +221,7 @@ class TestDailyAggregates:
                       price=float(rng.uniform(0.1, 9.0)),
                       buyer=f"w{int(rng.integers(0, 8))}",
                       seller=f"w{int(rng.integers(0, 8))}") for i in range(30)]
-        active, volume = daily_aggregates(sales, fx)
+        active, volume = daily_aggregates(make_sales(sales), fx)
         wallets, usd = defaultdict(set), defaultdict(float)
         for s in sales:
             wallets[s.date] |= {s.buyer_wallet, s.seller_wallet}
@@ -185,14 +270,14 @@ class TestRarity:
     def test_uniform_population(self):
         day = dt.date(2021, 5, 1)
         sales = [sale(i, day, skin=SkinTone.DARK, gender=Gender.MALE) for i in range(5)]
-        assert rarity_score(sales) == {i: 1.0 for i in range(5)}
+        assert rarity_score(make_sales(sales)) == {i: 1.0 for i in range(5)}
 
     def test_inverse_frequency(self):
         day = dt.date(2021, 5, 1)
         sales = [sale(i, day, skin=SkinTone.DARK, gender=Gender.MALE)
                  for i in range(99)]
         sales.append(sale(99, day, skin=SkinTone.ALIEN, gender=Gender.FEMALE))
-        scores = rarity_score(sales)
+        scores = rarity_score(make_sales(sales))
         assert scores[99] == pytest.approx(100.0)
         assert scores[0] == pytest.approx(100.0 / 99.0)
 
@@ -203,8 +288,8 @@ class TestRarity:
         clones = [sale(s.punk_id + 100, s.date, s.price_eth, s.skin_tone,
                        s.gender, s.buyer_wallet, s.seller_wallet)
                   for s in base]
-        original = rarity_score(base)
-        doubled = rarity_score(base + clones)
+        original = rarity_score(make_sales(base))
+        doubled = rarity_score(make_sales(base + clones))
         for punk_id, score in original.items():
             assert doubled[punk_id] == pytest.approx(score)
             assert doubled[punk_id + 100] == pytest.approx(score)
@@ -213,11 +298,21 @@ class TestRarity:
         day = dt.date(2021, 5, 1)
         sales = [sale(i, day, skin=list(SkinTone)[i % 7],
                       gender=list(Gender)[i % 2]) for i in range(40)]
-        assert all(v > 0 for v in rarity_score(sales).values())
+        assert all(v > 0 for v in rarity_score(make_sales(sales)).values())
+
+    def test_last_combination_and_last_override_win(self):
+        day = dt.date(2021, 5, 1)
+        sales = [sale(1, day, skin=SkinTone.DARK, rarity=9.0),
+                 sale(2, day, skin=SkinTone.DARK),
+                 sale(1, day, skin=SkinTone.APE),
+                 sale(3, day, skin=SkinTone.APE, rarity=4.0),
+                 sale(3, day, skin=SkinTone.APE, rarity=5.0)]
+        # Punk 1 is an Ape by its last sale, like punk 3; punk 2 alone is Dark.
+        assert rarity_score(make_sales(sales)) == {1: 9.0, 2: 3.0, 3: 5.0}
 
     def test_precomputed_rarity_overrides(self):
         day = dt.date(2021, 5, 1)
         sales = [sale(1, day, rarity=7.5), sale(2, day)]
-        scores = rarity_score(sales)
+        scores = rarity_score(make_sales(sales))
         assert scores[1] == 7.5
         assert scores[2] == 1.0

@@ -1,3 +1,4 @@
+import csv
 import datetime as dt
 import io
 import math
@@ -9,12 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from punk_hedonics.market import Gender, SaleRecord, SkinTone
+from conftest import Sale, make_sales
+from punk_hedonics.market import Gender, SkinTone
 from punk_hedonics.econometrics import adf_test
 from punk_hedonics.panel import (_WRITE_ROWS, DUMMY_COLUMNS, PANEL_COLUMNS,
                                  SCREEN_VARIABLES, Panel, PanelError, build_panel,
-                                 daily_collapse, encode_dummies, read_panel_csv,
-                                 stationarity_screen, write_panel_csv)
+                                 daily_collapse, read_panel_csv, stationarity_screen,
+                                 write_panel_csv)
 from punk_hedonics.series import DailySeries
 from punk_hedonics.study import design_for, model_specs
 
@@ -26,8 +28,11 @@ def day(i):
 
 
 def sale(punk_id, d, price=2.0, skin=SkinTone.DARK, gender=Gender.MALE):
-    return SaleRecord(punk_id=punk_id, date=d, price_eth=price, skin_tone=skin,
-                      gender=gender, buyer_wallet="A", seller_wallet="B")
+    return Sale(punk_id, d, price, skin, gender)
+
+
+def panel_of(sales, **kwargs):
+    return build_panel(make_sales(sales), **kwargs)
 
 
 def series_over(n, fn):
@@ -46,20 +51,34 @@ def full_inputs(n_days, seed=0):
     )
 
 
+def encoded_pairs():
+    """Each (skin, gender) pair with its dummy tuple, read off the panel
+    built from one sale per pair."""
+    pairs = list(product(SkinTone, Gender))
+    sales = [sale(i, day(0), skin=s, gender=g) for i, (s, g) in enumerate(pairs)]
+    panel, _ = panel_of(sales, rarity_map={i: 1.0 for i in range(len(pairs))},
+                        **full_inputs(1))
+    rows = zip(*(panel[name].tolist() for name in DUMMY_COLUMNS))
+    return dict(zip(pairs, rows))
+
+
 class TestEncodeDummies:
+    """The dummy columns of build_panel: at most one skin dummy, against
+    the Female + Albino base case."""
+
     def test_base_case(self):
-        assert encode_dummies(SkinTone.ALBINO, Gender.FEMALE) == (0, 0, 0, 0, 0)
+        assert encoded_pairs()[(SkinTone.ALBINO, Gender.FEMALE)] == (0, 0, 0, 0, 0)
 
     def test_dark_male(self):
-        assert encode_dummies(SkinTone.DARK, Gender.MALE) == (1, 0, 0, 0, 1)
+        assert encoded_pairs()[(SkinTone.DARK, Gender.MALE)] == (1, 0, 0, 0, 1)
 
     def test_nonhuman_subtypes_collapse(self):
+        encoded = encoded_pairs()
         for skin in (SkinTone.ALIEN, SkinTone.APE, SkinTone.ZOMBIE):
-            assert encode_dummies(skin, Gender.FEMALE) == (0, 0, 0, 1, 0)
+            assert encoded[(skin, Gender.FEMALE)] == (0, 0, 0, 1, 0)
 
     def test_at_most_one_skin_dummy(self):
-        for skin, gender in product(SkinTone, Gender):
-            dark, light, medium, nonhuman, male = encode_dummies(skin, gender)
+        for (skin, gender), (dark, light, medium, nonhuman, male) in encoded_pairs().items():
             assert dark + light + medium + nonhuman <= 1
             assert male == (1 if gender is Gender.MALE else 0)
 
@@ -67,8 +86,8 @@ class TestEncodeDummies:
         # 14 raw (skin, gender) classes merge to 10 tuples: the only
         # collisions are the three Nonhuman subtypes within each gender.
         by_tuple = {}
-        for s, g in product(SkinTone, Gender):
-            by_tuple.setdefault(encode_dummies(s, g), []).append((s, g))
+        for (s, g), encoded in encoded_pairs().items():
+            by_tuple.setdefault(encoded, []).append((s, g))
         assert len(by_tuple) == 10
         for members in by_tuple.values():
             if len(members) > 1:
@@ -78,9 +97,9 @@ class TestEncodeDummies:
 class TestBuildPanel:
     def test_single_complete_row(self):
         inputs = full_inputs(3)
-        panel, report = build_panel([sale(1, day(1))], rarity_map={1: 2.5}, **inputs)
+        panel, report = panel_of([sale(1, day(1))], rarity_map={1: 2.5}, **inputs)
         assert len(panel) == 1
-        assert report.rows_emitted == 1 and report.drops == []
+        assert report.rows_emitted == 1 and report.drop_counts == {}
         assert panel["date"].tolist() == [day(1)]
         assert panel["log_usd_price"][0] == pytest.approx(
             math.log(2.0 * inputs["fx_close"][day(1)]))
@@ -89,7 +108,7 @@ class TestBuildPanel:
         assert panel["sentiment"][0] == inputs["sentiment"][day(1)]
 
     def test_column_dtypes(self):
-        panel, _ = build_panel([sale(1, day(1))], rarity_map={1: 2.5}, **full_inputs(3))
+        panel, _ = panel_of([sale(1, day(1))], rarity_map={1: 2.5}, **full_inputs(3))
         assert list(panel.columns) == list(PANEL_COLUMNS)
         assert panel["date"].dtype == np.dtype("datetime64[D]")
         for name in PANEL_COLUMNS[1:]:
@@ -99,26 +118,26 @@ class TestBuildPanel:
         inputs = full_inputs(3)
         inputs["sentiment"] = DailySeries({day(0): 0.1})  # not day 1
         with pytest.raises(PanelError):
-            build_panel([sale(1, day(1))], rarity_map={1: 1.0}, **inputs)
+            panel_of([sale(1, day(1))], rarity_map={1: 1.0}, **inputs)
         # With one covered sale present the dropped one is reported, not fatal.
         sales = [sale(1, day(0)), sale(2, day(1))]
-        panel, report = build_panel(sales, rarity_map={1: 1.0, 2: 1.0}, **inputs)
-        assert len(panel) == 1
-        assert report.drops == [(1, "sentiment")]
+        panel, report = panel_of(sales, rarity_map={1: 1.0, 2: 1.0}, **inputs)
+        assert len(panel) == 1 and panel["date"].tolist() == [day(0)]
         assert report.drop_counts == {"sentiment": 1}
 
     def test_row_count_plus_drops_equals_sales(self):
         inputs = full_inputs(5)
         inputs["gas"] = DailySeries({day(i): 50.0 for i in (0, 2, 4)})
         sales = [sale(i, day(i % 5)) for i in range(20)]
-        panel, report = build_panel(sales, rarity_map={i: 1.0 for i in range(20)},
+        panel, report = panel_of(sales, rarity_map={i: 1.0 for i in range(20)},
                                     **inputs)
-        assert len(panel) + len(report.drops) == len(sales)
+        assert len(panel) + report.drop_counts["gas_price_gwei"] == len(sales)
+        assert report.total_sales == len(sales) and report.rows_emitted == len(panel)
 
     def test_price_roundtrip_invariant(self):
         inputs = full_inputs(4, seed=3)
         sales = [sale(i, day(i), price=0.5 + i) for i in range(4)]
-        panel, _ = build_panel(sales, rarity_map={i: 1.0 for i in range(4)}, **inputs)
+        panel, _ = panel_of(sales, rarity_map={i: 1.0 for i in range(4)}, **inputs)
         for log_price, s in zip(panel["log_usd_price"], sales):
             assert math.exp(log_price) / inputs["fx_close"][s.date] == \
                 pytest.approx(s.price_eth, rel=1e-9)
@@ -132,13 +151,14 @@ class TestBuildPanel:
                       gender=list(Gender)[int(rng.integers(0, 2))])
                  for i in range(50)]
         rarity = {i: float(rng.uniform(1, 50)) for i in range(50)}
-        panel, report = build_panel(sales, rarity_map=rarity, **inputs)
-        assert report.drops == []
+        panel, report = panel_of(sales, rarity_map=rarity, **inputs)
+        assert report.drop_counts == {}
+        encoded = encoded_pairs()
         for i, s in enumerate(sales):
             assert panel["date"][i] == np.datetime64(s.date)
             assert panel["log_usd_price"][i] == pytest.approx(
                 math.log(s.price_eth * inputs["fx_close"][s.date]), abs=1e-12)
-            expected = encode_dummies(s.skin_tone, s.gender)
+            expected = encoded[(s.skin_tone, s.gender)]
             assert tuple(panel[name][i] for name in DUMMY_COLUMNS) == expected
             assert panel["rarity"][i] == rarity[s.punk_id]
             for column, series in (("active_wallet_pct", inputs["active_wallet_pct"]),
@@ -151,11 +171,21 @@ class TestBuildPanel:
     def test_no_overlap_raises_not_silent_empty(self):
         inputs = full_inputs(2)
         with pytest.raises(PanelError, match="no sale date"):
-            build_panel([sale(1, day(30))], rarity_map={1: 1.0}, **inputs)
+            panel_of([sale(1, day(30))], rarity_map={1: 1.0}, **inputs)
+
+    def test_sale_missing_several_inputs_counts_under_each(self):
+        inputs = full_inputs(3)
+        inputs["gas"] = DailySeries({day(0): 50.0})
+        inputs["fx_pct"] = DailySeries({day(0): 0.1, day(1): 0.2})
+        sales = [sale(1, day(0)), sale(2, day(1)), sale(3, day(2), price=0.0)]
+        panel, report = panel_of(sales, rarity_map={1: 1.0, 2: 1.0}, **inputs)
+        assert panel["date"].tolist() == [day(0)]
+        assert report.drop_counts == {"gas_price_gwei": 2, "fx_pct": 1, "rarity": 1,
+                                      "positive price": 1}
 
     def test_missing_rarity_drops(self):
         inputs = full_inputs(2)
-        panel, report = build_panel([sale(1, day(0)), sale(2, day(1))],
+        panel, report = panel_of([sale(1, day(0)), sale(2, day(1))],
                                     rarity_map={1: 1.0}, **inputs)
         assert len(panel) == 1
         assert report.drop_counts == {"rarity": 1}
@@ -218,7 +248,7 @@ class TestPanelCsv:
         inputs = full_inputs(4, seed=9)
         sales = [sale(i, day(i), price=1.0 + i, skin=list(SkinTone)[i],
                       gender=list(Gender)[i % 2]) for i in range(4)]
-        panel, _ = build_panel(sales, rarity_map={i: 1.5 + i for i in range(4)},
+        panel, _ = panel_of(sales, rarity_map={i: 1.5 + i for i in range(4)},
                                **inputs)
         buf = io.StringIO()
         write_panel_csv(panel, buf)
@@ -303,7 +333,50 @@ def random_panels(draw):
                      if name != "date" and name not in DUMMY_COLUMNS}})
 
 
+def reference_write_panel_csv(panel: Panel, stream) -> None:
+    """The per-cell writer: csv.writer plus format(v, ".17g") per float."""
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(PANEL_COLUMNS)
+    for start in range(0, len(panel), _WRITE_ROWS):
+        cells = []
+        for name in PANEL_COLUMNS:
+            values = panel[name][start:start + _WRITE_ROWS].tolist()   # Python scalars
+            cells.append([format(v, ".17g") for v in values]
+                         if panel[name].dtype.kind == "f" else values)
+        writer.writerows(zip(*cells))
+
+
+SPECIAL_FLOATS = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+                  2.2250738585072014e-308, 1.7976931348623157e308, -1e300, 0.1, 1 / 3]
+
+
+@st.composite
+def written_panels(draw):
+    """Panels of 0, 1, a few or more than one write chunk of rows, whose
+    columns repeat values drawn from a small pool, specials included."""
+    n = draw(st.sampled_from([0, 1, 2, 7, _WRITE_ROWS - 1, _WRITE_ROWS + 1,
+                              2 * _WRITE_ROWS + 5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def column(elements):
+        pool = draw(st.lists(elements, min_size=1, max_size=12))
+        return [pool[i] for i in rng.integers(0, len(pool), n)]
+    floats = st.floats() | st.sampled_from(SPECIAL_FLOATS)
+    return Panel({"date": column(st.dates()),
+                  **{name: column(st.integers(-2 ** 63, 2 ** 63 - 1)) for name in DUMMY_COLUMNS},
+                  **{name: column(floats) for name in PANEL_COLUMNS
+                     if name != "date" and name not in DUMMY_COLUMNS}})
+
+
 class TestColumnarMatchesRowReference:
+    @settings(max_examples=150, deadline=None)
+    @given(written_panels())
+    def test_write_panel_csv(self, panel):
+        got, want = io.StringIO(), io.StringIO()
+        write_panel_csv(panel, got)
+        reference_write_panel_csv(panel, want)
+        assert got.getvalue() == want.getvalue()
+
     def test_screen_tests_each_daily_mean_series(self):
         rng = np.random.default_rng(17)
         n = 900

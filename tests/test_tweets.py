@@ -6,9 +6,8 @@ import pytest
 from conftest import make_lexicon
 from punk_hedonics.sentiment import compound_only
 from punk_hedonics.tweets import (KeywordFilter, SchemaError, Tweet,
-                                  daily_mean_sentiment, daily_volume,
-                                  ingest_tweets, keyword_frequency,
-                                  keyword_sentiment)
+                                  daily_mean_sentiment, ingest_tweets,
+                                  keyword_frequency, keyword_sentiment)
 
 HEADER = "id,timestamp,text,lang"
 
@@ -80,22 +79,6 @@ class TestIngest:
                               "2,2021-05-01 11:00:00,b,en"]) + "\n"
         corpus, report = ingest_tweets(csv_text)
         assert len(corpus) == 2 and not report.rejects
-
-
-class TestDailyVolume:
-    def test_empty(self):
-        assert len(daily_volume([])) == 0
-
-    def test_single_day(self):
-        day = dt.date(2021, 5, 1)
-        series = daily_volume([tweet(i, day, "x") for i in range(5)])
-        assert series.dates == [day]
-        assert series[day] == 5
-
-    def test_values_sum_to_corpus_size(self):
-        days = [dt.date(2021, 5, 1), dt.date(2021, 5, 3), dt.date(2021, 5, 9)]
-        corpus = [tweet(i, days[i % 3], "x") for i in range(17)]
-        assert sum(daily_volume(corpus).values) == 17
 
 
 class TestDailyMeanSentiment:
