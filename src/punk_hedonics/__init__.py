@@ -15,7 +15,7 @@ from .series import DailySeries, pct_change
 from .study import (ModelSpec, StructuralChangeReport, SuiteResult, WindowSpec,
                     correlation_precheck, default_windows, model_specs,
                     run_suite, structural_change)
-from .tweets import (KeywordFilter, Tweet, daily_mean_sentiment, ingest_tweets,
+from .tweets import (KeywordFilter, daily_mean_sentiment, ingest_tweets,
                      keyword_frequency, keyword_sentiment)
 
 __version__ = "0.1.0"

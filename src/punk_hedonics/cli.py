@@ -55,6 +55,15 @@ class RunConfig:
     keywords: tuple[str, ...] = tweets.DEFAULT_KEYWORDS
     language: str = "en"
 
+    def check_settings(self) -> None:
+        """Reject a setting no run can use, before any output is written."""
+        if not 0 < self.correlation_threshold <= 1:
+            raise ConfigError("correlation_threshold must be in (0, 1], "
+                              f"got {self.correlation_threshold}")
+        if self.max_adf_lag is not None and self.max_adf_lag < 0:
+            raise ConfigError(f"max_adf_lag must be >= 0, got {self.max_adf_lag}")
+        tweets.KeywordFilter(self.keywords)
+
     def require(self, *names: str) -> None:
         for name in names:
             path = getattr(self, name)
@@ -136,7 +145,7 @@ class RunInputs:
         self.config = config
         self.warnings: list[str] = []
 
-    def read_tweets(self, which: str, rejects_name: str) -> list[tweets.Tweet]:
+    def read_tweets(self, which: str, rejects_name: str) -> list[tuple[dt.date, str]]:
         """The corpus at config key ``which``; its rejects go to ``rejects_name``."""
         config = self.config
         path = getattr(config, which)
@@ -361,11 +370,6 @@ COMMANDS = {
 }
 
 
-def cmd_all(inputs: RunInputs) -> None:
-    for command in COMMANDS.values():
-        command(inputs)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="punk-hedonics",
@@ -397,12 +401,11 @@ def main(argv: list[str] | None = None) -> int:
             value = getattr(args, flag)
             if value is not None:
                 setattr(config, flag, value)
+        config.check_settings()
         config.output_dir.mkdir(parents=True, exist_ok=True)
         inputs = RunInputs(config)
-        if args.command == "all":
-            cmd_all(inputs)
-        else:
-            COMMANDS[args.command](inputs)
+        for name in COMMANDS if args.command == "all" else [args.command]:
+            COMMANDS[name](inputs)
     except (OSError, ValueError) as exc:      # every input and config error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -142,7 +142,7 @@ def ingest_sales(source) -> tuple[Sales, IngestReport]:
     a date that is not ISO, a price_eth that is not a number, not finite
     or negative, a skin_tone or gender label that is not a SkinTone or
     Gender value (any case, surrounding space ignored), or a non-empty
-    rarity that is not a finite number.  A reject's row number counts CSV
+    rarity that is not a finite number > 0.  A reject's row number counts CSV
     records with the header as 1; blank lines are not counted.  See Sales
     for the columns of the accepted rows.
     """
@@ -200,6 +200,9 @@ def ingest_sales(source) -> tuple[Sales, IngestReport]:
                 continue
             if not isfinite(rarity):
                 rejects.append((row_number, "non-finite rarity"))
+                continue
+            if rarity <= 0:
+                rejects.append((row_number, "non-positive rarity"))
                 continue
         accepted.append((punk_id, day, price, rarity, skin, gender,
                          row[i_buyer], row[i_seller]))

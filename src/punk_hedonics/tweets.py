@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import re
 from collections import defaultdict
-from dataclasses import dataclass
+from itertools import permutations
 
-from .ingest import IngestReport, SchemaError, text_stream
+from .ingest import IngestReport, csv_records
 from .sentiment import SentimentLexicon, compound_only
 from .series import DailySeries
 
@@ -21,123 +20,116 @@ TWEET_COLUMNS = ("id", "timestamp", "text", "lang")
 DEFAULT_KEYWORDS = ("female", "male", "dark", "light", "medium",
                     "albino", "alien", "ape", "zombie")
 
-
-@dataclass(frozen=True)
-class Tweet:
-    id: str
-    timestamp: dt.datetime          # always UTC
-    text: str
-    language: str
+# U+0345, the one character outside \w that re.IGNORECASE matches to a
+# \w character (the Greek iotas), over all of Unicode.
+_NON_WORD_CASES = "\u0345"
 
 
-@dataclass(frozen=True)
 class KeywordFilter:
-    """Whole-word, case-insensitive keyword screen."""
+    """Whole-word, case-insensitive screen: ``pattern`` has group i + 1 for
+    ``keywords[i]``, and each of its matches is a whole word that exactly one
+    keyword matches, as with one ``\\bkeyword\\b`` per keyword, because each
+    keyword is one lowercase ``\\w+`` word that matches no character outside
+    ``\\w`` and no other keyword; any other list is a ValueError."""
 
-    keywords: tuple[str, ...]
+    def __init__(self, keywords: tuple[str, ...]):
+        if not keywords or len(set(keywords)) != len(keywords):
+            raise ValueError("keyword list must be non-empty, without duplicates")
+        for kw in keywords:
+            if (kw != kw.lower() or not re.fullmatch(r"\w+", kw)
+                    or re.search(f"[{kw}]", _NON_WORD_CASES, re.IGNORECASE)):
+                raise ValueError(f"keyword {kw!r} must be one lowercase word that "
+                                 "matches only word characters")
+        for kw, other in permutations(keywords, 2):
+            if re.fullmatch(kw, other, re.IGNORECASE):
+                raise ValueError(f"keyword {kw!r} also matches keyword {other!r}")
+        self.keywords = tuple(keywords)
+        self.pattern = re.compile(
+            r"\b(?:" + "|".join(f"({kw})" for kw in keywords) + r")\b", re.IGNORECASE)
 
-    def __post_init__(self):
-        if not self.keywords:
-            raise ValueError("keyword list must be non-empty")
-        if len(set(self.keywords)) != len(self.keywords):
-            raise ValueError("duplicate keywords")
-        for kw in self.keywords:
-            if not kw or kw != kw.lower():
-                raise ValueError(f"keyword {kw!r} must be lowercase and non-empty")
 
-
-def _keyword_pattern(keyword: str) -> re.Pattern:
-    return re.compile(r"\b" + re.escape(keyword) + r"\b", re.IGNORECASE)
-
-
-def _parse_timestamp(raw: str) -> dt.datetime:
+def _utc_day(raw: str) -> dt.date:
     ts = dt.datetime.fromisoformat(raw.strip().replace("Z", "+00:00"))
-    if ts.tzinfo is None:
-        return ts.replace(tzinfo=dt.timezone.utc)
-    return ts.astimezone(dt.timezone.utc)
+    return (ts if ts.tzinfo is None else ts.astimezone(dt.timezone.utc)).date()
 
 
 def ingest_tweets(source, language_filter: str = "en",
                   window_start: dt.date = STUDY_WINDOW_START,
                   window_end: dt.date = STUDY_WINDOW_END,
-                  ) -> tuple[list[Tweet], IngestReport]:
-    """Read the tweet CSV (``id,timestamp,text,lang``).
+                  ) -> tuple[list[tuple[dt.date, str]], IngestReport]:
+    """Read the tweet CSV (``id,timestamp,text,lang``) as (UTC day, text) pairs.
 
     Rows failing the language filter are silently counted; rows outside
     the study window are dropped with a counted warning; rows with an
-    unparseable timestamp or duplicate id go to the rejects report and
-    ingestion continues.
+    unparseable timestamp, an empty id or a duplicate id, checked in that
+    order, go to the rejects report and ingestion continues.  An id is
+    seen once its row is accepted.
     """
-    reader = csv.DictReader(text_stream(source))
-    header = reader.fieldnames or []
-    missing = [c for c in TWEET_COLUMNS if c not in header]
-    if missing:
-        raise SchemaError(f"tweet CSV missing columns: {', '.join(missing)}")
-
+    index, records = csv_records(source, TWEET_COLUMNS, "tweet")
+    i_id, i_timestamp, i_text, i_lang = (index[c] for c in TWEET_COLUMNS)
     report = IngestReport()
-    tweets: list[Tweet] = []
+    rejects = report.rejects
+    corpus: list[tuple[dt.date, str]] = []
     seen_ids: set[str] = set()
-    for row_number, row in enumerate(reader, start=2):  # 1 is the header
-        if (row["lang"] or "").strip() != language_filter:
+    for row_number, row in records:
+        if (row[i_lang] or "").strip() != language_filter:
             report.filtered_language += 1
             continue
         try:
-            ts = _parse_timestamp(row["timestamp"] or "")
+            day = _utc_day(row[i_timestamp] or "")
         except ValueError:
-            report.rejects.append((row_number, "unparseable timestamp"))
+            rejects.append((row_number, "unparseable timestamp"))
             continue
-        tweet_id = (row["id"] or "").strip()
+        tweet_id = (row[i_id] or "").strip()
         if not tweet_id:
-            report.rejects.append((row_number, "empty id"))
+            rejects.append((row_number, "empty id"))
             continue
         if tweet_id in seen_ids:
-            report.rejects.append((row_number, "duplicate id"))
+            rejects.append((row_number, "duplicate id"))
             continue
-        if not window_start <= ts.date() <= window_end:
+        if not window_start <= day <= window_end:
             report.out_of_window += 1
             continue
         seen_ids.add(tweet_id)
-        tweets.append(Tweet(id=tweet_id, timestamp=ts,
-                            text=row["text"] or "", language=language_filter))
-    report.accepted = len(tweets)
-    return tweets, report
+        corpus.append((day, row[i_text] or ""))
+    report.accepted = len(corpus)
+    return corpus, report
 
 
-def daily_mean_sentiment(corpus: list[Tweet], lexicon: SentimentLexicon) -> DailySeries:
+def daily_mean_sentiment(corpus: list[tuple[dt.date, str]],
+                         lexicon: SentimentLexicon) -> DailySeries:
     """Arithmetic mean compound score per UTC day; empty days absent."""
     by_day: dict[dt.date, list[float]] = defaultdict(list)
-    for tweet in corpus:
-        by_day[tweet.timestamp.date()].append(compound_only(lexicon, tweet.text))
+    for day, text in corpus:
+        by_day[day].append(compound_only(lexicon, text))
     return DailySeries({d: sum(v) / len(v) for d, v in by_day.items()})
 
 
-def keyword_frequency(corpus: list[Tweet], kw_filter: KeywordFilter) -> dict[str, int]:
+def keyword_frequency(corpus: list[tuple[dt.date, str]],
+                      kw_filter: KeywordFilter) -> dict[str, int]:
     """Whole-word occurrence counts per keyword; multiple hits per tweet all count."""
-    patterns = {kw: _keyword_pattern(kw) for kw in kw_filter.keywords}
-    counts = {kw: 0 for kw in kw_filter.keywords}
-    for tweet in corpus:
-        for kw, pat in patterns.items():
-            counts[kw] += len(pat.findall(tweet.text))
-    return counts
+    counts = [0] * (len(kw_filter.keywords) + 1)       # by group; group 0 unused
+    for _, text in corpus:
+        for match in kw_filter.pattern.finditer(text):
+            counts[match.lastindex] += 1
+    return dict(zip(kw_filter.keywords, counts[1:]))
 
 
-def keyword_sentiment(corpus: list[Tweet], kw_filter: KeywordFilter,
+def keyword_sentiment(corpus: list[tuple[dt.date, str]], kw_filter: KeywordFilter,
                       lexicon: SentimentLexicon) -> dict[str, float | None]:
     """Mean compound over tweets containing each keyword.
 
     A keyword matched by no tweet maps to None, never to 0: a zero would
     read as "neutral" where there is no data at all.
     """
-    patterns = {kw: _keyword_pattern(kw) for kw in kw_filter.keywords}
-    sums = {kw: 0.0 for kw in kw_filter.keywords}
-    hits = {kw: 0 for kw in kw_filter.keywords}
-    for tweet in corpus:
-        compound = None
-        for kw, pat in patterns.items():
-            if pat.search(tweet.text):
-                if compound is None:
-                    compound = compound_only(lexicon, tweet.text)
-                sums[kw] += compound
-                hits[kw] += 1
-    return {kw: (sums[kw] / hits[kw] if hits[kw] else None)
-            for kw in kw_filter.keywords}
+    sums = [0.0] * (len(kw_filter.keywords) + 1)       # by group; group 0 unused
+    hits = [0] * (len(kw_filter.keywords) + 1)
+    for _, text in corpus:
+        groups = {match.lastindex for match in kw_filter.pattern.finditer(text)}
+        if groups:
+            compound = compound_only(lexicon, text)
+            for group in groups:
+                sums[group] += compound
+                hits[group] += 1
+    return {kw: (sums[g] / hits[g] if hits[g] else None)
+            for g, kw in enumerate(kw_filter.keywords, start=1)}

@@ -4,6 +4,8 @@ Kept verbatim as the reference that the columnar ``market`` and
 ``panel.build_panel`` must match: a frozen SaleRecord per accepted row,
 ``csv.DictReader`` ingest, dict loops for the daily aggregates, rarity
 and heatmap counts, and a per-sale join with six date-keyed lookups.
+One rule was added to both paths since: a rarity that is not > 0 is a
+reject.
 """
 
 from __future__ import annotations
@@ -84,6 +86,9 @@ def ingest_sales(source) -> tuple[list[SaleRecord], IngestReport]:
                 rarity = float(row["rarity"])
             except ValueError:
                 report.rejects.append((row_number, "bad rarity"))
+                continue
+            if rarity <= 0:
+                report.rejects.append((row_number, "non-positive rarity"))
                 continue
         sales.append(SaleRecord(punk_id=punk_id, date=date, price_eth=price,
                                 skin_tone=skin, gender=gender,

@@ -93,6 +93,27 @@ class TestConfig:
         assert documented == set(cli._CONFIG_KEYS)
 
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("correlation_threshold", "nan", "correlation_threshold must be in (0, 1], got nan"),
+        ("correlation_threshold", "0", "correlation_threshold must be in (0, 1], got 0.0"),
+        ("correlation_threshold", "1.5", "correlation_threshold must be in (0, 1], got 1.5"),
+        ("max_adf_lag", "-3", "max_adf_lag must be >= 0, got -3"),
+    ])
+    @pytest.mark.parametrize("form", ["config", "flag"])
+    def test_bad_numeric_setting_is_an_error_before_any_output(
+            self, synthetic_dataset, tmp_path, capsys, key, value, message, form):
+        out = tmp_path / "out"
+        args = ["--config", str(synthetic_dataset), "--output-dir", str(out), "all"]
+        if form == "config":
+            with open(synthetic_dataset, "a", encoding="utf-8") as fh:
+                fh.write(f"{key} = {value}\n")
+        else:
+            args[:0] = ["--" + key.replace("_", "-"), value]
+        assert main(args) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
 class TestScore:
     def write_inputs(self, tmp_path, tweet_rows):
         (tmp_path / "lexicon.txt").write_text("good\t2.0\nbad\t-2.0\n")
@@ -147,6 +168,22 @@ class TestKeywords:
         sent = read_csv(out / "keyword_sentiment.csv")
         assert sent[2] == ["female", ""]  # absent marker, never 0
         assert float(sent[1][1]) > 0
+
+
+    @pytest.mark.parametrize("keywords, message", [
+        ("dark-skinned", "keyword 'dark-skinned' must be one lowercase word"),
+        ("punk looks", "keyword 'punk looks' must be one lowercase word"),
+        ("s,ſ", "keyword 's' also matches keyword 'ſ'"),
+    ])
+    def test_keyword_the_screen_cannot_match_exactly_is_an_error_before_any_output(
+            self, tmp_path, capsys, keywords, message):
+        (tmp_path / "lexicon.txt").write_text("good\t2.0\n")
+        (tmp_path / "kw.csv").write_text(HEADER + "\n1,2021-05-01T10:00:00Z,punk,en\n")
+        config = write_config(tmp_path, keyword_corpus="kw.csv", keywords=keywords)
+        assert main(["--config", str(config), "--output-dir", str(tmp_path / "out"),
+                     "keywords"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not (tmp_path / "out").exists()
 
 
 class TestHeatmap:
@@ -299,6 +336,16 @@ class TestBadMarketValues:
         assert read_csv(tmp_path / "out" / "sales_rejects.csv")[1:] == [
             ["5", "non-finite rarity"]]
 
+    def test_non_positive_rarity_is_a_reject(self, synthetic_dataset, tmp_path):
+        sales = synthetic_dataset.parent / "sales.csv"
+        header, *rows = sales.read_text(encoding="utf-8").splitlines()
+        given = {3: ",0", 5: ",-3", 6: ",0.5"}
+        rows = [row + given.get(i, ",") for i, row in enumerate(rows)]
+        sales.write_text("\n".join([header + ",rarity", *rows]) + "\n", encoding="utf-8")
+        assert self.run_all(synthetic_dataset, tmp_path) == 0
+        assert read_csv(tmp_path / "out" / "sales_rejects.csv")[1:] == [
+            ["5", "non-positive rarity"], ["7", "non-positive rarity"]]
+
     @pytest.mark.parametrize("name, line, message", [
         ("gas.csv", "2020-09-02", "row 3: bad gwei_avg None"),
         ("gas.csv", "2020-09-02,", "row 3: bad gwei_avg ''"),
@@ -363,7 +410,7 @@ class TestAll:
                      str(tmp_path / "out"), "all"]) == 0
         corpus, keyword_corpus = corpora
         hit = re.compile(r"\b(" + "|".join(tweets.DEFAULT_KEYWORDS) + r")\b", re.IGNORECASE)
-        keyword_hits = sum(1 for t in keyword_corpus if hit.search(t.text))
+        keyword_hits = sum(1 for _, text in keyword_corpus if hit.search(text))
         assert calls == {"ingest_tweets": 2, "ingest_sales": 1, "load_lexicon": 1,
                          "compound_only": len(corpus) + keyword_hits}
         err = capsys.readouterr().err

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from conftest import Sale, make_sales
+from punk_hedonics.ingest import SchemaError
 from punk_hedonics.market import (GENDERS, SKIN_TONES, Gender, SkinTone,
                                   UncoveredDatesError, attribute_distribution,
                                   daily_aggregates, ingest_fx, ingest_gas, ingest_sales,
                                   rarity_score)
 from punk_hedonics.series import DailySeries, pct_change
-from punk_hedonics.tweets import SchemaError
 
 HEADER = "punk_id,date,price_eth,skin_tone,gender,buyer,seller"
 

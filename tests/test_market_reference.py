@@ -40,7 +40,8 @@ FIELDS = {
                st.sampled_from(["Robot", ""])),
     "buyer": (st.sampled_from(["w0", "w1", " w1", "w2", "w3 "]),) * 2,
     "seller": (st.sampled_from(["w0", "w1", "w2 ", "w3"]),) * 2,
-    "rarity": (st.sampled_from(["", "", "", " ", "2.5", "7", "0.125"]), st.just("x")),
+    "rarity": (st.sampled_from(["", "", "", " ", "2.5", "7", "0.125"]),
+               st.sampled_from(["x", "0", "-3"])),
 }
 EXTRA = (st.text(alphabet="ab,\" 1\n", max_size=4),) * 2
 BAD_SHARE = 15              # about one field in this many draws a rejected value
@@ -164,14 +165,15 @@ class TestMatchesRowReference:
     def test_generated_csvs_reach_every_reject_reason(self):
         reasons = set()
 
-        @settings(max_examples=100, deadline=None, database=None)
+        @settings(max_examples=250, deadline=None, database=None)
         @given(sales_csvs())
         def collect(text):
             reasons.update(reason.split(" '")[0].split(" None")[0]
                            for _, reason in market.ingest_sales(text)[1].rejects)
         collect()
         assert reasons == {"bad punk_id", "bad date", "bad price_eth", "negative price_eth",
-                           "unknown skin_tone", "unknown gender", "bad rarity"}
+                           "unknown skin_tone", "unknown gender", "bad rarity",
+                           "non-positive rarity"}
 
     def test_fixed_case(self):
         """A punk changes combination, overrides come last, a wallet sits on

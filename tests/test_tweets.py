@@ -1,22 +1,18 @@
 import datetime as dt
+import re
+import sys
 from collections import defaultdict
 
 import pytest
 
 from conftest import make_lexicon
+from punk_hedonics import tweets
+from punk_hedonics.ingest import SchemaError
 from punk_hedonics.sentiment import compound_only
-from punk_hedonics.tweets import (KeywordFilter, SchemaError, Tweet,
-                                  daily_mean_sentiment, ingest_tweets,
+from punk_hedonics.tweets import (KeywordFilter, daily_mean_sentiment, ingest_tweets,
                                   keyword_frequency, keyword_sentiment)
 
 HEADER = "id,timestamp,text,lang"
-
-
-def tweet(i, day, text, hour=12):
-    return Tweet(id=str(i),
-                 timestamp=dt.datetime(day.year, day.month, day.day, hour,
-                                       tzinfo=dt.timezone.utc),
-                 text=text, language="en")
 
 
 class TestIngest:
@@ -70,8 +66,7 @@ class TestIngest:
     def test_timestamps_normalized_to_utc(self):
         csv_text = HEADER + "\n1,2021-05-01T01:00:00+05:00,x,en\n"
         corpus, _ = ingest_tweets(csv_text)
-        assert corpus[0].timestamp == dt.datetime(2021, 4, 30, 20,
-                                                  tzinfo=dt.timezone.utc)
+        assert corpus == [(dt.date(2021, 4, 30), "x")]
 
     def test_z_suffix_and_naive_accepted(self):
         csv_text = "\n".join([HEADER,
@@ -85,23 +80,23 @@ class TestDailyMeanSentiment:
     def test_symmetric_mean_is_zero(self):
         lex = make_lexicon({"up": 2.0, "down": -2.0})
         day = dt.date(2021, 5, 1)
-        series = daily_mean_sentiment([tweet(1, day, "up"), tweet(2, day, "down")], lex)
+        series = daily_mean_sentiment([(day, "up"), (day, "down")], lex)
         assert series[day] == pytest.approx(0.0, abs=1e-12)
 
     def test_single_tweet_identity(self, lexicon):
         day = dt.date(2021, 5, 1)
         c = compound_only(lexicon, "good")
-        assert daily_mean_sentiment([tweet(1, day, "good")], lexicon)[day] == c
+        assert daily_mean_sentiment([(day, "good")], lexicon)[day] == c
 
     def test_matches_group_by_oracle(self, lexicon):
         days = [dt.date(2021, 5, d) for d in (1, 2, 5)]
         texts = ["good", "bad day", "so great", "terrible!", "plain",
                  "love it", "hate it", "nice punk", "ugly floor", "good good"]
-        corpus = [tweet(i, days[i % 3], texts[i]) for i in range(10)]
+        corpus = [(days[i % 3], texts[i]) for i in range(10)]
         # Independent oracle: explicit group-by then mean.
         groups = defaultdict(list)
-        for t in corpus:
-            groups[t.timestamp.date()].append(compound_only(lexicon, t.text))
+        for day, text in corpus:
+            groups[day].append(compound_only(lexicon, text))
         series = daily_mean_sentiment(corpus, lexicon)
         assert series.dates == sorted(groups)
         for day, values in groups.items():
@@ -109,7 +104,7 @@ class TestDailyMeanSentiment:
 
     def test_values_in_range(self, lexicon):
         day = dt.date(2021, 5, 1)
-        corpus = [tweet(i, day, "great great great!!!") for i in range(3)]
+        corpus = [(day, "great great great!!!")] * 3
         assert all(-1.0 <= v <= 1.0 for v in daily_mean_sentiment(corpus, lexicon).values)
 
 
@@ -124,26 +119,55 @@ class TestKeywordFilter:
         with pytest.raises(ValueError):
             KeywordFilter(("male", "male"))
 
+    @pytest.mark.parametrize("keyword", ["dark-skinned", "punk looks", "", "a.b", "aι"])
+    def test_rejects_what_is_not_one_word(self, keyword):
+        with pytest.raises(ValueError, match="must be one lowercase word"):
+            KeywordFilter(("male", keyword))
+
+    @pytest.mark.parametrize("keywords", [("s", "ſ"), ("ı", "i"), ("kiss", "kiſs"), ("µ", "μ")])
+    def test_rejects_a_keyword_another_one_matches(self, keywords):
+        with pytest.raises(ValueError, match="also matches keyword"):
+            KeywordFilter(keywords)
+
+    def test_one_group_per_keyword_in_order(self):
+        kw_filter = KeywordFilter(("a", "aa"))
+        assert [m.lastindex for m in kw_filter.pattern.finditer("aa a_a A, AA")] == [2, 1, 2]
+
+    def test_non_word_cases_cover_unicode(self):
+        """_NON_WORD_CASES holds each character outside \\w that a lowercase
+        \\w character matches under re.IGNORECASE; only cased characters can."""
+        word = re.compile(r"\w")
+        found = set()
+        for code in range(sys.maxunicode + 1):
+            ch = chr(code)
+            if word.match(ch) or ch.lower() == ch == ch.upper():
+                continue
+            for c in {ch.lower(), ch.upper(), ch.upper().lower(), ch.casefold()}:
+                if (len(c) == 1 and word.match(c) and c == c.lower()
+                        and re.fullmatch(re.escape(c), ch, re.IGNORECASE)):
+                    found.add(ch)
+        assert found == set(tweets._NON_WORD_CASES)
+
 
 class TestKeywordFrequency:
     def test_case_insensitive_whole_word(self):
         day = dt.date(2021, 5, 1)
-        corpus = [tweet(1, day, "male punk"), tweet(2, day, "Male!")]
+        corpus = [(day, "male punk"), (day, "Male!")]
         assert keyword_frequency(corpus, KeywordFilter(("male",)))["male"] == 2
 
     def test_female_does_not_contain_male(self):
-        corpus = [tweet(1, dt.date(2021, 5, 1), "female")]
+        corpus = [(dt.date(2021, 5, 1), "female")]
         counts = keyword_frequency(corpus, KeywordFilter(("male", "female")))
         assert counts == {"male": 0, "female": 1}
 
     def test_multiple_hits_in_one_tweet(self):
-        corpus = [tweet(1, dt.date(2021, 5, 1), "ape ape ape")]
+        corpus = [(dt.date(2021, 5, 1), "ape ape ape")]
         assert keyword_frequency(corpus, KeywordFilter(("ape",)))["ape"] == 3
 
     def test_additive_over_concatenation(self):
         day = dt.date(2021, 5, 1)
-        a = [tweet(1, day, "alien ape"), tweet(2, day, "zombie")]
-        b = [tweet(3, day, "ape zombie zombie")]
+        a = [(day, "alien ape"), (day, "zombie")]
+        b = [(day, "ape zombie zombie")]
         kw = KeywordFilter(("alien", "ape", "zombie"))
         fa, fb, fab = (keyword_frequency(c, kw) for c in (a, b, a + b))
         assert all(fab[k] == fa[k] + fb[k] for k in kw.keywords)
@@ -151,14 +175,14 @@ class TestKeywordFrequency:
 
 class TestKeywordSentiment:
     def test_unmatched_keyword_is_absent_marker(self, lexicon):
-        corpus = [tweet(1, dt.date(2021, 5, 1), "good day")]
+        corpus = [(dt.date(2021, 5, 1), "good day")]
         result = keyword_sentiment(corpus, KeywordFilter(("zombie",)), lexicon)
         assert result["zombie"] is None
 
     def test_single_match_identity(self, lexicon):
-        corpus = [tweet(1, dt.date(2021, 5, 1), "the zombie looks good")]
+        corpus = [(dt.date(2021, 5, 1), "the zombie looks good")]
         result = keyword_sentiment(corpus, KeywordFilter(("zombie",)), lexicon)
-        assert result["zombie"] == compound_only(lexicon, corpus[0].text)
+        assert result["zombie"] == compound_only(lexicon, corpus[0][1])
 
     def test_matches_filter_then_mean_oracle(self, lexicon):
         day = dt.date(2021, 5, 1)
@@ -167,17 +191,17 @@ class TestKeywordSentiment:
         for i in range(20):
             kw = "ape" if i % 2 else "zombie"
             extra = " both ape and zombie" if i % 5 == 0 else ""
-            corpus.append(tweet(i, day, f"the {kw} is {moods[i % 5]}{extra}"))
+            corpus.append((day, f"the {kw} is {moods[i % 5]}{extra}"))
         kw_filter = KeywordFilter(("ape", "zombie"))
         result = keyword_sentiment(corpus, kw_filter, lexicon)
         for kw in kw_filter.keywords:
-            matched = [compound_only(lexicon, t.text) for t in corpus
-                       if f" {kw} " in f" {t.text} "]
+            matched = [compound_only(lexicon, text) for _, text in corpus
+                       if f" {kw} " in f" {text} "]
             assert result[kw] == pytest.approx(sum(matched) / len(matched), abs=1e-12)
 
     def test_sentiment_keywords_also_counted_by_frequency(self, lexicon):
-        corpus = [tweet(1, dt.date(2021, 5, 1), "zombie hour"),
-                  tweet(2, dt.date(2021, 5, 1), "nothing here")]
+        corpus = [(dt.date(2021, 5, 1), "zombie hour"),
+                  (dt.date(2021, 5, 1), "nothing here")]
         kw = KeywordFilter(("zombie",))
         sentiments = keyword_sentiment(corpus, kw, lexicon)
         freq = keyword_frequency(corpus, kw)
