@@ -63,6 +63,11 @@ class RunConfig:
         if self.max_adf_lag is not None and self.max_adf_lag < 0:
             raise ConfigError(f"max_adf_lag must be >= 0, got {self.max_adf_lag}")
         tweets.KeywordFilter(self.keywords)
+        try:
+            study.default_windows(self.window_start, self.window_end, self.split_date)
+        except OverflowError:   # a window bound's next or previous day leaves date's range
+            raise ConfigError("window_end and split_date must lie within "
+                              "0001-01-02..9999-12-30") from None
 
     def require(self, *names: str) -> None:
         for name in names:
@@ -181,11 +186,12 @@ def cmd_score(inputs: RunInputs) -> None:
     out = inputs.config.output_dir
     daily = inputs.sentiment
     _write_csv(out / "daily_sentiment.csv", ["date", "value"],
-               [[d.isoformat(), _fmt(v)] for d, v in daily.items()])
+               [[d.isoformat(), _fmt(v)]
+                for d, v in zip(daily.days.tolist(), daily.values.tolist())])
     values = daily.values
-    distribution = [("positive", sum(1 for v in values if v > 0)),
-                    ("negative", sum(1 for v in values if v < 0)),
-                    ("neutral", sum(1 for v in values if v == 0))]
+    distribution = [("positive", np.count_nonzero(values > 0)),
+                    ("negative", np.count_nonzero(values < 0)),
+                    ("neutral", np.count_nonzero(values == 0))]
     _write_csv(out / "sentiment_distribution.csv", ["sign", "day_count"],
                [[sign, str(count)] for sign, count in distribution])
     if not daily:

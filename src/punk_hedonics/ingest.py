@@ -43,23 +43,31 @@ def csv_records(source, required: tuple[str, ...], what: str,
     counts CSV records with the header as 1; blank lines are skipped and
     not counted.  A row shorter than the header is padded with None;
     fields past the header are never looked up.  A header without every
-    name in ``required`` is a SchemaError naming the ``what`` CSV.
+    name in ``required`` is a SchemaError naming the ``what`` CSV.  A record
+    ``csv`` cannot read (a field over its size limit) is a ValueError naming
+    the ``what`` CSV and the record's row number.
     """
     reader = csv.reader(text_stream(source))
-    header = next(reader, [])
+    try:
+        header = next(reader, [])
+    except csv.Error as exc:
+        raise ValueError(f"{what} CSV row 1: {exc}") from None
     index = {name: i for i, name in enumerate(header)}
     missing = [c for c in required if c not in index]
     if missing:
         raise SchemaError(f"{what} CSV missing columns: {', '.join(missing)}")
-    return index, _numbered(reader, len(header))
+    return index, _numbered(reader, len(header), what)
 
 
-def _numbered(reader, width: int) -> Iterator[tuple[int, list]]:
+def _numbered(reader, width: int, what: str) -> Iterator[tuple[int, list]]:
     row_number = 1
-    for row in reader:
-        if not row:
-            continue
-        row_number += 1
-        if len(row) < width:
-            row += [None] * (width - len(row))
-        yield row_number, row
+    try:
+        for row in reader:
+            if not row:
+                continue
+            row_number += 1
+            if len(row) < width:
+                row += [None] * (width - len(row))
+            yield row_number, row
+    except csv.Error as exc:                # the reader failed on the record after row_number
+        raise ValueError(f"{what} CSV row {row_number + 1}: {exc}") from None

@@ -242,7 +242,7 @@ def _ingest_two_column_series(source, date_col: str, value_col: str) -> DailySer
         if date in out:
             raise ValueError(f"row {row_number}: duplicate date {date.isoformat()}")
         out[date] = value
-    return DailySeries(out)
+    return DailySeries(list(out), list(out.values()))
 
 
 def ingest_gas(source) -> DailySeries:
@@ -282,19 +282,17 @@ def daily_aggregates(sales: Sales, fx: DailySeries) -> tuple[DailySeries, DailyS
     must cover every sale date.
     """
     days, day_index = np.unique(sales["day"], return_inverse=True)
-    dates = days.tolist()
-    rates = [fx.get(d) for d in dates]
-    uncovered = [d for d, rate in zip(dates, rates) if rate is None]
-    if uncovered:
-        raise UncoveredDatesError("fx", uncovered)
+    rates, covered = fx.lookup(days)
+    if not covered.all():
+        raise UncoveredDatesError("fx", days[~covered].tolist())
     buyer, seller = sales["buyer"], sales["seller"]
     n_wallets = int(max(buyer.max(), seller.max())) + 1 if len(sales) else 1
     day_wallets = np.unique(np.concatenate([day_index * n_wallets + buyer,
                                             day_index * n_wallets + seller]))
-    active = np.bincount(day_wallets // n_wallets, minlength=len(dates))
-    usd = sales["price_eth"] * np.array(rates, dtype=np.float64)[day_index]
-    volume = np.bincount(day_index, weights=usd, minlength=len(dates))
-    return DailySeries(zip(dates, active.tolist())), DailySeries(zip(dates, volume.tolist()))
+    active = np.bincount(day_wallets // n_wallets, minlength=len(days))
+    usd = sales["price_eth"] * rates[day_index]
+    volume = np.bincount(day_index, weights=usd, minlength=len(days))
+    return DailySeries(days, active), DailySeries(days, volume)
 
 
 def rarity_score(sales: Sales) -> dict[int, float]:

@@ -88,14 +88,6 @@ class ScreenEntry:
         return None if self.result is None else self.result.reject_at["5%"]
 
 
-def _lookup(table, keys: list) -> tuple[np.ndarray, np.ndarray]:
-    """``table.get(key)`` for each key: the values, NaN where absent, and
-    where each was present."""
-    values = [table.get(key) for key in keys]
-    present = np.array([v is not None for v in values], dtype=bool)
-    return np.array([math.nan if v is None else v for v in values], dtype=np.float64), present
-
-
 def build_panel(sales: Sales,
                 sentiment: DailySeries,
                 active_wallet_pct: DailySeries,
@@ -122,14 +114,14 @@ def build_panel(sales: Sales,
                 "gas_price_gwei": gas,
                 "fx_pct": fx_pct}
     days, day_index = np.unique(sales["day"], return_inverse=True)
-    dates = days.tolist()
     daily, missing = {}, {}         # missing: input name -> sales without it
     for name, series in (*controls.items(), ("fx_close", fx_close)):
-        daily[name], present = _lookup(series, dates)
+        daily[name], present = series.lookup(days)
         missing[name] = ~present[day_index]
     punks, punk_index = np.unique(sales["punk_id"], return_inverse=True)
-    rarity, present = _lookup(rarity_map, punks.tolist())
-    missing["rarity"] = ~present[punk_index]
+    rarity = [rarity_map.get(punk) for punk in punks.tolist()]
+    missing["rarity"] = np.array([r is None for r in rarity], dtype=bool)[punk_index]
+    rarity = np.array(rarity, dtype=np.float64)     # None -> NaN
     missing["positive price"] = sales["price_eth"] <= 0
     keep = ~np.logical_or.reduce(list(missing.values()))
 
@@ -154,12 +146,6 @@ def _daily_means(day_index: np.ndarray, column: np.ndarray) -> list[float]:
     """Mean of ``column`` per day of ``day_index``, each day summed in row
     order as a Python running sum would, so numpy's order does not matter."""
     return (np.bincount(day_index, weights=column) / np.bincount(day_index)).tolist()
-
-
-def daily_collapse(panel: Panel, variable: str) -> DailySeries:
-    """Daily mean of one panel column (controls are constant within a day)."""
-    days, day_index = np.unique(panel["date"], return_inverse=True)
-    return DailySeries(zip(days.tolist(), _daily_means(day_index, panel[variable])))
 
 
 def stationarity_screen(panel: Panel,

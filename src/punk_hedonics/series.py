@@ -1,59 +1,38 @@
-"""Daily time series: an ordered map from calendar day to value."""
+"""Daily time series: one value per calendar day, as two numpy columns."""
 
 from __future__ import annotations
 
-import datetime as dt
-from collections.abc import Iterable, Mapping
+import numpy as np
 
 
 class DailySeries:
-    """Immutable map date -> float with strictly increasing dates."""
+    """``days`` (datetime64[D], strictly increasing) and ``values``
+    (float64), equal-length arrays; the days may be given in any order."""
 
-    def __init__(self, items: Mapping[dt.date, float] | Iterable[tuple[dt.date, float]]):
-        pairs = list(items.items()) if isinstance(items, Mapping) else list(items)
-        seen = {}
-        for d, v in pairs:
-            if not isinstance(d, dt.date) or isinstance(d, dt.datetime):
-                raise TypeError(f"series keys must be dates, got {d!r}")
-            if d in seen:
-                raise ValueError(f"duplicate date {d.isoformat()}")
-            seen[d] = float(v)
-        self._data = dict(sorted(seen.items()))
+    def __init__(self, days, values):
+        days = np.asarray(days, dtype="datetime64[D]")
+        values = np.asarray(values, dtype=np.float64)
+        if days.shape != values.shape:
+            raise ValueError("series days and values differ in length")
+        order = np.argsort(days, kind="stable")
+        self.days, self.values = days[order], values[order]
+        repeated = self.days[1:][self.days[1:] == self.days[:-1]]
+        if len(repeated):
+            raise ValueError(f"duplicate date {repeated[0]}")
 
-    @property
-    def dates(self) -> list[dt.date]:
-        return list(self._data)
-
-    @property
-    def values(self) -> list[float]:
-        return list(self._data.values())
-
-    def items(self):
-        return self._data.items()
-
-    def get(self, date: dt.date, default=None):
-        return self._data.get(date, default)
-
-    def __getitem__(self, date: dt.date) -> float:
-        return self._data[date]
-
-    def __contains__(self, date: dt.date) -> bool:
-        return date in self._data
+    def lookup(self, days) -> tuple[np.ndarray, np.ndarray]:
+        """The value on each of ``days``, NaN where the series lacks the
+        day, and where it has it."""
+        days = np.asarray(days, dtype="datetime64[D]")
+        at = np.searchsorted(self.days, days)
+        present = np.append(self.days, np.datetime64("NaT"))[at] == days
+        return np.where(present, np.append(self.values, np.nan)[at], np.nan), present
 
     def __len__(self) -> int:
-        return len(self._data)
-
-    def __iter__(self):
-        return iter(self._data)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, DailySeries) and self._data == other._data
-
-    def __repr__(self) -> str:
-        return f"DailySeries({len(self._data)} days)"
+        return len(self.days)
 
 
-def pct_change(series: DailySeries) -> tuple[DailySeries, list[dt.date]]:
+def pct_change(series: DailySeries) -> tuple[DailySeries, np.ndarray]:
     """Period-over-period relative change over consecutive observed dates.
 
     The first date is dropped.  A zero denominator does not produce an
@@ -61,12 +40,7 @@ def pct_change(series: DailySeries) -> tuple[DailySeries, list[dt.date]]:
     """
     if len(series) < 2:
         raise ValueError("pct_change needs at least 2 observations")
-    out = []
-    gaps = []
-    items = list(series.items())
-    for (d_prev, v_prev), (d_cur, v_cur) in zip(items, items[1:]):
-        if v_prev == 0.0:
-            gaps.append(d_cur)
-            continue
-        out.append((d_cur, (v_cur - v_prev) / v_prev))
-    return DailySeries(out), gaps
+    previous, current, days = series.values[:-1], series.values[1:], series.days[1:]
+    kept = previous != 0.0
+    return (DailySeries(days[kept], (current[kept] - previous[kept]) / previous[kept]),
+            days[~kept])

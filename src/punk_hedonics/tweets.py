@@ -77,7 +77,7 @@ def ingest_tweets(source, language_filter: str = "en",
             continue
         try:
             day = _utc_day(row[i_timestamp] or "")
-        except ValueError:
+        except (ValueError, OverflowError):      # OverflowError: UTC day past date's range
             rejects.append((row_number, "unparseable timestamp"))
             continue
         tweet_id = (row[i_id] or "").strip()
@@ -102,7 +102,7 @@ def daily_mean_sentiment(corpus: list[tuple[dt.date, str]],
     by_day: dict[dt.date, list[float]] = defaultdict(list)
     for day, text in corpus:
         by_day[day].append(compound_only(lexicon, text))
-    return DailySeries({d: sum(v) / len(v) for d, v in by_day.items()})
+    return DailySeries(list(by_day), [sum(v) / len(v) for v in by_day.values()])
 
 
 def keyword_frequency(corpus: list[tuple[dt.date, str]],

@@ -8,6 +8,7 @@ import pytest
 
 from punk_hedonics.market import GENDERS, SKIN_TONES, Gender, Sales, SkinTone
 from punk_hedonics.sentiment import load_lexicon
+from punk_hedonics.series import DailySeries
 
 BASIC_LEXICON_TEXT = (
     "# token<TAB>valence\n"
@@ -56,6 +57,16 @@ def make_sales(sales):
         "buyer": [wallet_ids.setdefault(s.buyer_wallet, len(wallet_ids)) for s in sales],
         "seller": [wallet_ids.setdefault(s.seller_wallet, len(wallet_ids)) for s in sales],
     })
+
+
+def series_of(mapping):
+    """The DailySeries of a {date: value} mapping."""
+    return DailySeries(list(mapping), list(mapping.values()))
+
+
+def mapping_of(series):
+    """The {date: value} dict of a DailySeries, in day order."""
+    return dict(zip(series.days.tolist(), series.values.tolist()))
 
 
 def make_lexicon(valences):

@@ -5,7 +5,9 @@ Kept verbatim as the reference that the columnar ``market`` and
 ``csv.DictReader`` ingest, dict loops for the daily aggregates, rarity
 and heatmap counts, and a per-sale join with six date-keyed lookups.
 One rule was added to both paths since: a rarity that is not > 0 is a
-reject.
+reject.  Its daily series are the dict-backed ones of series_reference,
+so a test converts them to and from ``punk_hedonics.series`` at the
+boundary.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from punk_hedonics.ingest import IngestReport, SchemaError, text_stream
 from punk_hedonics.market import (SALES_COLUMNS, AttributeDistribution, Gender, SkinTone,
                                   UncoveredDatesError)
 from punk_hedonics.panel import DUMMY_COLUMNS, PANEL_COLUMNS, Panel, PanelError
-from punk_hedonics.series import DailySeries
+from series_reference import DailySeries
 
 _GENDER_BY_LABEL = {g.value.lower(): g for g in Gender}
 _SKIN_BY_LABEL = {s.value.lower(): s for s in SkinTone}

@@ -113,6 +113,32 @@ class TestConfig:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"split_date": "2030-01-01"}, "window 2030-2022: start must precede end"),
+        ({"split_date": "2022-10-31"},
+         "window 2022-10-31_2022-10-31: start must precede end"),
+        ({"window_start": "2021-06-01", "window_end": "2021-01-01"},
+         "window 2021-06-01_2020-12-31: start must precede end"),
+        ({"window_end": "9999-12-31"},
+         "window_end and split_date must lie within 0001-01-02..9999-12-30"),
+        ({"split_date": "0001-01-01"},
+         "window_end and split_date must lie within 0001-01-02..9999-12-30"),
+    ])
+    @pytest.mark.parametrize("form", ["config", "flag"])
+    def test_bad_window_setting_is_an_error_before_any_output(
+            self, synthetic_dataset, tmp_path, capsys, overrides, message, form):
+        out = tmp_path / "out"
+        args = ["--config", str(synthetic_dataset), "--output-dir", str(out), "all"]
+        for key, value in overrides.items():
+            if form == "config":
+                with open(synthetic_dataset, "a", encoding="utf-8") as fh:
+                    fh.write(f"{key} = {value}\n")
+            else:
+                args[:0] = ["--" + key.replace("_", "-"), value]
+        assert main(args) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestScore:
     def write_inputs(self, tmp_path, tweet_rows):
@@ -361,6 +387,36 @@ class TestBadMarketValues:
         replace_line(synthetic_dataset.parent / name, 3, line)
         assert self.run_all(synthetic_dataset, tmp_path) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+class TestBadInputText:
+    """An out-of-range timestamp is a reject with exit 0; an over-long CSV
+    field is error: with exit 1 naming its row; neither is a traceback."""
+
+    @pytest.mark.parametrize("name, row, rejects", [
+        ("tweets.csv", "zz,0001-01-01T00:00:00+01:00,good,en", "tweet_rejects.csv"),
+        ("keyword_tweets.csv", "zz,9999-12-31T23:00:00-05:00,the ape,en",
+         "keyword_rejects.csv"),
+    ])
+    def test_timestamp_whose_utc_day_leaves_the_calendar_is_a_reject(
+            self, synthetic_dataset, tmp_path, name, row, rejects):
+        path = synthetic_dataset.parent / name
+        row_number = len(path.read_text(encoding="utf-8").splitlines()) + 1
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(row + "\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(synthetic_dataset), "--output-dir", str(out), "all"]) == 0
+        assert read_csv(out / rejects)[1:] == [[str(row_number), "unparseable timestamp"]]
+
+    @pytest.mark.parametrize("name, what", [("tweets.csv", "tweet"), ("sales.csv", "sales"),
+                                            ("gas.csv", "series")])
+    def test_over_long_field_is_an_error_naming_its_row(self, synthetic_dataset, tmp_path,
+                                                         capsys, name, what):
+        replace_line(synthetic_dataset.parent / name, 3, "1," + "x" * 140_000)
+        out = tmp_path / "out"
+        assert main(["--config", str(synthetic_dataset), "--output-dir", str(out), "all"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {what} CSV row 3: field larger than field limit (131072)\n")
 
 
 class TestAll:

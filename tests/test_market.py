@@ -5,13 +5,13 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from conftest import Sale, make_sales
+from conftest import Sale, make_sales, mapping_of, series_of
 from punk_hedonics.ingest import SchemaError
 from punk_hedonics.market import (GENDERS, SKIN_TONES, Gender, SkinTone,
                                   UncoveredDatesError, attribute_distribution,
                                   daily_aggregates, ingest_fx, ingest_gas, ingest_sales,
                                   rarity_score)
-from punk_hedonics.series import DailySeries, pct_change
+from punk_hedonics.series import pct_change
 
 HEADER = "punk_id,date,price_eth,skin_tone,gender,buyer,seller"
 
@@ -136,8 +136,8 @@ class TestSeriesIngest:
     def test_gas_and_fx(self):
         gas = ingest_gas("date,gwei_avg\n2021-05-01,55.2\n2021-05-02,48.0\n")
         fx = ingest_fx("date,eth_usd_close\n2021-05-01,3000\n")
-        assert gas[dt.date(2021, 5, 1)] == 55.2
-        assert fx[dt.date(2021, 5, 1)] == 3000.0
+        assert mapping_of(gas) == {dt.date(2021, 5, 1): 55.2, dt.date(2021, 5, 2): 48.0}
+        assert mapping_of(fx) == {dt.date(2021, 5, 1): 3000.0}
 
     def test_nonpositive_value_rejected(self):
         with pytest.raises(ValueError, match="> 0"):
@@ -192,36 +192,37 @@ class TestAttributeDistribution:
 
 class TestDailyAggregates:
     def fx_for(self, dates, rate=100.0):
-        return DailySeries({d: rate for d in dates})
+        return series_of({d: rate for d in dates})
 
     def test_one_sale_two_wallets(self):
         day = dt.date(2021, 5, 1)
         active, volume = daily_aggregates(make_sales([sale(1, day, price=2.0)]),
                                          self.fx_for([day]))
-        assert active[day] == 2
-        assert volume[day] == 200.0
+        assert mapping_of(active) == {day: 2}
+        assert mapping_of(volume) == {day: 200.0}
 
     def test_shared_wallet_counted_once(self):
         day = dt.date(2021, 5, 1)
         sales = [sale(1, day, buyer="A", seller="B"),
                  sale(2, day, buyer="A", seller="C")]
         active, _ = daily_aggregates(make_sales(sales), self.fx_for([day]))
-        assert active[day] == 3
+        assert mapping_of(active) == {day: 3}
 
     def test_uncovered_date_error(self):
         day = dt.date(2021, 5, 1)
         with pytest.raises(UncoveredDatesError, match="2021-05-01"):
-            daily_aggregates(make_sales([sale(1, day)]), DailySeries({}))
+            daily_aggregates(make_sales([sale(1, day)]), series_of({}))
 
     def test_matches_group_by_oracle(self):
         rng = np.random.default_rng(7)
         days = [dt.date(2021, 5, 1) + dt.timedelta(days=int(i)) for i in range(10)]
-        fx = DailySeries({d: float(rng.uniform(500, 4000)) for d in days})
+        fx = {d: float(rng.uniform(500, 4000)) for d in days}
         sales = [sale(i, days[int(rng.integers(0, 10))],
                       price=float(rng.uniform(0.1, 9.0)),
                       buyer=f"w{int(rng.integers(0, 8))}",
                       seller=f"w{int(rng.integers(0, 8))}") for i in range(30)]
-        active, volume = daily_aggregates(make_sales(sales), fx)
+        active, volume = daily_aggregates(make_sales(sales), series_of(fx))
+        active, volume = mapping_of(active), mapping_of(volume)
         wallets, usd = defaultdict(set), defaultdict(float)
         for s in sales:
             wallets[s.date] |= {s.buyer_wallet, s.seller_wallet}
@@ -229,7 +230,7 @@ class TestDailyAggregates:
         for day in wallets:
             assert active[day] == len(wallets[day])
             assert volume[day] == pytest.approx(usd[day], rel=1e-12)
-        assert set(active.dates) <= {s.date for s in sales}
+        assert set(active) <= {s.date for s in sales}
 
 
 class TestPctChange:
@@ -237,33 +238,33 @@ class TestPctChange:
         return dt.date(2021, 5, 1) + dt.timedelta(days=i)
 
     def test_simple(self):
-        series, gaps = pct_change(DailySeries({self.d(0): 100.0, self.d(1): 110.0}))
-        assert series.values == pytest.approx([0.10])
-        assert gaps == []
+        series, gaps = pct_change(series_of({self.d(0): 100.0, self.d(1): 110.0}))
+        assert series.values.tolist() == pytest.approx([0.10])
+        assert gaps.tolist() == []
 
     def test_constant_series_all_zeros(self):
-        series, _ = pct_change(DailySeries({self.d(i): 5.0 for i in range(4)}))
-        assert series.values == [0.0, 0.0, 0.0]
+        series, _ = pct_change(series_of({self.d(i): 5.0 for i in range(4)}))
+        assert series.values.tolist() == [0.0, 0.0, 0.0]
 
     def test_zero_denominator_dropped_not_infinite(self):
-        series, gaps = pct_change(DailySeries({self.d(0): 1.0, self.d(1): 0.0,
-                                               self.d(2): 3.0}))
-        assert gaps == [self.d(2)]
-        assert series.dates == [self.d(1)]
+        series, gaps = pct_change(series_of({self.d(0): 1.0, self.d(1): 0.0,
+                                             self.d(2): 3.0}))
+        assert gaps.tolist() == [self.d(2)]
+        assert series.days.tolist() == [self.d(1)]
         assert len(series) == 3 - 1 - len(gaps)
 
     def test_too_short(self):
         with pytest.raises(ValueError):
-            pct_change(DailySeries({self.d(0): 1.0}))
+            pct_change(series_of({self.d(0): 1.0}))
 
     def test_matches_shift_divide_oracle(self):
         rng = np.random.default_rng(11)
         values = np.abs(np.cumsum(rng.normal(0, 1, 50))) + 0.5
-        series = DailySeries({self.d(i): float(v) for i, v in enumerate(values)})
+        series = series_of({self.d(i): float(v) for i, v in enumerate(values)})
         result, gaps = pct_change(series)
         oracle = values[1:] / values[:-1] - 1.0
-        assert gaps == []
-        assert result.values == pytest.approx(list(oracle), abs=1e-12)
+        assert gaps.tolist() == []
+        assert result.values.tolist() == pytest.approx(list(oracle), abs=1e-12)
 
 
 class TestRarity:

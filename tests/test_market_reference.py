@@ -18,10 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import row_reference as ref
+import series_reference
+from conftest import mapping_of, series_of
 from punk_hedonics import market, panel
 from punk_hedonics.market import GENDERS, SALES_COLUMNS, SKIN_TONES, UncoveredDatesError
 from punk_hedonics.panel import PANEL_COLUMNS, PanelError
-from punk_hedonics.series import DailySeries
 
 DAYS = [dt.date(2021, 5, 1) + dt.timedelta(days=i) for i in range(5)]
 PRICES = ["0", "0.0", "-0.0", "0.1", "0.2", "0.3", "1", "2.5", "3.7", "1e16", "1e-300",
@@ -78,19 +79,37 @@ def sales_csvs(draw):
 def series_over(draw, days):
     values = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False) | st.sampled_from(
         [0.0, -0.0, 0.1])
-    return DailySeries({d: draw(values) for d in days})
+    return {d: draw(values) for d in days}
 
 
 @st.composite
 def daily_inputs(draw):
-    """The six daily series of build_panel; each may miss some days."""
+    """The six daily series of build_panel, as {date: value} maps; each may
+    miss some days."""
     some_days = st.lists(st.sampled_from(DAYS), unique=True, min_size=4).map(sorted)
     inputs = {name: series_over(draw, draw(some_days))
               for name in ("sentiment", "active_wallet_pct", "sales_volume_pct", "gas",
                            "fx_pct")}
     rate = st.floats(min_value=1e-3, max_value=1e4) | st.sampled_from([0.1, 3000.0])
-    inputs["fx_close"] = DailySeries({d: draw(rate) for d in draw(some_days)})
+    inputs["fx_close"] = {d: draw(rate) for d in draw(some_days)}
     return inputs
+
+
+def aggregates_outcome(sales, records, fx):
+    """market's and the reference's daily_aggregates as lists of two
+    {date: value} maps, or the error each raised."""
+    got = outcome(market.daily_aggregates, sales, series_of(fx))
+    want = outcome(ref.daily_aggregates, records, series_reference.DailySeries(fx))
+    if isinstance(want[0], str):
+        return got, want
+    return [mapping_of(s) for s in got], [dict(s.items()) for s in want]
+
+
+def panel_outcome(sales, records, inputs, rarity_map):
+    """panel's and the reference's build_panel over the same daily maps."""
+    return (outcome(panel.build_panel, sales, *map(series_of, inputs), rarity_map),
+            outcome(ref.build_panel, records, *map(series_reference.DailySeries, inputs),
+                    rarity_map))
 
 
 def wallet_ids_match(ids, addresses):
@@ -147,13 +166,11 @@ class TestMatchesRowReference:
         rarity = market.rarity_score(sales)
         assert rarity == ref.rarity_score(records)
 
-        fx = inputs["fx_close"]
-        assert (outcome(market.daily_aggregates, sales, fx)
-                == outcome(ref.daily_aggregates, records, fx))
+        got, want = aggregates_outcome(sales, records, inputs["fx_close"])
+        assert got == want
 
         rarity_map = {punk: r for punk, r in rarity.items() if punk not in unrated}
-        got = outcome(panel.build_panel, sales, *inputs.values(), rarity_map)
-        want = outcome(ref.build_panel, records, *inputs.values(), rarity_map)
+        got, want = panel_outcome(sales, records, inputs.values(), rarity_map)
         if isinstance(want, tuple) and isinstance(want[0], str):
             assert got == want                      # both raised the same error
             return
@@ -189,15 +206,15 @@ class TestMatchesRowReference:
         sales, _ = market.ingest_sales(text)
         assert market.rarity_score(sales) == ref.rarity_score(records) == {
             1: 4.0, 2: 1.5, 3: 3.0}
-        fx = DailySeries({d: 3000.0 for d in DAYS})
-        assert (market.daily_aggregates(sales, fx) == ref.daily_aggregates(records, fx))
-        active, _ = market.daily_aggregates(sales, fx)
-        assert active.values == [2.0, 3.0, 2.0]
-        inputs = [DailySeries({d: 0.5 for d in DAYS}) for _ in range(5)] + [fx]
-        inputs[3] = DailySeries({d: 20.0 for d in DAYS if d != DAYS[2]})
+        fx = {d: 3000.0 for d in DAYS}
+        (active, volume), want = aggregates_outcome(sales, records, fx)
+        assert [active, volume] == want
+        assert list(active.values()) == [2.0, 3.0, 2.0]
+        inputs = [{d: 0.5 for d in DAYS} for _ in range(5)] + [fx]
+        inputs[3] = {d: 20.0 for d in DAYS if d != DAYS[2]}
         rarity = market.rarity_score(sales)
-        got_panel, got_report = panel.build_panel(sales, *inputs, rarity)
-        want_panel, want_report = ref.build_panel(records, *inputs, rarity)
+        (got_panel, got_report), (want_panel, want_report) = panel_outcome(
+            sales, records, inputs, rarity)
         assert_panels_bitwise_equal(got_panel, want_panel)
         assert got_report.drop_counts == want_report.drop_counts == {
             "gas_price_gwei": 2, "positive price": 1}
@@ -205,17 +222,15 @@ class TestMatchesRowReference:
     def test_uncovered_fx_names_the_same_dates(self):
         text = ("punk_id,date,price_eth,skin_tone,gender,buyer,seller\n"
                 "1,2021-05-03,1,Dark,Male,a,b\n1,2021-05-01,1,Dark,Male,a,b\n")
-        fx = DailySeries({DAYS[1]: 1.0})
+        fx = {DAYS[1]: 1.0}
         with pytest.raises(UncoveredDatesError) as got:
-            market.daily_aggregates(market.ingest_sales(text)[0], fx)
+            market.daily_aggregates(market.ingest_sales(text)[0], series_of(fx))
         with pytest.raises(UncoveredDatesError) as want:
-            ref.daily_aggregates(ref.ingest_sales(text)[0], fx)
+            ref.daily_aggregates(ref.ingest_sales(text)[0], series_reference.DailySeries(fx))
         assert got.value.dates == want.value.dates == [DAYS[0], DAYS[2]]
 
     def test_no_covered_sale_raises_like_the_reference(self):
         text = "punk_id,date,price_eth,skin_tone,gender,buyer,seller\n1,2021-05-01,1,Dark,Male,a,b\n"
-        empty = [DailySeries({}) for _ in range(6)]
-        with pytest.raises(PanelError, match="no sale date"):
-            panel.build_panel(market.ingest_sales(text)[0], *empty, {1: 1.0})
-        with pytest.raises(PanelError, match="no sale date"):
-            ref.build_panel(ref.ingest_sales(text)[0], *empty, {1: 1.0})
+        got, want = panel_outcome(market.ingest_sales(text)[0], ref.ingest_sales(text)[0],
+                                  [{}] * 6, {1: 1.0})
+        assert got == want == ("PanelError", "no sale date is covered by every daily input series")

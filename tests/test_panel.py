@@ -7,17 +7,16 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import Sale, make_sales
+from conftest import Sale, make_sales, series_of
 from punk_hedonics.market import Gender, SkinTone
 from punk_hedonics.econometrics import adf_test
 from punk_hedonics.panel import (_WRITE_ROWS, DUMMY_COLUMNS, PANEL_COLUMNS,
-                                 SCREEN_VARIABLES, Panel, PanelError, build_panel,
-                                 daily_collapse, read_panel_csv, stationarity_screen,
+                                 SCREEN_VARIABLES, Panel, PanelError, _daily_means,
+                                 build_panel, read_panel_csv, stationarity_screen,
                                  write_panel_csv)
-from punk_hedonics.series import DailySeries
 from punk_hedonics.study import design_for, model_specs
 
 DAY0 = dt.date(2021, 5, 1)
@@ -31,12 +30,14 @@ def sale(punk_id, d, price=2.0, skin=SkinTone.DARK, gender=Gender.MALE):
     return Sale(punk_id, d, price, skin, gender)
 
 
-def panel_of(sales, **kwargs):
-    return build_panel(make_sales(sales), **kwargs)
+def panel_of(sales, rarity_map, **inputs):
+    """build_panel over Sale tuples and {date: value} daily inputs."""
+    return build_panel(make_sales(sales), rarity_map=rarity_map,
+                       **{name: series_of(mapping) for name, mapping in inputs.items()})
 
 
 def series_over(n, fn):
-    return DailySeries({day(i): float(fn(i)) for i in range(n)})
+    return {day(i): float(fn(i)) for i in range(n)}
 
 
 def full_inputs(n_days, seed=0):
@@ -116,7 +117,7 @@ class TestBuildPanel:
 
     def test_missing_sentiment_drops_with_reason(self):
         inputs = full_inputs(3)
-        inputs["sentiment"] = DailySeries({day(0): 0.1})  # not day 1
+        inputs["sentiment"] = {day(0): 0.1}  # not day 1
         with pytest.raises(PanelError):
             panel_of([sale(1, day(1))], rarity_map={1: 1.0}, **inputs)
         # With one covered sale present the dropped one is reported, not fatal.
@@ -127,7 +128,7 @@ class TestBuildPanel:
 
     def test_row_count_plus_drops_equals_sales(self):
         inputs = full_inputs(5)
-        inputs["gas"] = DailySeries({day(i): 50.0 for i in (0, 2, 4)})
+        inputs["gas"] = {day(i): 50.0 for i in (0, 2, 4)}
         sales = [sale(i, day(i % 5)) for i in range(20)]
         panel, report = panel_of(sales, rarity_map={i: 1.0 for i in range(20)},
                                     **inputs)
@@ -175,8 +176,8 @@ class TestBuildPanel:
 
     def test_sale_missing_several_inputs_counts_under_each(self):
         inputs = full_inputs(3)
-        inputs["gas"] = DailySeries({day(0): 50.0})
-        inputs["fx_pct"] = DailySeries({day(0): 0.1, day(1): 0.2})
+        inputs["gas"] = {day(0): 50.0}
+        inputs["fx_pct"] = {day(0): 0.1, day(1): 0.2}
         sales = [sale(1, day(0)), sale(2, day(1)), sale(3, day(2), price=0.0)]
         panel, report = panel_of(sales, rarity_map={1: 1.0, 2: 1.0}, **inputs)
         assert panel["date"].tolist() == [day(0)]
@@ -237,11 +238,6 @@ class TestStationarityScreen:
         with pytest.raises(PanelError):
             stationarity_screen(panel_from_series([]))
 
-    def test_collapse_averages_within_day(self):
-        rows = panel_from_series([1.0, 3.0], dates=[day(0), day(0)])
-        series = daily_collapse(rows, "log_usd_price")
-        assert series[day(0)] == 2.0
-
 
 class TestPanelCsv:
     def test_round_trip(self):
@@ -298,13 +294,14 @@ def assert_panels_equal(a, b):
         assert a[name].tolist() == b[name].tolist(), name
 
 
-def reference_daily_collapse(panel, variable):
-    """Per-row reference: a Python running sum and count per day."""
+def reference_daily_means(panel, variable):
+    """Per-row reference: a Python running sum and count per day, the
+    means in day order."""
     totals, counts = defaultdict(float), defaultdict(int)
     for date, value in zip(panel["date"].tolist(), panel[variable].tolist()):
         totals[date] += value
         counts[date] += 1
-    return DailySeries({d: totals[d] / counts[d] for d in totals})
+    return [totals[d] / counts[d] for d in sorted(totals)]
 
 
 def reference_design(panel, model):
@@ -386,14 +383,17 @@ class TestColumnarMatchesRowReference:
                           if name != "date" and name not in DUMMY_COLUMNS}})
         report = stationarity_screen(panel, max_lag=4)
         for variable in SCREEN_VARIABLES:
-            expected = adf_test(reference_daily_collapse(panel, variable).values, max_lag=4)
+            expected = adf_test(reference_daily_means(panel, variable), max_lag=4)
             assert report[variable].result == expected, variable
 
     @settings(max_examples=40, deadline=None)
     @given(random_panels())
-    def test_daily_collapse(self, panel):
+    @example(panel_from_series([1.0, 3.0], dates=[day(0), day(0)]))    # mean 2.0
+    def test_daily_means(self, panel):
+        _, day_index = np.unique(panel["date"], return_inverse=True)
         for variable in ("log_usd_price", "x_male", "sentiment"):
-            assert daily_collapse(panel, variable) == reference_daily_collapse(panel, variable)
+            assert (_daily_means(day_index, panel[variable])
+                    == reference_daily_means(panel, variable))
 
     @settings(max_examples=40, deadline=None)
     @given(random_panels())

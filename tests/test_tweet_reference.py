@@ -28,7 +28,7 @@ TIMESTAMPS = [
     "2021-05-01 11:00:00", "2021-05-01", " 2021-05-01T10:00:00+00:00 ",
     "2017-06-23T02:00:00+05:00", "2017-06-23T00:00:00", "2022-10-31T23:30:00-01:00",
     "2022-10-31T23:59:59Z", "2016-01-01T00:00:00Z", "2023-01-01T00:00:00",
-    "0001-01-01T00:00:00+01:00",                    # out of range once in UTC
+    "0001-01-01T00:00:00+01:00", "9999-12-31T23:00:00-05:00",  # out of range in UTC
     "not-a-time", "", "2021-13-01T00:00:00", "2021-05-01T10:00:00ZZ",
 ]
 FIELDS = {
@@ -81,7 +81,7 @@ def outcome(fn, *args):
     """fn's result, or the type and message of the error it raised."""
     try:
         return fn(*args)
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         return type(exc).__name__, str(exc)
 
 
@@ -134,7 +134,7 @@ class TestMatchesTweetReference:
             seen.update(["accepted"] if corpus else [])
         collect()
         assert seen == {"unparseable timestamp", "empty id", "duplicate id", "out_of_window",
-                        "filtered_language", "accepted", "OverflowError", "SchemaError"}
+                        "filtered_language", "accepted", "SchemaError"}
 
     def test_out_of_window_id_is_not_seen(self):
         text = ("id,timestamp,text,lang\n"

@@ -5,7 +5,7 @@ from collections import defaultdict
 
 import pytest
 
-from conftest import make_lexicon
+from conftest import make_lexicon, mapping_of
 from punk_hedonics import tweets
 from punk_hedonics.ingest import SchemaError
 from punk_hedonics.sentiment import compound_only
@@ -51,6 +51,12 @@ class TestIngest:
         assert len(corpus) == 1
         assert report.rejects == [(2, "unparseable timestamp")]
 
+    @pytest.mark.parametrize("timestamp", ["0001-01-01T00:00:00+01:00",
+                                           "9999-12-31T23:00:00-05:00"])
+    def test_timestamp_whose_utc_day_leaves_the_calendar_rejected(self, timestamp):
+        corpus, report = ingest_tweets(f"{HEADER}\n1,{timestamp},x,en\n")
+        assert corpus == [] and report.rejects == [(2, "unparseable timestamp")]
+
     def test_missing_column_is_schema_error(self):
         with pytest.raises(SchemaError, match="lang"):
             ingest_tweets("id,timestamp,text\n1,2021-05-01T00:00:00,x\n")
@@ -81,12 +87,12 @@ class TestDailyMeanSentiment:
         lex = make_lexicon({"up": 2.0, "down": -2.0})
         day = dt.date(2021, 5, 1)
         series = daily_mean_sentiment([(day, "up"), (day, "down")], lex)
-        assert series[day] == pytest.approx(0.0, abs=1e-12)
+        assert mapping_of(series) == {day: pytest.approx(0.0, abs=1e-12)}
 
     def test_single_tweet_identity(self, lexicon):
         day = dt.date(2021, 5, 1)
         c = compound_only(lexicon, "good")
-        assert daily_mean_sentiment([(day, "good")], lexicon)[day] == c
+        assert mapping_of(daily_mean_sentiment([(day, "good")], lexicon)) == {day: c}
 
     def test_matches_group_by_oracle(self, lexicon):
         days = [dt.date(2021, 5, d) for d in (1, 2, 5)]
@@ -97,8 +103,8 @@ class TestDailyMeanSentiment:
         groups = defaultdict(list)
         for day, text in corpus:
             groups[day].append(compound_only(lexicon, text))
-        series = daily_mean_sentiment(corpus, lexicon)
-        assert series.dates == sorted(groups)
+        series = mapping_of(daily_mean_sentiment(corpus, lexicon))
+        assert list(series) == sorted(groups)
         for day, values in groups.items():
             assert series[day] == pytest.approx(sum(values) / len(values), abs=1e-12)
 

@@ -4,6 +4,8 @@ Kept verbatim as the reference that ``tweets.ingest_tweets``,
 ``keyword_frequency`` and ``keyword_sentiment`` must match: a
 ``csv.DictReader`` loop with its own header check, a frozen Tweet per
 accepted row, and one regex per keyword, each run over every tweet.
+One rule was added to both paths since: a timestamp whose UTC day leaves
+``date``'s range (an OverflowError) is an unparseable timestamp.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ def ingest_tweets(source, language_filter: str = "en",
             continue
         try:
             ts = _parse_timestamp(row["timestamp"] or "")
-        except ValueError:
+        except (ValueError, OverflowError):
             report.rejects.append((row_number, "unparseable timestamp"))
             continue
         tweet_id = (row["id"] or "").strip()
