@@ -236,6 +236,10 @@ def cmd_regress(inputs: RunInputs) -> None:
         panel.write_panel_csv(sale_panel, fh)
 
     screen = panel.stationarity_screen(sale_panel, max_lag=config.max_adf_lag)
+    for variable, entry in screen.items():
+        if entry.skip_reason is not None:
+            inputs.warnings.append(
+                f"stationarity screen of {variable} skipped: {entry.skip_reason}")
     windows = study.default_windows(config.window_start, config.window_end,
                                     config.split_date)
     suite = study.run_suite(sale_panel, windows)

@@ -154,19 +154,60 @@ def default_adf_max_lag(n: int) -> int:
     return int(math.ceil(12.0 * (n / 100.0) ** 0.25))
 
 
-def _adf_design(y: np.ndarray, lag: int, start: int):
-    """Regression pieces for the DF equation with `lag` lagged differences.
+def _adf_design(y: np.ndarray, lag: int):
+    """Regression pieces for the DF equation with `lag` lagged differences,
+    columns ``[level, Δy_{t-1..lag}, const]``, on the longest sample."""
+    dy = np.diff(y)
+    m = dy.shape[0]
+    cols = [y[lag:m]]  # level term y_{t-1}
+    for i in range(1, lag + 1):
+        cols.append(dy[lag - i : m - i])
+    cols.append(np.ones(m - lag))
+    return np.column_stack(cols), dy[lag:m]
 
-    Rows begin at difference index `start`, so fits with different lags
-    can share a sample for AIC comparison.
+
+def _aic_lag(y: np.ndarray, max_lag: int) -> int:
+    """The lag in 0..max_lag whose DF regression has the least AIC, the
+    smallest on a tie, all fitted on the sample the widest one allows.
+
+    The widest design is factored once with its columns ordered
+    ``[level, const, Δy_{t-1..max_lag}]``, so the model of each lag is a
+    column prefix and the fitted values of every prefix are cumulative
+    sums over the columns of Q.  A prefix that an SVD fit would truncate
+    as rank deficient adds the residual of that truncated least-squares
+    solve on its triangular block, so its projection is the one an SVD
+    fit of the prefix makes.
     """
     dy = np.diff(y)
     m = dy.shape[0]
-    cols = [y[start:m]]  # level term y_{t-1}
-    for i in range(1, lag + 1):
-        cols.append(dy[start - i : m - i])
-    cols.append(np.ones(m - start))
-    return np.column_stack(cols), dy[start:m]
+    X = np.column_stack([y[max_lag:m], np.ones(m - max_lag),
+                         *(dy[max_lag - i : m - i] for i in range(1, max_lag + 1))])
+    target = dy[max_lag:]
+    rows, width = X.shape
+    Q, R = np.linalg.qr(X)
+    qty = Q.T @ target
+    fitted = np.cumsum(Q * qty, axis=1)[:, 1:]      # prefixes of 2.. columns: lags 0..
+    rss = ((target[:, None] - fitted) ** 2).sum(axis=0)
+    # No column prefix is worse conditioned than the whole design, so only
+    # a design an SVD fit would truncate needs the triangular solves.
+    singular = np.linalg.svd(R, compute_uv=False)
+    cutoff = rows * np.finfo(float).eps
+    if singular[-1] <= cutoff * singular[0]:
+        for k in range(2, width + 1):
+            z, _, rank, _ = np.linalg.lstsq(R[:k, :k], qty[:k], rcond=cutoff)
+            if rank < k:
+                r = qty[:k] - R[:k, :k] @ z
+                rss[k - 2] += r @ r
+
+    # Floor the RSS at numerical-noise level so a (near-)perfect fit
+    # resolves deterministically to the smallest lag via the 2k penalty.
+    floor = 1e-12 * max(float(target @ target), 1e-12)
+    best_lag, best_aic = 0, np.inf
+    for lag, lag_rss in enumerate(rss.tolist()):
+        aic = rows * math.log(max(lag_rss, floor) / rows) + 2 * (lag + 2)
+        if aic < best_aic:
+            best_aic, best_lag = aic, lag
+    return best_lag
 
 
 def adf_test(series, max_lag: int | None = None) -> AdfResult:
@@ -181,27 +222,17 @@ def adf_test(series, max_lag: int | None = None) -> AdfResult:
     n = y.shape[0]
     if n < ADF_MIN_LENGTH:
         raise InsufficientDataError(f"ADF needs at least {ADF_MIN_LENGTH} observations, got {n}")
+    if not np.isfinite(y).all():
+        raise ValueError("ADF series has non-finite values")
     if np.ptp(y) == 0:
         raise ConstantColumnError("series")
     if max_lag is None:
         max_lag = default_adf_max_lag(n)
     # Keep the selection sample comfortably larger than the widest design.
     max_lag = max(0, min(max_lag, (n - 1) // 2 - 2))
+    best_lag = _aic_lag(y, max_lag)
 
-    best_lag, best_aic = 0, np.inf
-    for lag in range(max_lag + 1):
-        X, dy = _adf_design(y, lag, start=max_lag)
-        rows, k = X.shape
-        beta, *_ = np.linalg.lstsq(X, dy, rcond=None)
-        rss = float(((dy - X @ beta) ** 2).sum())
-        # Floor the RSS at numerical-noise level so a (near-)perfect fit
-        # resolves deterministically to the smallest lag via the 2k penalty.
-        floor = 1e-12 * max(float(dy @ dy), 1e-12)
-        aic = rows * math.log(max(rss, floor) / rows) + 2 * k
-        if aic < best_aic:
-            best_aic, best_lag = aic, lag
-
-    X, dy = _adf_design(y, best_lag, start=best_lag)
+    X, dy = _adf_design(y, best_lag)
     rows, k = X.shape
     fit = ols_fit(X, dy, names=tuple(f"c{i}" for i in range(k)))
     statistic = float(fit.t_stats[0])

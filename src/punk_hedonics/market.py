@@ -11,7 +11,7 @@ from itertools import product
 import numpy as np
 
 from .ingest import IngestReport, csv_records
-from .series import DailySeries
+from .series import EPOCH_ORDINAL, DailySeries
 
 
 class Gender(Enum):
@@ -46,7 +46,6 @@ _SALES_DTYPES = {"punk_id": np.int64, "day": "datetime64[D]", "price_eth": np.fl
                  "rarity": np.float64, "has_rarity": np.bool_, "skin": np.int8,
                  "gender": np.int8, "buyer": np.int64, "seller": np.int64}
 _INT64_LIMIT = 2 ** 63
-_EPOCH = dt.date(1970, 1, 1).toordinal()
 
 
 class UncoveredDatesError(ValueError):
@@ -128,7 +127,7 @@ class _Memo(dict):
 def _day_number(raw: str | None) -> int | None:
     """Days since 1970-01-01 of an ISO date, or None if it is not one."""
     try:
-        return dt.date.fromisoformat((raw or "").strip()).toordinal() - _EPOCH
+        return dt.date.fromisoformat((raw or "").strip()).toordinal() - EPOCH_ORDINAL
     except ValueError:
         return None
 
@@ -224,13 +223,12 @@ def _ingest_two_column_series(source, date_col: str, value_col: str) -> DailySer
     a ValueError naming the row as ingest_sales numbers it."""
     index, records = csv_records(source, (date_col, value_col), "series")
     i_date, i_value = index[date_col], index[value_col]
-    out = {}
+    out = {}                                    # day number -> value
     for row_number, row in records:
         raw_date, raw_value = row[i_date], row[i_value]
-        try:
-            date = dt.date.fromisoformat((raw_date or "").strip())
-        except ValueError:
-            raise ValueError(f"row {row_number}: bad {date_col} {raw_date!r}") from None
+        day = _day_number(raw_date)
+        if day is None:
+            raise ValueError(f"row {row_number}: bad {date_col} {raw_date!r}")
         try:
             value = float(raw_value)
         except (TypeError, ValueError):
@@ -239,9 +237,10 @@ def _ingest_two_column_series(source, date_col: str, value_col: str) -> DailySer
             raise ValueError(f"row {row_number}: {value_col} must be finite, got {value}")
         if value <= 0:
             raise ValueError(f"row {row_number}: {value_col} must be > 0, got {value}")
-        if date in out:
+        if day in out:
+            date = dt.date.fromordinal(day + EPOCH_ORDINAL)
             raise ValueError(f"row {row_number}: duplicate date {date.isoformat()}")
-        out[date] = value
+        out[day] = value
     return DailySeries(list(out), list(out.values()))
 
 

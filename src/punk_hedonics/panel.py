@@ -2,16 +2,15 @@
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .econometrics import (ADF_MIN_LENGTH, AdfResult, adf_test,
-                           ConstantColumnError, InsufficientDataError)
-from .ingest import text_stream
+from .econometrics import (ADF_MIN_LENGTH, AdfResult, adf_test, ConstantColumnError,
+                           InsufficientDataError, SingularDesignError)
+from .ingest import csv_records
 from .market import GENDERS, SKIN_TONES, Gender, Sales, SkinTone
 from .series import DailySeries
 
@@ -152,8 +151,9 @@ def stationarity_screen(panel: Panel,
                         max_lag: int | None = None) -> dict[str, ScreenEntry]:
     """ADF screen over daily-collapsed log price and every daily control.
 
-    Failures to test (short or constant series) are reported as skips,
-    never silently dropped; the screen reports and does not gate.
+    Failures to test (a short or constant series, or a regression at the
+    chosen lag whose design is singular) are reported as skips, never
+    silently dropped; the screen reports and does not gate.
     """
     if not panel:
         raise PanelError("panel is empty")
@@ -170,7 +170,7 @@ def stationarity_screen(panel: Panel,
         except ConstantColumnError:
             report[variable] = ScreenEntry(variable, None, "zero variance")
             continue
-        except InsufficientDataError as exc:
+        except (InsufficientDataError, SingularDesignError) as exc:
             report[variable] = ScreenEntry(variable, None, str(exc))
             continue
         report[variable] = ScreenEntry(variable, result, None)
@@ -202,13 +202,16 @@ def write_panel_csv(panel: Panel, stream) -> None:
 
 
 def read_panel_csv(source) -> Panel:
-    """Parse a panel CSV written by write_panel_csv."""
-    reader = csv.reader(text_stream(source))
-    if tuple(next(reader, ())) != PANEL_COLUMNS:
+    """Parse a panel CSV written by write_panel_csv.  A record ``csv``
+    cannot read is a ValueError naming its row, as for every input CSV."""
+    index, records = csv_records(source, (), "panel")
+    if index != {name: i for i, name in enumerate(PANEL_COLUMNS)}:
         raise PanelError(f"panel CSV header must be exactly {','.join(PANEL_COLUMNS)}")
-    rows = [row for row in reader if row]
-    if any(len(row) != len(PANEL_COLUMNS) for row in rows):
-        raise PanelError(f"every panel CSV row must have {len(PANEL_COLUMNS)} fields")
+    rows = []
+    for row_number, row in records:
+        if len(row) != len(PANEL_COLUMNS) or row[-1] is None:   # None pads a short row
+            raise PanelError(f"panel CSV row {row_number} must have {len(PANEL_COLUMNS)} fields")
+        rows.append(row)
     columns = {name: [row[i] for row in rows] for i, name in enumerate(PANEL_COLUMNS)}
     columns["date"] = [dt.date.fromisoformat(d) for d in columns["date"]]  # numpy truncates a time
     return Panel(columns)

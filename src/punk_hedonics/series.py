@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import datetime as dt
+
 import numpy as np
+
+EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()     # the date of day number 0
 
 
 class DailySeries:
     """``days`` (datetime64[D], strictly increasing) and ``values``
-    (float64), equal-length arrays; the days may be given in any order."""
+    (float64), equal-length arrays; the days may be given in any order,
+    as dates or as integer day numbers since 1970-01-01."""
 
     def __init__(self, days, values):
         days = np.asarray(days, dtype="datetime64[D]")

@@ -9,7 +9,7 @@ from itertools import permutations
 
 from .ingest import IngestReport, csv_records
 from .sentiment import SentimentLexicon, compound_only
-from .series import DailySeries
+from .series import EPOCH_ORDINAL, DailySeries
 
 STUDY_WINDOW_START = dt.date(2017, 6, 23)
 STUDY_WINDOW_END = dt.date(2022, 10, 31)
@@ -102,7 +102,8 @@ def daily_mean_sentiment(corpus: list[tuple[dt.date, str]],
     by_day: dict[dt.date, list[float]] = defaultdict(list)
     for day, text in corpus:
         by_day[day].append(compound_only(lexicon, text))
-    return DailySeries(list(by_day), [sum(v) / len(v) for v in by_day.values()])
+    return DailySeries([day.toordinal() - EPOCH_ORDINAL for day in by_day],
+                       [sum(v) / len(v) for v in by_day.values()])
 
 
 def keyword_frequency(corpus: list[tuple[dt.date, str]],

@@ -328,6 +328,29 @@ class TestRegress:
             assert (out / name).is_file(), name
 
 
+    def test_singular_adf_design_is_a_stationarity_skip(self, synthetic_dataset, tmp_path,
+                                                        capsys):
+        """Gas constant but on its last day: the ADF lag search picks a lag
+        whose refit is singular, a skip reason rather than an abort."""
+        gas = synthetic_dataset.parent / "gas.csv"
+        header, *rows = gas.read_text(encoding="utf-8").splitlines()
+        days = [row.split(",")[0] for row in rows]
+        gas.write_text("\n".join([header, *(f"{d},50.0" for d in days[:-1]),
+                                  f"{days[-1]},60.0"]) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["--config", str(synthetic_dataset), "--output-dir", str(out),
+                     "all"]) == 0
+        doc = json.loads((out / "suite.json").read_text())
+        reason = doc["stationarity"]["gas_price_gwei"]["skip_reason"]
+        assert reason.startswith("design matrix is rank deficient in columns: ")
+        assert (f"warning: stationarity screen of gas_price_gwei skipped: {reason}"
+                in capsys.readouterr().err)
+        assert all("statistic" in doc["stationarity"][name]
+                   for name in doc["stationarity"] if name != "gas_price_gwei")
+        for name in ("tables.txt", "lollipop.csv", "heatmap.csv"):
+            assert (out / name).is_file(), name
+
+
 def replace_line(path, number, text):
     """Replace line ``number`` (1 is the header) of a CSV file."""
     lines = path.read_text(encoding="utf-8").splitlines()

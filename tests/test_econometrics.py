@@ -141,6 +141,13 @@ class TestAdf:
         with pytest.raises(ConstantColumnError):
             adf_test(np.ones(50))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_series_error(self, bad):
+        y = np.cumsum(np.random.default_rng(11).normal(size=100))
+        y[50] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            adf_test(y)
+
     def test_too_short_error(self):
         with pytest.raises(InsufficientDataError):
             adf_test(np.arange(10.0))
@@ -182,7 +189,7 @@ class TestAdf:
 
 def _fixed_lag_statistic(series, lag):
     from punk_hedonics.econometrics import _adf_design, ols_fit as fit_fn
-    X, dy = _adf_design(np.asarray(series, float), lag, start=lag)
+    X, dy = _adf_design(np.asarray(series, float), lag)
     fit = fit_fn(X, dy)
     return float(fit.t_stats[0])
 

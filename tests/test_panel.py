@@ -234,6 +234,12 @@ class TestStationarityScreen:
         report = stationarity_screen(rows)
         assert "too short" in report["log_usd_price"].skip_reason
 
+    def test_singular_design_at_chosen_lag_skipped_with_reason(self):
+        report = stationarity_screen(panel_from_series([50.0] * 239 + [60.0]))
+        entry = report["log_usd_price"]
+        assert entry.result is None and entry.stationary_at_5pct is None
+        assert entry.skip_reason == "design matrix is rank deficient in columns: c1"
+
     def test_empty_panel_errors(self):
         with pytest.raises(PanelError):
             stationarity_screen(panel_from_series([]))
@@ -268,8 +274,15 @@ class TestPanelCsv:
         assert_panels_equal(read_panel_csv(buf.getvalue()), panel)
 
     def test_short_row_rejected(self):
-        with pytest.raises(PanelError, match="13 fields"):
+        with pytest.raises(PanelError, match="row 2 must have 13 fields"):
             read_panel_csv(",".join(PANEL_COLUMNS) + "\n2021-05-01,1.5\n")
+
+    def test_over_long_field_is_an_error_naming_its_row(self):
+        buf = io.StringIO()
+        write_panel_csv(panel_from_series([1.0, 2.0]), buf)
+        header, first, _ = buf.getvalue().splitlines()
+        with pytest.raises(ValueError, match="^panel CSV row 3: field larger than field limit"):
+            read_panel_csv("\n".join([header, first, "x" * 140_000]) + "\n")
 
     def test_datetime_in_date_column_rejected(self):
         buf = io.StringIO()

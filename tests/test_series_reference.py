@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import series_reference as ref
 from conftest import series_of
-from punk_hedonics.series import DailySeries, pct_change
+from punk_hedonics.series import EPOCH_ORDINAL, DailySeries, pct_change
 
 DAY0 = dt.date(2021, 5, 1)
 VALUES = st.floats() | st.sampled_from([0.0, -0.0, -1.0, 5e-324, -5e-324,
@@ -64,6 +64,13 @@ class TestMatchesSeriesReference:
         assert_same_series(got, want)
         assert got_gaps.dtype == np.dtype("datetime64[D]")
         assert got_gaps.tolist() == want_gaps
+
+    @settings(max_examples=100, deadline=None)
+    @given(day_maps())
+    def test_days_as_day_numbers(self, mapping):
+        numbers = [d.toordinal() - EPOCH_ORDINAL for d in mapping]
+        assert_same_series(DailySeries(numbers, list(mapping.values())),
+                           ref.DailySeries(mapping))
 
     @settings(max_examples=200, deadline=None)
     @given(day_maps(), st.lists(st.integers(-3, 62), max_size=30))
