@@ -23,15 +23,28 @@ class IngestReport:
     accepted: int = 0
 
 
-def text_stream(source) -> io.StringIO:
-    """Text of UTF-8 bytes, a str, or a binary or text file, as a stream."""
+def text_stream(source) -> Iterator[str]:
+    """The lines of UTF-8 bytes, a str, or a binary or text file, split
+    after each ``"\\n"`` as ``io.StringIO`` splits them.
+
+    Bytes, a binary file's included, are decoded one line at a time, so
+    the whole text is never held decoded; a line that is not valid UTF-8
+    raises UnicodeDecodeError when it is reached.  In UTF-8 the byte 0x0A
+    only ever encodes ``"\\n"``, so the lines and the failures are those
+    of decoding the whole text.
+    """
     if hasattr(source, "read"):
         source = source.read()
     if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8"))
+        return (line.decode("utf-8") for line in io.BytesIO(source))
     if isinstance(source, str):
         return io.StringIO(source)
     raise TypeError(f"unsupported source type {type(source)!r}")
+
+
+def utf8_error(exc: UnicodeDecodeError) -> str:
+    """The text of a UTF-8 decoding failure, without its position in a line."""
+    return f"not valid UTF-8 (byte 0x{exc.object[exc.start]:02x}: {exc.reason})"
 
 
 def csv_records(source, required: tuple[str, ...], what: str,
@@ -45,13 +58,16 @@ def csv_records(source, required: tuple[str, ...], what: str,
     fields past the header are never looked up.  A header without every
     name in ``required`` is a SchemaError naming the ``what`` CSV.  A record
     ``csv`` cannot read (a field over its size limit) is a ValueError naming
-    the ``what`` CSV and the record's row number.
+    the ``what`` CSV and the record's row number, and so is a record that
+    is not valid UTF-8.
     """
     reader = csv.reader(text_stream(source))
     try:
         header = next(reader, [])
     except csv.Error as exc:
         raise ValueError(f"{what} CSV row 1: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{what} CSV row 1: {utf8_error(exc)}") from None
     index = {name: i for i, name in enumerate(header)}
     missing = [c for c in required if c not in index]
     if missing:
@@ -71,3 +87,5 @@ def _numbered(reader, width: int, what: str) -> Iterator[tuple[int, list]]:
             yield row_number, row
     except csv.Error as exc:                # the reader failed on the record after row_number
         raise ValueError(f"{what} CSV row {row_number + 1}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{what} CSV row {row_number + 1}: {utf8_error(exc)}") from None

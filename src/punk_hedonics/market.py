@@ -277,8 +277,9 @@ def daily_aggregates(sales: Sales, fx: DailySeries) -> tuple[DailySeries, DailyS
     """Distinct active wallets and USD sales volume per day.
 
     Active wallets are the union of buyer and seller addresses seen that
-    day.  Volume adds each sale's USD value in sale order.  The FX series
-    must cover every sale date.
+    day.  Volume adds each sale's USD value in sale order, leaving out a
+    sale whose USD value overflows.  The FX series must cover every sale
+    date.
     """
     days, day_index = np.unique(sales["day"], return_inverse=True)
     rates, covered = fx.lookup(days)
@@ -289,7 +290,9 @@ def daily_aggregates(sales: Sales, fx: DailySeries) -> tuple[DailySeries, DailyS
     day_wallets = np.unique(np.concatenate([day_index * n_wallets + buyer,
                                             day_index * n_wallets + seller]))
     active = np.bincount(day_wallets // n_wallets, minlength=len(days))
-    usd = sales["price_eth"] * rates[day_index]
+    with np.errstate(over="ignore"):
+        usd = sales["price_eth"] * rates[day_index]
+    usd[np.isinf(usd)] = 0.0            # build_panel drops such a sale too
     volume = np.bincount(day_index, weights=usd, minlength=len(days))
     return DailySeries(days, active), DailySeries(days, volume)
 

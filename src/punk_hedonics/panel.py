@@ -64,9 +64,11 @@ class CoverageReport:
     ``drop_counts`` maps each missing input to the number of dropped
     sales that lack it: a daily input's name (``sentiment``,
     ``active_wallet_pct``, ``sales_volume_pct``, ``gas_price_gwei``,
-    ``fx_pct``, ``fx_close``), ``rarity`` or ``positive price``.  A sale
+    ``fx_pct``, ``fx_close``), ``rarity``, ``positive price`` or
+    ``finite usd price`` (``price_eth * fx_close`` overflows).  A sale
     lacking several inputs counts under each, so the counts can add up to
-    more than the ``total_sales - rows_emitted`` dropped sales.
+    more than the ``total_sales - rows_emitted`` dropped sales.  A name
+    under which no sale was dropped is absent.
     """
 
     total_sales: int = 0
@@ -100,12 +102,13 @@ def build_panel(sales: Sales,
 
     Each daily input is looked up once per distinct sale day and
     ``rarity_map`` once per distinct punk.  A row is emitted only when
-    every daily input has the sale's day, the punk has a rarity and the
-    price is positive; anything else is dropped and counted in the
-    CoverageReport, never imputed.  ``log_usd_price`` is
-    ``math.log(price_eth * fx_close)``; the dummies encode the sale's
-    skin and gender codes (see DUMMY_COLUMNS).  An entirely empty result
-    raises rather than returning a silent empty panel.
+    every daily input has the sale's day, the punk has a rarity, the
+    price is positive and its USD value is finite; anything else is
+    dropped and counted in the CoverageReport, never imputed.
+    ``log_usd_price`` is ``math.log(price_eth * fx_close)``; the dummies
+    encode the sale's skin and gender codes (see DUMMY_COLUMNS).  An
+    entirely empty result raises rather than returning a silent empty
+    panel.
     """
     controls = {"sentiment": sentiment,
                 "active_wallet_pct": active_wallet_pct,
@@ -122,12 +125,14 @@ def build_panel(sales: Sales,
     missing["rarity"] = np.array([r is None for r in rarity], dtype=bool)[punk_index]
     rarity = np.array(rarity, dtype=np.float64)     # None -> NaN
     missing["positive price"] = sales["price_eth"] <= 0
+    with np.errstate(over="ignore"):        # an overflow is a drop, counted here
+        usd = sales["price_eth"] * daily["fx_close"][day_index]
+    missing["finite usd price"] = np.isinf(usd)     # a missing fx_close gives NaN
     keep = ~np.logical_or.reduce(list(missing.values()))
 
     day_index, punk_index = day_index[keep], punk_index[keep]
-    usd = sales["price_eth"][keep] * daily["fx_close"][day_index]
     columns = {"date": sales["day"][keep],
-               "log_usd_price": [math.log(v) for v in usd.tolist()],
+               "log_usd_price": [math.log(v) for v in usd[keep].tolist()],
                **dict(zip(DUMMY_COLUMNS[:-1], _SKIN_DUMMIES[sales["skin"][keep]].T)),
                "x_male": sales["gender"][keep] == _MALE,
                "rarity": rarity[punk_index],

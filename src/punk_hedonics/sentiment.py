@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import math
 import string
+from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .ingest import text_stream
+from .ingest import text_stream, utf8_error
 
 # Rule constants.  Kept in one table; changing any of these changes the
 # compound scores of every text.
@@ -112,16 +113,26 @@ class SentimentScore:
 _EMPTY_SCORE = SentimentScore(0.0, 0.0, 0.0, 0.0)
 
 
+def _numbered_lines(source) -> Iterator[tuple[int, str]]:
+    lines, lineno = text_stream(source), 0
+    try:
+        for lineno, line in enumerate(lines, start=1):
+            yield lineno, line
+    except UnicodeDecodeError as exc:       # raised reading the line after lineno
+        raise LexiconError(f"line {lineno + 1}: {utf8_error(exc)}") from None
+
+
 def load_lexicon(source) -> SentimentLexicon:
     """Parse a tab-separated ``token<TAB>valence`` stream into a lexicon.
 
     Accepts bytes, str, or a file-like object.  '#'-prefixed lines and
     blank lines are skipped; extra columns are ignored; duplicate tokens
     resolve to the last occurrence.  Tokens that collide with the
-    compiled-in booster list are skipped (the modifier role wins).
+    compiled-in booster list are skipped (the modifier role wins).  A line
+    that is not valid UTF-8 is a LexiconError naming it.
     """
     entries: dict[str, float] = {}
-    for lineno, line in enumerate(text_stream(source), start=1):
+    for lineno, line in _numbered_lines(source):
         line = line.rstrip("\n\r")
         if not line.strip() or line.lstrip().startswith("#"):
             continue

@@ -7,18 +7,20 @@ and heatmap counts, and a per-sale join with six date-keyed lookups.
 One rule was added to both paths since: a rarity that is not > 0 is a
 reject.  Its daily series are the dict-backed ones of series_reference,
 so a test converts them to and from ``punk_hedonics.series`` at the
-boundary.
+boundary.  It decodes bytes whole into an ``io.StringIO``, as
+``ingest.text_stream`` did before it decoded a line at a time.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as dt
+import io
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from punk_hedonics.ingest import IngestReport, SchemaError, text_stream
+from punk_hedonics.ingest import IngestReport, SchemaError
 from punk_hedonics.market import (SALES_COLUMNS, AttributeDistribution, Gender, SkinTone,
                                   UncoveredDatesError)
 from punk_hedonics.panel import DUMMY_COLUMNS, PANEL_COLUMNS, Panel, PanelError
@@ -46,7 +48,8 @@ def ingest_sales(source) -> tuple[list[SaleRecord], IngestReport]:
     Header: ``punk_id,date,price_eth,skin_tone,gender,buyer,seller[,rarity]``.
     Unknown extra columns are ignored.
     """
-    reader = csv.DictReader(text_stream(source))
+    reader = csv.DictReader(io.StringIO(
+        source.decode("utf-8") if isinstance(source, bytes) else source))
     header = reader.fieldnames or []
     missing = [c for c in SALES_COLUMNS if c not in header]
     if missing:

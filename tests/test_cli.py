@@ -395,6 +395,18 @@ class TestBadMarketValues:
         assert read_csv(tmp_path / "out" / "sales_rejects.csv")[1:] == [
             ["5", "non-positive rarity"], ["7", "non-positive rarity"]]
 
+    def test_usd_price_that_overflows_is_a_panel_drop(self, synthetic_dataset, tmp_path,
+                                                      capsys):
+        sales = synthetic_dataset.parent / "sales.csv"
+        rows = sales.read_text(encoding="utf-8").splitlines()
+        fields = rows[-1].split(",")
+        fields[2] = "1e306"                 # times that day's close (~1,000 USD) is over 1.8e308
+        replace_line(sales, len(rows), ",".join(fields))
+        assert self.run_all(synthetic_dataset, tmp_path) == 0
+        coverage = json.loads((tmp_path / "out" / "suite.json").read_text())["panel_coverage"]
+        assert coverage["drop_counts"]["finite usd price"] == 1
+        assert "Warning" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("name, line, message", [
         ("gas.csv", "2020-09-02", "row 3: bad gwei_avg None"),
         ("gas.csv", "2020-09-02,", "row 3: bad gwei_avg ''"),
@@ -414,7 +426,8 @@ class TestBadMarketValues:
 
 class TestBadInputText:
     """An out-of-range timestamp is a reject with exit 0; an over-long CSV
-    field is error: with exit 1 naming its row; neither is a traceback."""
+    field or a byte that is not UTF-8 is error: with exit 1 naming its row;
+    none is a traceback."""
 
     @pytest.mark.parametrize("name, row, rejects", [
         ("tweets.csv", "zz,0001-01-01T00:00:00+01:00,good,en", "tweet_rejects.csv"),
@@ -440,6 +453,24 @@ class TestBadInputText:
         assert main(["--config", str(synthetic_dataset), "--output-dir", str(out), "all"]) == 1
         assert capsys.readouterr().err == (
             f"error: {what} CSV row 3: field larger than field limit (131072)\n")
+
+    @pytest.mark.parametrize("name, where", [
+        ("tweets.csv", "tweet CSV row 3"), ("keyword_tweets.csv", "tweet CSV row 3"),
+        ("sales.csv", "sales CSV row 3"), ("gas.csv", "series CSV row 3"),
+        ("fx.csv", "series CSV row 3"), ("lexicon.txt", "line 4"),
+    ])
+    def test_invalid_utf8_past_the_first_8_kb_is_an_error_naming_its_row(
+            self, synthetic_dataset, tmp_path, capsys, name, where):
+        # 9,000 blank lines, not counted as CSV rows, or a 9,000-byte lexicon
+        # comment line put the bad byte past the first 8 KB of the file.
+        pad = b"#" + b" " * 9_000 + b"\n" if name == "lexicon.txt" else b"\n" * 9_000
+        path = synthetic_dataset.parent / name
+        first, second, third, *rest = path.read_bytes().split(b"\n")
+        path.write_bytes(b"\n".join([first, second, pad + third + b"\xff", *rest]))
+        out = tmp_path / "out"
+        assert main(["--config", str(synthetic_dataset), "--output-dir", str(out), "all"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {where}: not valid UTF-8 (byte 0xff: invalid start byte)\n")
 
 
 class TestAll:

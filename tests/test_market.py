@@ -213,6 +213,13 @@ class TestDailyAggregates:
         with pytest.raises(UncoveredDatesError, match="2021-05-01"):
             daily_aggregates(make_sales([sale(1, day)]), series_of({}))
 
+    def test_sale_whose_usd_value_overflows_adds_no_volume(self):
+        day = dt.date(2021, 5, 1)
+        sales = [sale(1, day, price=2.0), sale(2, day, price=1e307, buyer="C")]
+        active, volume = daily_aggregates(make_sales(sales), self.fx_for([day]))
+        assert mapping_of(active) == {day: 3}
+        assert mapping_of(volume) == {day: 200.0}
+
     def test_matches_group_by_oracle(self):
         rng = np.random.default_rng(7)
         days = [dt.date(2021, 5, 1) + dt.timedelta(days=int(i)) for i in range(10)]

@@ -5,7 +5,8 @@ reader must keep (blank lines, short rows, a repeated header name, extra
 columns), every reject reason, a punk whose combination changes between
 sales, rarity overrides, zero prices, a wallet on both sides of a day, and
 daily inputs that miss some sale days.  Prices span magnitudes so that
-summing a day's volume in another order changes its bits.
+summing a day's volume in another order changes its bits.  Each CSV is
+read as a str or as its UTF-8 bytes, which the reference decodes whole.
 """
 
 import csv
@@ -153,10 +154,12 @@ def assert_panels_bitwise_equal(a, b):
 
 class TestMatchesRowReference:
     @settings(max_examples=250, deadline=None)
-    @given(sales_csvs(), daily_inputs(), st.sets(st.integers(-1, 5), max_size=2))
-    def test_market_path(self, text, inputs, unrated):
-        records, ref_report = ref.ingest_sales(text)
-        sales, report = market.ingest_sales(text)
+    @given(sales_csvs(), daily_inputs(), st.sets(st.integers(-1, 5), max_size=2),
+           st.booleans())
+    def test_market_path(self, text, inputs, unrated, as_bytes):
+        source = text.encode("utf-8") if as_bytes else text
+        records, ref_report = ref.ingest_sales(source)
+        sales, report = market.ingest_sales(source)
         assert report == ref_report
         assert_sales_equal(sales, records)
 

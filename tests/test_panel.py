@@ -184,6 +184,14 @@ class TestBuildPanel:
         assert report.drop_counts == {"gas_price_gwei": 2, "fx_pct": 1, "rarity": 1,
                                       "positive price": 1}
 
+    def test_usd_price_that_overflows_drops_with_reason(self):
+        inputs = full_inputs(3)                 # closes of 1,000-4,000 USD
+        del inputs["fx_close"][day(2)]
+        sales = [sale(1, day(0)), sale(2, day(1), price=1e306), sale(3, day(2), price=1e306)]
+        panel, report = panel_of(sales, rarity_map={1: 1.0, 2: 1.0, 3: 1.0}, **inputs)
+        assert panel["date"].tolist() == [day(0)]
+        assert report.drop_counts == {"finite usd price": 1, "fx_close": 1}
+
     def test_missing_rarity_drops(self):
         inputs = full_inputs(2)
         panel, report = panel_of([sale(1, day(0)), sale(2, day(1))],

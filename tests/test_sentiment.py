@@ -58,6 +58,11 @@ class TestLoadLexicon:
         with pytest.raises(LexiconError, match="line 2"):
             load_lexicon("good\t1.9\nbad\toops\n")
 
+    def test_invalid_utf8_names_line(self):
+        with pytest.raises(LexiconError) as info:
+            load_lexicon(b"good\t1.9\n\n# \xc3\xa9\nbad\t-2.5\xc3\n")
+        assert str(info.value) == "line 4: not valid UTF-8 (byte 0xc3: invalid continuation byte)"
+
     def test_valence_out_of_range(self):
         with pytest.raises(LexiconError, match="outside"):
             load_lexicon("good\t4.5\n")

@@ -6,6 +6,8 @@ reader must keep (shuffled and repeated header names, blank lines, short
 and long rows, quoted commas and newlines), every reject reason, the
 language filter with spaces around the code, and ids that come back: a
 duplicate, and an out-of-window id that reappears inside the window.
+Each CSV is read as a str or as its UTF-8 bytes, which the reference
+decodes whole.
 Generated keyword texts put keywords next to ``_``, digits and
 punctuation, ``a`` beside ``aa``, and case-insensitive look-alikes
 (``ſ`` for ``s``, ``ı`` for ``i``, the Kelvin sign for ``k``).
@@ -91,10 +93,11 @@ def as_pairs(reference_corpus):
 
 class TestMatchesTweetReference:
     @settings(max_examples=300, deadline=None)
-    @given(tweet_csvs(), st.sampled_from(["en", "es"]))
-    def test_ingest(self, text, language):
-        got = outcome(tweets.ingest_tweets, text, language)
-        want = outcome(ref.ingest_tweets, text, language)
+    @given(tweet_csvs(), st.sampled_from(["en", "es"]), st.booleans())
+    def test_ingest(self, text, language, as_bytes):
+        source = text.encode("utf-8") if as_bytes else text
+        got = outcome(tweets.ingest_tweets, source, language)
+        want = outcome(ref.ingest_tweets, source, language)
         if isinstance(want[0], str):
             assert got == want                      # both raised the same error
             return

@@ -5,17 +5,20 @@ Kept verbatim as the reference that ``tweets.ingest_tweets``,
 ``csv.DictReader`` loop with its own header check, a frozen Tweet per
 accepted row, and one regex per keyword, each run over every tweet.
 One rule was added to both paths since: a timestamp whose UTC day leaves
-``date``'s range (an OverflowError) is an unparseable timestamp.
+``date``'s range (an OverflowError) is an unparseable timestamp.  It
+decodes bytes whole into an ``io.StringIO``, as ``ingest.text_stream``
+did before it decoded a line at a time.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as dt
+import io
 import re
 from dataclasses import dataclass
 
-from punk_hedonics.ingest import IngestReport, SchemaError, text_stream
+from punk_hedonics.ingest import IngestReport, SchemaError
 from punk_hedonics.sentiment import SentimentLexicon, compound_only
 from punk_hedonics.tweets import (STUDY_WINDOW_END, STUDY_WINDOW_START, TWEET_COLUMNS,
                                   KeywordFilter)
@@ -51,7 +54,8 @@ def ingest_tweets(source, language_filter: str = "en",
     unparseable timestamp or duplicate id go to the rejects report and
     ingestion continues.
     """
-    reader = csv.DictReader(text_stream(source))
+    reader = csv.DictReader(io.StringIO(
+        source.decode("utf-8") if isinstance(source, bytes) else source))
     header = reader.fieldnames or []
     missing = [c for c in TWEET_COLUMNS if c not in header]
     if missing:
