@@ -218,10 +218,12 @@ def ingest_sales(source) -> tuple[Sales, IngestReport]:
     return Sales(columns), report
 
 
-def _ingest_two_column_series(source, date_col: str, value_col: str) -> DailySeries:
+def _ingest_two_column_series(source, what: str, date_col: str,
+                              value_col: str) -> DailySeries:
     """Read a ``date,value`` CSV of finite values > 0; any bad row is fatal,
-    a ValueError naming the row as ingest_sales numbers it."""
-    index, records = csv_records(source, (date_col, value_col), "series")
+    a ValueError naming the row as ingest_sales numbers it.  ``what``
+    names the file in the errors of ``csv_records``."""
+    index, records = csv_records(source, (date_col, value_col), what)
     i_date, i_value = index[date_col], index[value_col]
     out = {}                                    # day number -> value
     for row_number, row in records:
@@ -246,12 +248,12 @@ def _ingest_two_column_series(source, date_col: str, value_col: str) -> DailySer
 
 def ingest_gas(source) -> DailySeries:
     """Gas CSV: ``date,gwei_avg``; mean daily gas price in gwei, > 0."""
-    return _ingest_two_column_series(source, "date", "gwei_avg")
+    return _ingest_two_column_series(source, "gas", "date", "gwei_avg")
 
 
 def ingest_fx(source) -> DailySeries:
     """FX CSV: ``date,eth_usd_close``; daily USD-per-ETH close, > 0."""
-    return _ingest_two_column_series(source, "date", "eth_usd_close")
+    return _ingest_two_column_series(source, "fx", "date", "eth_usd_close")
 
 
 def _combinations(sales: Sales, rows=slice(None)) -> np.ndarray:
@@ -287,9 +289,13 @@ def daily_aggregates(sales: Sales, fx: DailySeries) -> tuple[DailySeries, DailyS
         raise UncoveredDatesError("fx", days[~covered].tolist())
     buyer, seller = sales["buyer"], sales["seller"]
     n_wallets = int(max(buyer.max(), seller.max())) + 1 if len(sales) else 1
-    day_wallets = np.unique(np.concatenate([day_index * n_wallets + buyer,
-                                            day_index * n_wallets + seller]))
-    active = np.bincount(day_wallets // n_wallets, minlength=len(days))
+    # Distinct (day, wallet) keys by sort and neighbour inequality: a plain
+    # np.unique would import numpy.ma on numpy 2.x.
+    day_wallets = np.sort(np.concatenate([day_index * n_wallets + buyer,
+                                          day_index * n_wallets + seller]))
+    first = np.ones(len(day_wallets), dtype=bool)
+    first[1:] = day_wallets[1:] != day_wallets[:-1]
+    active = np.bincount(day_wallets[first] // n_wallets, minlength=len(days))
     with np.errstate(over="ignore"):
         usd = sales["price_eth"] * rates[day_index]
     usd[np.isinf(usd)] = 0.0            # build_panel drops such a sale too

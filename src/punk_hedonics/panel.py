@@ -64,8 +64,10 @@ class CoverageReport:
     ``drop_counts`` maps each missing input to the number of dropped
     sales that lack it: a daily input's name (``sentiment``,
     ``active_wallet_pct``, ``sales_volume_pct``, ``gas_price_gwei``,
-    ``fx_pct``, ``fx_close``), ``rarity``, ``positive price`` or
-    ``finite usd price`` (``price_eth * fx_close`` overflows).  A sale
+    ``fx_pct``, ``fx_close``), ``rarity``, ``positive price``,
+    ``finite usd price`` (``price_eth * fx_close`` overflows) or
+    ``positive usd price`` (a positive ``price_eth * fx_close`` underflows
+    to 0, whose log is undefined).  A sale
     lacking several inputs counts under each, so the counts can add up to
     more than the ``total_sales - rows_emitted`` dropped sales.  A name
     under which no sale was dropped is absent.
@@ -103,7 +105,7 @@ def build_panel(sales: Sales,
     Each daily input is looked up once per distinct sale day and
     ``rarity_map`` once per distinct punk.  A row is emitted only when
     every daily input has the sale's day, the punk has a rarity, the
-    price is positive and its USD value is finite; anything else is
+    price is positive and its USD value is finite and positive; anything else is
     dropped and counted in the CoverageReport, never imputed.
     ``log_usd_price`` is ``math.log(price_eth * fx_close)``; the dummies
     encode the sale's skin and gender codes (see DUMMY_COLUMNS).  An
@@ -128,6 +130,7 @@ def build_panel(sales: Sales,
     with np.errstate(over="ignore"):        # an overflow is a drop, counted here
         usd = sales["price_eth"] * daily["fx_close"][day_index]
     missing["finite usd price"] = np.isinf(usd)     # a missing fx_close gives NaN
+    missing["positive usd price"] = (usd == 0.0) & ~missing["positive price"]
     keep = ~np.logical_or.reduce(list(missing.values()))
 
     day_index, punk_index = day_index[keep], punk_index[keep]

@@ -4,8 +4,8 @@ Kept verbatim as the reference that the columnar ``market`` and
 ``panel.build_panel`` must match: a frozen SaleRecord per accepted row,
 ``csv.DictReader`` ingest, dict loops for the daily aggregates, rarity
 and heatmap counts, and a per-sale join with six date-keyed lookups.
-One rule was added to both paths since: a rarity that is not > 0 is a
-reject.  Its daily series are the dict-backed ones of series_reference,
+Rules added to both paths since: a rarity that is not > 0 is a reject,
+and a sale whose USD value overflows or underflows to 0 is a panel drop.  Its daily series are the dict-backed ones of series_reference,
 so a test converts them to and from ``punk_hedonics.series`` at the
 boundary.  It decodes bytes whole into an ``io.StringIO``, as
 ``ingest.text_stream`` did before it decoded a line at a time.
@@ -203,6 +203,12 @@ def build_panel(sales: list[SaleRecord],
             missing.append("rarity")
         if sale.price_eth <= 0:
             missing.append("positive price")
+        elif sale.date in fx_close:
+            usd = sale.price_eth * fx_close[sale.date]
+            if usd == math.inf:
+                missing.append("finite usd price")
+            elif usd == 0.0:
+                missing.append("positive usd price")
         if missing:
             reason = ",".join(missing)
             report.drops.append((idx, reason))

@@ -407,6 +407,21 @@ class TestBadMarketValues:
         assert coverage["drop_counts"]["finite usd price"] == 1
         assert "Warning" not in capsys.readouterr().err
 
+    def test_usd_price_that_underflows_is_a_panel_drop(self, synthetic_dataset, tmp_path):
+        sales = synthetic_dataset.parent / "sales.csv"
+        rows = sales.read_text(encoding="utf-8").splitlines()
+        fields = rows[-1].split(",")
+        fields[2] = "5e-324"                # times a 0.4 USD close rounds to 0.0
+        replace_line(sales, len(rows), ",".join(fields))
+        fx = synthetic_dataset.parent / "fx.csv"
+        fx_rows = fx.read_text(encoding="utf-8").splitlines()
+        number = next(i for i, row in enumerate(fx_rows, start=1)
+                      if row.startswith(fields[1] + ","))
+        replace_line(fx, number, f"{fields[1]},0.4")
+        assert self.run_all(synthetic_dataset, tmp_path) == 0
+        coverage = json.loads((tmp_path / "out" / "suite.json").read_text())["panel_coverage"]
+        assert coverage["drop_counts"]["positive usd price"] == 1
+
     @pytest.mark.parametrize("name, line, message", [
         ("gas.csv", "2020-09-02", "row 3: bad gwei_avg None"),
         ("gas.csv", "2020-09-02,", "row 3: bad gwei_avg ''"),
@@ -445,7 +460,7 @@ class TestBadInputText:
         assert read_csv(out / rejects)[1:] == [[str(row_number), "unparseable timestamp"]]
 
     @pytest.mark.parametrize("name, what", [("tweets.csv", "tweet"), ("sales.csv", "sales"),
-                                            ("gas.csv", "series")])
+                                            ("gas.csv", "gas"), ("fx.csv", "fx")])
     def test_over_long_field_is_an_error_naming_its_row(self, synthetic_dataset, tmp_path,
                                                          capsys, name, what):
         replace_line(synthetic_dataset.parent / name, 3, "1," + "x" * 140_000)
@@ -456,8 +471,8 @@ class TestBadInputText:
 
     @pytest.mark.parametrize("name, where", [
         ("tweets.csv", "tweet CSV row 3"), ("keyword_tweets.csv", "tweet CSV row 3"),
-        ("sales.csv", "sales CSV row 3"), ("gas.csv", "series CSV row 3"),
-        ("fx.csv", "series CSV row 3"), ("lexicon.txt", "line 4"),
+        ("sales.csv", "sales CSV row 3"), ("gas.csv", "gas CSV row 3"),
+        ("fx.csv", "fx CSV row 3"), ("lexicon.txt", "line 4"),
     ])
     def test_invalid_utf8_past_the_first_8_kb_is_an_error_naming_its_row(
             self, synthetic_dataset, tmp_path, capsys, name, where):
@@ -474,6 +489,27 @@ class TestBadInputText:
 
 
 class TestAll:
+    def test_imports_neither_scipy_nor_numpy_ma(self, synthetic_dataset, tmp_path):
+        # A fresh interpreter, as this one has loaded both for the tests.
+        # numpy before 2.0 imports numpy.ma itself; the program must not.
+        code = textwrap.dedent("""\
+            import sys
+            import numpy
+            ma_with_numpy = "numpy.ma" in sys.modules
+            from punk_hedonics import cli
+            imported = "scipy" in sys.modules
+            code = cli.main(["--config", sys.argv[1], "--output-dir", sys.argv[2], "all"])
+            print(code, imported, "scipy" in sys.modules,
+                  ("numpy.ma" in sys.modules) - ma_with_numpy)
+        """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", code, str(synthetic_dataset),
+                               str(tmp_path / "out")],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "False", "False", "0"]
+
     def test_emits_every_output(self, synthetic_dataset, tmp_path):
         out = tmp_path / "out"
         assert main(["--config", str(synthetic_dataset),

@@ -1,11 +1,23 @@
+import math
+import random
+import sys
+
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from punk_hedonics.econometrics import (ConstantColumnError, InsufficientDataError,
                                         SingularDesignError, adf_critical_values,
                                         adf_test, ols_fit, pearson_matrix,
-                                        significance_stars, student_t_two_sided_p)
+                                        regularized_incomplete_beta, significance_stars,
+                                        student_t_two_sided_p)
+
+MIN_NORMAL = sys.float_info.min
+LEAST_SUBNORMAL = math.ulp(0.0)
+RELATIVE_BOUND = 1e-13          # where the exact value is a normal double
 
 
 def normal_equations_oracle(X, y):
@@ -258,3 +270,146 @@ class TestStudentT:
         assert student_t_two_sided_p(float("inf"), 10) == 0.0
         with pytest.raises(ValueError):
             student_t_two_sided_p(1.0, 0)
+
+
+@mpmath.workdps(50)
+def exact_incomplete_beta(a, b, x):
+    """I_x(a, b) at 50 digits for exact a, b and x (doubles or mpf).
+
+    Far in the tail of a large a or b, mpmath.betainc's series stalls or
+    takes seconds.  There, and wherever x^a (1-x)^b / (a B(a, b)) is below
+    e^-1000, I_x(a, b) = x^a (1-x)^b / (a B(a, b)) 2F1(a+b, 1; a+1; x),
+    whose terms are all positive, is summed directly on the side of the
+    mean where they fall off geometrically.
+    """
+    a, b, x = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(x)
+    if a * mpmath.log(x) + b * mpmath.log1p(-x) - mpmath.log(a * mpmath.beta(a, b)) > -1000:
+        try:
+            return mpmath.betainc(a, b, 0, x, regularized=True)
+        except (mpmath.libmp.NoConvergence, ValueError):
+            pass
+    if x > a / (a + b):
+        return 1 - positive_series(b, a, 1 - x)
+    return positive_series(a, b, x)
+
+
+def positive_series(a, b, x):
+    term = total = mpmath.mpf(1)
+    n = 0
+    while term > total * mpmath.mpf(10) ** -45:
+        term *= (a + b + n) * x / (a + 1 + n)
+        total += term
+        n += 1
+    return x ** a * (1 - x) ** b / (a * mpmath.beta(a, b)) * total
+
+
+@mpmath.workdps(50)
+def exact_t_p(t, df):
+    """P(|T| >= |t|) at 50 digits for the exact double t."""
+    t, df = mpmath.mpf(t), mpmath.mpf(df)
+    return exact_incomplete_beta(df / 2, mpmath.mpf(1) / 2, df / (df + t * t))
+
+
+def assert_near_exact(got, exact, case):
+    """Within RELATIVE_BOUND where the exact value is a normal double, and
+    never 0 there; below that, within two steps of the subnormal grid."""
+    if exact >= MIN_NORMAL:
+        assert got != 0.0, case
+        assert abs(got - exact) <= RELATIVE_BOUND * exact, (case, got, float(exact))
+    else:
+        assert abs(got - exact) <= 2 * LEAST_SUBNORMAL, (case, got, float(exact))
+
+
+T_GRID_DF = (1, 2, 3, 5, 10, 30, 100, 300, 1000, 1500, 3000, 7000, 14000, 30000, 100000,
+             1000000)
+T_GRID_T = (0.0, 0.01, 0.1, 0.5, 1.0, 1.5, 1.96, 2.5, 3.0, 5.0, 8.0, 12.0, 20.0, 30.0, 37.0,
+            40.0)
+
+
+def t_cases():
+    """The (df, t) grid of df 1-10^6 and |t| 0-40, plus 200 seeded draws."""
+    rng = random.Random(20231)
+    drawn = [(int(10 ** rng.uniform(0, 6)), rng.uniform(-40, 40)) for _ in range(200)]
+    return [(df, t) for df in T_GRID_DF for t in T_GRID_T] + drawn
+
+
+def f_cases():
+    """(a, b, x) of F(df1, df2) tails: a = df2/2, b = df1/2 and
+    x = df2 / (df2 + df1 F), as an F test's p-value I_x(a, b) uses them."""
+    return [(df2 / 2, df1 / 2, df2 / (df2 + df1 * f))
+            for df2 in (1, 2, 5, 10, 30, 100, 1000, 14000, 1000000)
+            for df1 in (1, 2, 3, 5, 10, 20, 40, 100)
+            for f in (0.01, 0.1, 0.5, 1.0, 2.0, 4.0, 10.0, 50.0, 300.0, 1e4)]
+
+
+class TestIncompleteBeta:
+    """regularized_incomplete_beta and the t p-values built on it, against
+    mpmath at 50 digits."""
+
+    def test_t_p_values_match_mpmath(self):
+        for df, t in t_cases():
+            assert_near_exact(student_t_two_sided_p(t, df), exact_t_p(t, df), (df, t))
+
+    def test_f_type_pairs_match_mpmath_on_both_sides_of_the_swap(self):
+        swapped = 0
+        for a, b, x in f_cases():
+            swapped += x > (a + 1) / (a + b + 2)
+            assert_near_exact(regularized_incomplete_beta(a, b, x),
+                              exact_incomplete_beta(a, b, x), (a, b, x))
+        assert 100 < swapped < len(f_cases()) - 100
+
+    def test_matches_scipy(self):
+        from scipy.special import betainc
+        for a, b, x in f_cases():
+            expected = betainc(a, b, x)
+            assert regularized_incomplete_beta(a, b, x) == pytest.approx(expected, rel=1e-11,
+                                                                         abs=1e-300)
+
+    def test_large_t_keeps_a_representable_p_value(self):
+        # df = 1 is Cauchy: p = (2/pi) atan(1/|t|), about 6.4e-201 here, and
+        # t * t would overflow.
+        with mpmath.workdps(50):
+            exact = 2 / mpmath.pi * mpmath.atan(1 / mpmath.mpf(1e200))
+        assert_near_exact(student_t_two_sided_p(1e200, 1), exact, 1e200)
+        assert student_t_two_sided_p(-1e200, 1) == student_t_two_sided_p(1e200, 1)
+
+    @given(a=st.floats(0.5, 200.0) | st.sampled_from([0.5, 1.0, 10.0, 10.5]),
+           b=st.floats(0.5, 200.0) | st.sampled_from([0.5, 1.0, 10.0, 10.5]),
+           x=st.sampled_from([0.0, 1.0, LEAST_SUBNORMAL, 1e-310, MIN_NORMAL, 0.5,
+                              1.0 - 2.0 ** -53, 1.0 - 2.0 ** -52]) | st.floats(0.0, 1.0))
+    @settings(max_examples=150, deadline=None)
+    def test_edges_match_mpmath(self, a, b, x):
+        got = regularized_incomplete_beta(a, b, x)
+        assert 0.0 <= got <= 1.0
+        if x in (0.0, 1.0):
+            assert got == x
+        else:
+            assert_near_exact(got, exact_incomplete_beta(a, b, x), (a, b, x))
+
+    @given(df=st.sampled_from([1, 2, 3]) | st.integers(1, 10 ** 6),
+           t=st.sampled_from([0.0, -0.0, math.inf, -math.inf, LEAST_SUBNORMAL, 1e-160,
+                              1.5e154, -1e200, 1e300]) | st.floats(-1e4, 1e4))
+    @settings(max_examples=100, deadline=None)
+    def test_t_edges_match_mpmath(self, df, t):
+        got = student_t_two_sided_p(t, df)
+        if math.isinf(t):
+            assert got == 0.0
+        elif t == 0.0:
+            assert got == 1.0
+        else:
+            assert got == student_t_two_sided_p(-t, df)
+            assert_near_exact(got, exact_t_p(t, df), (df, t))
+
+    def test_stays_in_the_unit_interval_where_the_swap_cancels(self):
+        # With b far below 1/2, 1 - I_{1-x}(b, a) is rounding noise about 0:
+        # at x = 0.99 the difference itself comes out as -2^-52.
+        for x in (0.95, 0.99, 0.999):
+            assert 0.0 <= regularized_incomplete_beta(10.0, 1e-17, x) <= 1.0
+
+    @pytest.mark.parametrize("a, b, x", [(0.0, 1.0, 0.5), (1.0, -1.0, 0.5),
+                                         (math.inf, 1.0, 0.5), (1.0, math.nan, 0.5),
+                                         (1.0, 1.0, -0.1), (1.0, 1.0, 1.5),
+                                         (1.0, 1.0, math.nan)])
+    def test_domain_errors(self, a, b, x):
+        with pytest.raises(ValueError):
+            regularized_incomplete_beta(a, b, x)

@@ -3,9 +3,10 @@
 Generated sales CSVs cover what ``csv.DictReader`` did that the record
 reader must keep (blank lines, short rows, a repeated header name, extra
 columns), every reject reason, a punk whose combination changes between
-sales, rarity overrides, zero prices, a wallet on both sides of a day, and
-daily inputs that miss some sale days.  Prices span magnitudes so that
-summing a day's volume in another order changes its bits.  Each CSV is
+sales, rarity overrides, zero prices, a subnormal price whose USD value may
+underflow to 0, a wallet on both sides of a day, and daily inputs that miss
+some sale days.  Prices span magnitudes so that summing a day's volume in
+another order changes its bits.  Each CSV is
 read as a str or as its UTF-8 bytes, which the reference decodes whole.
 """
 
@@ -27,7 +28,7 @@ from punk_hedonics.panel import PANEL_COLUMNS, PanelError
 
 DAYS = [dt.date(2021, 5, 1) + dt.timedelta(days=i) for i in range(5)]
 PRICES = ["0", "0.0", "-0.0", "0.1", "0.2", "0.3", "1", "2.5", "3.7", "1e16", "1e-300",
-          "123456.789", " 4.2 ", "1_000"]
+          "5e-324", "123456.789", " 4.2 ", "1_000"]
 # Per column: (values that pass, values that give its reject reason).
 FIELDS = {
     "punk_id": (st.sampled_from(["0", "1", "2", "3", "4", " 5 ", "-1"]),

@@ -192,6 +192,14 @@ class TestBuildPanel:
         assert panel["date"].tolist() == [day(0)]
         assert report.drop_counts == {"finite usd price": 1, "fx_close": 1}
 
+    def test_usd_price_that_underflows_drops_with_reason(self):
+        inputs = full_inputs(3)
+        inputs["fx_close"][day(1)] = 0.4        # 5e-324 * 0.4 rounds to 0.0
+        sales = [sale(1, day(0)), sale(2, day(1), price=5e-324), sale(3, day(2), price=0.0)]
+        panel, report = panel_of(sales, rarity_map={1: 1.0, 2: 1.0, 3: 1.0}, **inputs)
+        assert panel["date"].tolist() == [day(0)]
+        assert report.drop_counts == {"positive usd price": 1, "positive price": 1}
+
     def test_missing_rarity_drops(self):
         inputs = full_inputs(2)
         panel, report = panel_of([sale(1, day(0)), sale(2, day(1))],
