@@ -21,7 +21,7 @@ import numpy as np
 
 from . import market, panel, study, tweets
 from .econometrics import ConstantColumnError, significance_stars
-from .ingest import IngestReport
+from .ingest import IngestReport, utf8_error
 from .sentiment import SentimentLexicon, load_lexicon
 from .series import DailySeries, pct_change
 
@@ -88,8 +88,15 @@ def parse_config_file(path: Path, data_dir: Path | None = None) -> RunConfig:
     if data_dir is None:
         env = os.environ.get(DATA_DIR_ENV)
         data_dir = Path(env) if env else path.parent
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The bad byte's line, numbered as the loop below numbers lines.
+        lineno = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise ConfigError(f"{path}:{lineno}: {utf8_error(exc)}") from None
     config = RunConfig()
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -301,6 +301,35 @@ def student_t_two_sided_p(t: float, df: int) -> float:
     return _incomplete_beta(0.5 * df, 0.5, _divide((df, 0.0), den), _divide(t2, den))
 
 
+def _fit(X: np.ndarray, y: np.ndarray, names: tuple[str, ...]):
+    """The classical fit of a checked float design with n > k, one name per
+    column: ``(beta, se, t_stats, rss)``, a t-ratio ±inf or 0 where its
+    standard error is 0.  A column the QR factor finds dependent is a
+    SingularDesignError."""
+    n, k = X.shape
+    Q, R = np.linalg.qr(X)
+    diag = np.abs(np.diag(R))
+    tol = max(n, k) * np.finfo(float).eps * (diag.max() if diag.size else 0.0)
+    bad = [names[i] for i in range(k) if diag[i] <= tol]
+    if bad:
+        raise SingularDesignError(bad)
+
+    qty = Q.T @ y
+    beta = np.linalg.solve(R, qty)
+    residuals = y - X @ beta
+    rss = float(residuals @ residuals)
+    s2 = rss / (n - k)
+
+    r_inv = np.linalg.inv(R)
+    xtx_inv_diag = np.einsum("ij,ij->i", r_inv, r_inv)
+    se = np.sqrt(s2 * xtx_inv_diag)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_stats = np.where(se > 0, beta / np.where(se > 0, se, 1.0),
+                           np.where(beta == 0, 0.0, np.inf * np.sign(beta)))
+    return beta, se, t_stats, rss
+
+
 def ols_fit(design: np.ndarray, response: np.ndarray,
             names: tuple[str, ...] | None = None) -> OlsFit:
     """Classical OLS with homoskedastic standard errors.
@@ -323,26 +352,7 @@ def ols_fit(design: np.ndarray, response: np.ndarray,
     if n <= k:
         raise InsufficientDataError(f"need n > k, got n={n}, k={k}")
 
-    Q, R = np.linalg.qr(X)
-    diag = np.abs(np.diag(R))
-    tol = max(n, k) * np.finfo(float).eps * (diag.max() if diag.size else 0.0)
-    bad = [names[i] for i in range(k) if diag[i] <= tol]
-    if bad:
-        raise SingularDesignError(bad)
-
-    qty = Q.T @ y
-    beta = np.linalg.solve(R, qty)
-    residuals = y - X @ beta
-    rss = float(residuals @ residuals)
-    s2 = rss / (n - k)
-
-    r_inv = np.linalg.inv(R)
-    xtx_inv_diag = np.einsum("ij,ij->i", r_inv, r_inv)
-    se = np.sqrt(s2 * xtx_inv_diag)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_stats = np.where(se > 0, beta / np.where(se > 0, se, 1.0),
-                           np.where(beta == 0, 0.0, np.inf * np.sign(beta)))
+    beta, se, t_stats, rss = _fit(X, y, names)
     df = n - k
     p_values = np.array([student_t_two_sided_p(float(t), df) if np.isfinite(t)
                          else (1.0 if t == 0 else 0.0)
@@ -448,8 +458,9 @@ def adf_test(series, max_lag: int | None = None) -> AdfResult:
 
     X, dy = _adf_design(y, best_lag)
     rows, k = X.shape
-    fit = ols_fit(X, dy, names=tuple(f"c{i}" for i in range(k)))
-    statistic = float(fit.t_stats[0])
+    # The t-ratio alone: the screen reads no p-value of this fit.
+    _, _, t_stats, _ = _fit(X, dy, tuple(f"c{i}" for i in range(k)))
+    statistic = float(t_stats[0])
     critical = adf_critical_values(rows)
     reject = {level: statistic < cv for level, cv in critical.items()}
     return AdfResult(statistic=statistic, lags=best_lag, n_obs=rows,

@@ -221,8 +221,8 @@ def ingest_sales(source) -> tuple[Sales, IngestReport]:
 def _ingest_two_column_series(source, what: str, date_col: str,
                               value_col: str) -> DailySeries:
     """Read a ``date,value`` CSV of finite values > 0; any bad row is fatal,
-    a ValueError naming the row as ingest_sales numbers it.  ``what``
-    names the file in the errors of ``csv_records``."""
+    a ValueError ``<what> CSV row N: ...``, as in the errors of
+    ``csv_records``, with rows numbered as ingest_sales numbers them."""
     index, records = csv_records(source, (date_col, value_col), what)
     i_date, i_value = index[date_col], index[value_col]
     out = {}                                    # day number -> value
@@ -230,18 +230,22 @@ def _ingest_two_column_series(source, what: str, date_col: str,
         raw_date, raw_value = row[i_date], row[i_value]
         day = _day_number(raw_date)
         if day is None:
-            raise ValueError(f"row {row_number}: bad {date_col} {raw_date!r}")
+            raise ValueError(f"{what} CSV row {row_number}: bad {date_col} {raw_date!r}")
         try:
             value = float(raw_value)
         except (TypeError, ValueError):
-            raise ValueError(f"row {row_number}: bad {value_col} {raw_value!r}") from None
+            raise ValueError(f"{what} CSV row {row_number}: "
+                             f"bad {value_col} {raw_value!r}") from None
         if not math.isfinite(value):
-            raise ValueError(f"row {row_number}: {value_col} must be finite, got {value}")
+            raise ValueError(f"{what} CSV row {row_number}: "
+                             f"{value_col} must be finite, got {value}")
         if value <= 0:
-            raise ValueError(f"row {row_number}: {value_col} must be > 0, got {value}")
+            raise ValueError(f"{what} CSV row {row_number}: "
+                             f"{value_col} must be > 0, got {value}")
         if day in out:
             date = dt.date.fromordinal(day + EPOCH_ORDINAL)
-            raise ValueError(f"row {row_number}: duplicate date {date.isoformat()}")
+            raise ValueError(f"{what} CSV row {row_number}: "
+                             f"duplicate date {date.isoformat()}")
         out[day] = value
     return DailySeries(list(out), list(out.values()))
 

@@ -30,7 +30,14 @@ class KeywordFilter:
     ``keywords[i]``, and each of its matches is a whole word that exactly one
     keyword matches, as with one ``\\bkeyword\\b`` per keyword, because each
     keyword is one lowercase ``\\w+`` word that matches no character outside
-    ``\\w`` and no other keyword; any other list is a ValueError."""
+    ``\\w`` and no other keyword; any other list is a ValueError.
+
+    ``pattern`` opens with a lookahead on the keywords' first characters,
+    ``(?=[adflmz])`` for the defaults, so a start position where no keyword
+    can begin fails on one class test instead of on every alternative.  It
+    changes no match: under ``re.IGNORECASE`` a one-character class matches
+    exactly the characters its literal matches, so every position at which
+    a keyword matches passes the lookahead."""
 
     def __init__(self, keywords: tuple[str, ...]):
         if not keywords or len(set(keywords)) != len(keywords):
@@ -44,8 +51,10 @@ class KeywordFilter:
             if re.fullmatch(kw, other, re.IGNORECASE):
                 raise ValueError(f"keyword {kw!r} also matches keyword {other!r}")
         self.keywords = tuple(keywords)
+        first = "".join(sorted({kw[0] for kw in keywords}))
         self.pattern = re.compile(
-            r"\b(?:" + "|".join(f"({kw})" for kw in keywords) + r")\b", re.IGNORECASE)
+            f"(?=[{first}])" + r"\b(?:" + "|".join(f"({kw})" for kw in keywords) + r")\b",
+            re.IGNORECASE)
 
 
 def _utc_day(raw: str) -> dt.date:
@@ -98,10 +107,18 @@ def ingest_tweets(source, language_filter: str = "en",
 
 def daily_mean_sentiment(corpus: list[tuple[dt.date, str]],
                          lexicon: SentimentLexicon) -> DailySeries:
-    """Arithmetic mean compound score per UTC day; empty days absent."""
+    """Arithmetic mean compound score per UTC day; empty days absent.
+
+    Each distinct text is scored once per corpus; a repeat adds that same
+    score to its day, so every day's sum keeps the corpus order.
+    """
+    scores: dict[str, float] = {}
     by_day: dict[dt.date, list[float]] = defaultdict(list)
     for day, text in corpus:
-        by_day[day].append(compound_only(lexicon, text))
+        compound = scores.get(text)
+        if compound is None:
+            compound = scores[text] = compound_only(lexicon, text)
+        by_day[day].append(compound)
     return DailySeries([day.toordinal() - EPOCH_ORDINAL for day in by_day],
                        [sum(v) / len(v) for v in by_day.values()])
 
@@ -121,14 +138,19 @@ def keyword_sentiment(corpus: list[tuple[dt.date, str]], kw_filter: KeywordFilte
     """Mean compound over tweets containing each keyword.
 
     A keyword matched by no tweet maps to None, never to 0: a zero would
-    read as "neutral" where there is no data at all.
+    read as "neutral" where there is no data at all.  Each distinct text
+    with a hit is scored once per corpus; a repeat adds that same score to
+    each of its keywords, so every sum keeps the corpus order.
     """
+    scores: dict[str, float] = {}
     sums = [0.0] * (len(kw_filter.keywords) + 1)       # by group; group 0 unused
     hits = [0] * (len(kw_filter.keywords) + 1)
     for _, text in corpus:
         groups = {match.lastindex for match in kw_filter.pattern.finditer(text)}
         if groups:
-            compound = compound_only(lexicon, text)
+            compound = scores.get(text)
+            if compound is None:
+                compound = scores[text] = compound_only(lexicon, text)
             for group in groups:
                 sums[group] += compound
                 hits[group] += 1

@@ -75,6 +75,18 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config_file(path)
 
+    @pytest.mark.parametrize("data, line", [
+        (b"\xff = 1\n", 1), (b"language = en\n# caf\xc3\xa9\r\nkeywords = ape,\xe9\n", 3),
+        (b"language = en\xc2\x85language = \xc3", 2),   # U+0085 ends a line too
+    ])
+    def test_config_that_is_not_utf8_names_its_file_and_line(self, tmp_path, capsys,
+                                                            data, line):
+        config = tmp_path / "config.txt"
+        config.write_bytes(data)
+        assert main(["--config", str(config), "score"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}:{line}: not valid UTF-8 (byte 0x"), err
+
     def test_missing_required_input_is_fatal(self, tmp_path, capsys):
         config = write_config(tmp_path)  # lexicon.txt never written
         rc = main(["--config", str(config), "--output-dir",
@@ -436,7 +448,8 @@ class TestBadMarketValues:
                                            name, line, message):
         replace_line(synthetic_dataset.parent / name, 3, line)
         assert self.run_all(synthetic_dataset, tmp_path) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
+        what = name.removesuffix(".csv")
+        assert capsys.readouterr().err == f"error: {what} CSV {message}\n"
 
 
 class TestBadInputText:
@@ -556,8 +569,10 @@ class TestAll:
                      str(tmp_path / "out"), "all"]) == 0
         corpus, keyword_corpus = corpora
         hit = re.compile(r"\b(" + "|".join(tweets.DEFAULT_KEYWORDS) + r")\b", re.IGNORECASE)
-        keyword_hits = sum(1 for _, text in keyword_corpus if hit.search(text))
+        # Each distinct text is scored once per corpus it is scored in.
+        texts = {text for _, text in corpus}
+        keyword_hits = {text for _, text in keyword_corpus if hit.search(text)}
         assert calls == {"ingest_tweets": 2, "ingest_sales": 1, "load_lexicon": 1,
-                         "compound_only": len(corpus) + keyword_hits}
+                         "compound_only": len(texts) + len(keyword_hits)}
         err = capsys.readouterr().err
         assert err.count(f"{tweet_csv}: 1 rows outside the study window dropped") == 1

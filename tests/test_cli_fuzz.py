@@ -1,11 +1,15 @@
-"""``punk-hedonics all`` on the conftest dataset with one input corrupted.
+"""``punk-hedonics all`` on the conftest dataset with one input corrupted,
+or with a fuzzed config file and flags.
 
-Each example corrupts one field, row, header or column of one input, or
-truncates it, with empty, non-finite, over-long and out-of-range values,
-bad UTF-8 and a NUL byte.  The run must end in exit 0, or in exit 1 with
-an ``error:`` line, and no exception may escape ``cli.main``.  (On Python
-3.10, ``csv`` rejects a NUL byte, so that draw takes the ``csv.Error``
-path there.)
+Each input example corrupts one field, row, header or column of one input,
+or truncates it, with empty, non-finite, over-long and out-of-range values,
+bad UTF-8 and a NUL byte.  Each config example adds settings lines (bad and
+extreme dates, non-finite thresholds, huge lags, unknown and repeated keys,
+NUL bytes, bad UTF-8) and setting flags.  The run must end in exit 0, or in
+exit 1 with an ``error:`` line, and no exception may escape ``cli.main``.
+The one exception is argparse's own usage error for a flag value its type
+rejects, which exits 2 with a usage line.  (On Python 3.10, ``csv`` rejects
+a NUL byte, so that draw takes the ``csv.Error`` path there.)
 """
 
 import contextlib
@@ -27,6 +31,33 @@ BAD_TEXT = [b"", b"nan", b"inf", b"-inf", b"1e999", b"9" * 5000, b"-" + b"9" * 5
             b"0001-01-01T00:00:00+01:00", b"9999-12-31T23:00:00-05:00",
             b"\xff\xfe", b"ok\xc3(", b"x" * 140_000, b"a\x00b"]
 KINDS = ("field", "row", "drop field", "drop column", "truncate")
+
+DATES = [b"2020-10-01", b"2021-01-01", b"2021-03-15", b"2017-06-23", b"2022-10-31",
+         b"0001-01-01", b"0001-01-02", b"9999-12-30", b"9999-12-31", b"2021-02-30",
+         b"2021-13-01", b"20210101", b"", b"2021-01-01\x00"]
+NUMBERS = [b"0.5", b"1", b"0", b"-1", b"nan", b"inf", b"-inf", b"1e999", b"1e-320",
+           b"9" * 30, b"9" * 5000, b"2.5", b"0x10", b""]
+CONFIG_VALUES = {       # None: whole lines
+    b"window_start": DATES, b"window_end": DATES, b"split_date": DATES,
+    b"correlation_threshold": NUMBERS, b"max_adf_lag": NUMBERS,
+    b"keywords": [b"ape, zombie", b"ape, Ape", b"", b",", b"male, female", b"a\x00b",
+                  b"dark-skinned", b"\xc3\xa9"],
+    b"language": [b"en", b"es", b"", b"e\x00n"],
+    b"output_dir": [b"out2", b"o\x00ut"],
+    b"gas": [b"missing.csv", b"g\x00as.csv", b""],
+    b"mystery": [b"1"],
+    None: [b"no equals sign", b"\xff\xfe = 1", b"language = \xe9n", b"# comment \xff",
+           b"\x00", b"= 1", b"language"],
+}
+CONFIG_LINES = st.sampled_from(list(CONFIG_VALUES)).flatmap(
+    lambda key: st.sampled_from(CONFIG_VALUES[key]).map(
+        lambda value: value if key is None else key + b" = " + value))
+FLAGS = {"--window-start": DATES, "--window-end": DATES, "--split-date": DATES,
+         "--correlation-threshold": NUMBERS, "--max-adf-lag": NUMBERS,
+         "--language": [b"en", b"es"]}
+FLAG_ARGS = st.sampled_from(sorted(FLAGS)).flatmap(      # argv cannot hold a NUL byte
+    lambda flag: st.sampled_from(FLAGS[flag]).map(
+        lambda v: [flag, v.decode("utf-8").replace("\x00", "")]))
 
 
 @pytest.fixture(scope="module")
@@ -77,5 +108,30 @@ def test_corrupted_input_ends_in_exit_0_or_an_error_line(dataset, name, kind, li
         with contextlib.redirect_stderr(stderr):
             code = main(["--config", str(config), "--output-dir", str(scratch / "out"), "all"])
     err = stderr.getvalue()
+    assert (code, err.startswith("error: ")) in ((0, False), (1, True)), err[:300]
+    assert err.count("error:") == code
+
+
+@settings(max_examples=40, deadline=None)
+@given(lines=st.lists(CONFIG_LINES, max_size=4), flags=st.lists(FLAG_ARGS, max_size=2))
+def test_fuzzed_config_and_flags_end_in_exit_0_or_an_error_line(dataset, lines, flags):
+    with tempfile.TemporaryDirectory() as scratch:
+        scratch = Path(scratch)
+        config = scratch / "config.txt"
+        inputs = "".join(f"{key} = {dataset / name}\n" for name, key in CONFIG_KEYS.items())
+        out = f"output_dir = {scratch}/"    # a relative output_dir is kept in scratch
+        config.write_bytes((inputs + out + "out\n").encode("utf-8") + b"".join(
+            line.replace(b"output_dir = ", out.encode("utf-8")) + b"\n" for line in lines))
+        argv = ["--config", str(config), *(arg for flag in flags for arg in flag), "all"]
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            try:
+                code = main(argv)
+            except SystemExit as exc:           # argparse rejected a flag's value
+                code = exc.code
+    err = stderr.getvalue()
+    if code == 2:
+        assert err.startswith("usage: "), err[:300]
+        return
     assert (code, err.startswith("error: ")) in ((0, False), (1, True)), err[:300]
     assert err.count("error:") == code

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from punk_hedonics import econometrics
 from punk_hedonics.econometrics import (ConstantColumnError, InsufficientDataError,
                                         SingularDesignError, adf_critical_values,
                                         adf_test, ols_fit, pearson_matrix,
@@ -163,6 +164,22 @@ class TestAdf:
     def test_too_short_error(self):
         with pytest.raises(InsufficientDataError):
             adf_test(np.arange(10.0))
+
+    def test_computes_no_p_value(self, monkeypatch):
+        """The screen reads the level term's t-ratio alone; it is the t-ratio
+        ols_fit gives on the same design, bit for bit."""
+        calls = []
+
+        def counted(t, df):
+            calls.append(t)
+            return student_t_two_sided_p(t, df)
+        monkeypatch.setattr(econometrics, "student_t_two_sided_p", counted)
+        rng = np.random.default_rng(16)
+        series = (rng.normal(size=300), np.cumsum(rng.normal(size=300)))
+        results = [adf_test(y) for y in series]
+        assert not calls
+        for y, result in zip(series, results):
+            assert result.statistic == _fixed_lag_statistic(y, result.lags)
 
     def test_affine_invariance(self):
         rng = np.random.default_rng(12)

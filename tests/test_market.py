@@ -156,7 +156,7 @@ class TestSeriesIngest:
     def test_bad_row_is_a_value_error_naming_it(self, body, message):
         with pytest.raises(ValueError) as info:
             ingest_gas("date,gwei_avg\n" + body)
-        assert str(info.value) == message
+        assert str(info.value) == f"gas CSV {message}"
 
     def test_missing_column_is_schema_error(self):
         with pytest.raises(SchemaError, match="eth_usd_close"):

@@ -11,9 +11,13 @@ decodes whole.
 Generated keyword texts put keywords next to ``_``, digits and
 punctuation, ``a`` beside ``aa``, and case-insensitive look-alikes
 (``ſ`` for ``s``, ``ı`` for ``i``, the Kelvin sign for ``k``).
+Generated corpora draw from a few texts and days, so a text repeats on
+one day and across days, and a text may hold several keywords; the scores
+must be bit-identical to the reference's, which scores every tweet.
 """
 
 import csv
+import datetime as dt
 import io
 import re
 
@@ -76,7 +80,24 @@ def tweet_csvs(draw):
 
 
 texts = st.lists(st.sampled_from(TOKENS), max_size=12).map("".join)
+spaced_texts = st.lists(st.sampled_from(TOKENS), max_size=8).map(" ".join)
 keyword_lists = st.lists(st.sampled_from(KEYWORDS), min_size=1, max_size=5, unique=True)
+
+
+@st.composite
+def repeating_corpora(draw):
+    """(day, text) pairs drawn from at most four texts and three days; the
+    tokens are spaced so that most texts score nonzero."""
+    pool = draw(st.lists(spaced_texts, min_size=1, max_size=4))
+    days = draw(st.lists(st.dates(dt.date(2021, 5, 1), dt.date(2021, 5, 9)),
+                         min_size=1, max_size=3))
+    return draw(st.lists(st.tuples(st.sampled_from(days), st.sampled_from(pool)),
+                         max_size=16))
+
+
+def bits(value):
+    """A float as its exact bits (so 0.0 and -0.0 differ); None kept."""
+    return None if value is None else float(value).hex()
 
 
 def outcome(fn, *args):
@@ -119,6 +140,27 @@ class TestMatchesTweetReference:
                 == ref.keyword_frequency(reference_corpus, kw_filter))
         assert (tweets.keyword_sentiment(corpus, kw_filter, LEXICON)
                 == ref.keyword_sentiment(reference_corpus, kw_filter, LEXICON))
+
+    @settings(max_examples=300, deadline=None)
+    @given(repeating_corpora(), keyword_lists)
+    def test_repeated_texts_score_as_the_reference_scores_each_tweet(self, corpus, keywords):
+        reference_corpus = [
+            ref.Tweet(id=str(i), text=text, language="en",
+                      timestamp=dt.datetime.combine(day, dt.time(), dt.timezone.utc))
+            for i, (day, text) in enumerate(corpus)]
+        series = tweets.daily_mean_sentiment(corpus, LEXICON)
+        want = ref.daily_mean_sentiment(reference_corpus, LEXICON)
+        assert series.days.tolist() == list(want)
+        assert [bits(v) for v in series.values.tolist()] == [bits(v) for v in want.values()]
+        try:
+            kw_filter = KeywordFilter(tuple(keywords))
+        except ValueError:                          # two keywords match each other
+            return
+        assert (tweets.keyword_frequency(corpus, kw_filter)
+                == ref.keyword_frequency(reference_corpus, kw_filter))
+        got = tweets.keyword_sentiment(corpus, kw_filter, LEXICON)
+        want = ref.keyword_sentiment(reference_corpus, kw_filter, LEXICON)
+        assert {kw: bits(v) for kw, v in got.items()} == {kw: bits(v) for kw, v in want.items()}
 
     def test_generated_csvs_reach_every_outcome(self):
         seen = set()

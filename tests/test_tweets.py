@@ -108,6 +108,18 @@ class TestDailyMeanSentiment:
         for day, values in groups.items():
             assert series[day] == pytest.approx(sum(values) / len(values), abs=1e-12)
 
+    def test_each_distinct_text_scored_once(self, lexicon, monkeypatch):
+        texts = []
+        monkeypatch.setattr(tweets, "compound_only",
+                            lambda lex, text: texts.append(text) or compound_only(lex, text))
+        first, second = dt.date(2021, 5, 1), dt.date(2021, 5, 2)
+        corpus = [(first, "good"), (second, "good"), (first, "bad day"), (first, "good"),
+                  (second, "plain")]
+        series = daily_mean_sentiment(corpus, lexicon)
+        assert sorted(texts) == ["bad day", "good", "plain"]
+        good, bad, plain = (compound_only(lexicon, t) for t in ("good", "bad day", "plain"))
+        assert series.values.tolist() == [sum([good, bad, good]) / 3, sum([good, plain]) / 2]
+
     def test_values_in_range(self, lexicon):
         day = dt.date(2021, 5, 1)
         corpus = [(day, "great great great!!!")] * 3
@@ -153,6 +165,25 @@ class TestKeywordFilter:
                         and re.fullmatch(re.escape(c), ch, re.IGNORECASE)):
                     found.add(ch)
         assert found == set(tweets._NON_WORD_CASES)
+
+    def test_first_letter_lookahead_skips_no_keyword_start(self):
+        """Swept over every code point: under re.IGNORECASE the class of each
+        default keyword's first letter, and the lookahead's class of all of
+        them, match exactly the characters the letters match as literals, so
+        the lookahead passes at every position where a keyword can begin."""
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+
+        def matched(pattern):
+            return [m.start() for m in re.finditer(pattern, every, re.IGNORECASE)]
+        first = "".join(sorted({kw[0] for kw in tweets.DEFAULT_KEYWORDS}))
+        pattern = KeywordFilter(tweets.DEFAULT_KEYWORDS).pattern.pattern
+        assert first == "adflmz" and pattern.startswith(f"(?=[{first}])\\b(?:(female)|")
+        literals = []
+        for letter in first:
+            literal = matched(letter)
+            assert matched(f"[{letter}]") == literal
+            literals += literal
+        assert matched(f"[{first}]") == sorted(literals)
 
 
 class TestKeywordFrequency:
@@ -204,6 +235,17 @@ class TestKeywordSentiment:
             matched = [compound_only(lexicon, text) for _, text in corpus
                        if f" {kw} " in f" {text} "]
             assert result[kw] == pytest.approx(sum(matched) / len(matched), abs=1e-12)
+
+    def test_each_distinct_text_with_a_hit_scored_once(self, lexicon, monkeypatch):
+        texts = []
+        monkeypatch.setattr(tweets, "compound_only",
+                            lambda lex, text: texts.append(text) or compound_only(lex, text))
+        day = dt.date(2021, 5, 1)
+        corpus = [(day, t) for t in ["ape zombie good", "no hit", "ape zombie good",
+                                     "bad zombie", "no hit", "bad zombie", "ape zombie good"]]
+        result = keyword_sentiment(corpus, KeywordFilter(("ape", "zombie")), lexicon)
+        assert sorted(texts) == ["ape zombie good", "bad zombie"]
+        assert result["ape"] == compound_only(lexicon, "ape zombie good")
 
     def test_sentiment_keywords_also_counted_by_frequency(self, lexicon):
         corpus = [(dt.date(2021, 5, 1), "zombie hour"),

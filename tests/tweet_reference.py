@@ -1,9 +1,12 @@
 """The tweet path as it was before tweets became (day, text) pairs.
 
 Kept verbatim as the reference that ``tweets.ingest_tweets``,
-``keyword_frequency`` and ``keyword_sentiment`` must match: a
-``csv.DictReader`` loop with its own header check, a frozen Tweet per
-accepted row, and one regex per keyword, each run over every tweet.
+``keyword_frequency``, ``keyword_sentiment`` and ``daily_mean_sentiment``
+must match: a ``csv.DictReader`` loop with its own header check, a frozen
+Tweet per accepted row, one regex per keyword, each run over every tweet,
+and one scorer call per tweet, a repeated text's included.
+``daily_mean_sentiment`` returns its ``{day: mean}`` in day order, where
+that path wrapped the same dict in its dict-backed series.
 One rule was added to both paths since: a timestamp whose UTC day leaves
 ``date``'s range (an OverflowError) is an unparseable timestamp.  It
 decodes bytes whole into an ``io.StringIO``, as ``ingest.text_stream``
@@ -16,6 +19,7 @@ import csv
 import datetime as dt
 import io
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 
 from punk_hedonics.ingest import IngestReport, SchemaError
@@ -120,3 +124,11 @@ def keyword_sentiment(corpus: list[Tweet], kw_filter: KeywordFilter,
                 hits[kw] += 1
     return {kw: (sums[kw] / hits[kw] if hits[kw] else None)
             for kw in kw_filter.keywords}
+
+
+def daily_mean_sentiment(corpus: list[Tweet], lexicon: SentimentLexicon) -> dict[dt.date, float]:
+    """Arithmetic mean compound score per UTC day, in day order; empty days absent."""
+    by_day: dict[dt.date, list[float]] = defaultdict(list)
+    for tweet in corpus:
+        by_day[tweet.timestamp.date()].append(compound_only(lexicon, tweet.text))
+    return {day: sum(v) / len(v) for day, v in sorted(by_day.items())}
