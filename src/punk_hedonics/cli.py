@@ -13,7 +13,7 @@ import datetime as dt
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -27,33 +27,46 @@ from .series import DailySeries, pct_change
 
 DATA_DIR_ENV = "PUNK_HEDONICS_DATA_DIR"
 
-_CONFIG_PATH_KEYS = ("tweet_corpus", "keyword_corpus", "sales", "gas", "fx", "lexicon")
-_CONFIG_KEYS = _CONFIG_PATH_KEYS + (
-    "output_dir", "window_start", "window_end", "split_date",
-    "correlation_threshold", "max_adf_lag", "keywords", "language",
-)
-
 
 class ConfigError(ValueError):
     pass
 
 
+def _keyword_list(text: str) -> tuple[str, ...]:
+    keywords = tuple(k.strip().lower() for k in text.split(",") if k.strip())
+    if not keywords:
+        raise ValueError("keywords list is empty")
+    return keywords
+
+
+def _setting(default, parse, *, flag: bool = False, input_path: bool = False):
+    """A run setting: ``parse`` turns its config text, and its flag's value
+    when it has a flag, into the value; an input path resolves against the
+    data directory."""
+    return field(default=default,
+                 metadata={"parse": parse, "flag": flag, "input_path": input_path})
+
+
 @dataclass
 class RunConfig:
-    tweet_corpus: Path | None = None
-    keyword_corpus: Path | None = None
-    sales: Path | None = None
-    gas: Path | None = None
-    fx: Path | None = None
-    lexicon: Path | None = None
-    output_dir: Path = Path("out")
-    window_start: dt.date = tweets.STUDY_WINDOW_START
-    window_end: dt.date = tweets.STUDY_WINDOW_END
-    split_date: dt.date = study.DEFAULT_SPLIT_DATE
-    correlation_threshold: float = study.DEFAULT_CORRELATION_THRESHOLD
-    max_adf_lag: int | None = None
-    keywords: tuple[str, ...] = tweets.DEFAULT_KEYWORDS
-    language: str = "en"
+    """The run settings.  Each field is a config key of the same name, and
+    ``--<key with dashes>`` overrides it where its setting has a flag."""
+    tweet_corpus: Path | None = _setting(None, Path, input_path=True)
+    keyword_corpus: Path | None = _setting(None, Path, input_path=True)
+    sales: Path | None = _setting(None, Path, input_path=True)
+    gas: Path | None = _setting(None, Path, input_path=True)
+    fx: Path | None = _setting(None, Path, input_path=True)
+    lexicon: Path | None = _setting(None, Path, input_path=True)
+    output_dir: Path = _setting(Path("out"), Path, flag=True)
+    split_date: dt.date = _setting(study.DEFAULT_SPLIT_DATE, dt.date.fromisoformat, flag=True)
+    window_start: dt.date = _setting(tweets.STUDY_WINDOW_START, dt.date.fromisoformat,
+                                     flag=True)
+    window_end: dt.date = _setting(tweets.STUDY_WINDOW_END, dt.date.fromisoformat, flag=True)
+    correlation_threshold: float = _setting(study.DEFAULT_CORRELATION_THRESHOLD, float,
+                                            flag=True)
+    max_adf_lag: int | None = _setting(None, int, flag=True)
+    language: str = _setting("en", str, flag=True)
+    keywords: tuple[str, ...] = _setting(tweets.DEFAULT_KEYWORDS, _keyword_list)
 
     def check_settings(self) -> None:
         """Reject a setting no run can use, before any output is written."""
@@ -76,6 +89,10 @@ class RunConfig:
                 raise ConfigError(f"config key {name!r} is required for this command")
             if not Path(path).is_file():
                 raise ConfigError(f"{name} file not found: {path}")
+
+
+_SETTINGS = {setting.name: setting for setting in fields(RunConfig)}
+_FLAG_KEYS = [name for name, setting in _SETTINGS.items() if setting.metadata["flag"]]
 
 
 def parse_config_file(path: Path, data_dir: Path | None = None) -> RunConfig:
@@ -103,34 +120,15 @@ def parse_config_file(path: Path, data_dir: Path | None = None) -> RunConfig:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key = value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        setting = _SETTINGS.get(key)
+        if setting is None:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            _apply_config_value(config, key, value, data_dir)
+            parsed = setting.metadata["parse"](value)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: {exc}") from None
+        setattr(config, key, data_dir / parsed if setting.metadata["input_path"] else parsed)
     return config
-
-
-def _apply_config_value(config: RunConfig, key: str, value: str, data_dir: Path) -> None:
-    if key in _CONFIG_PATH_KEYS:
-        p = Path(value)
-        setattr(config, key, p if p.is_absolute() else data_dir / p)
-    elif key == "output_dir":
-        config.output_dir = Path(value)
-    elif key in ("window_start", "window_end", "split_date"):
-        setattr(config, key, dt.date.fromisoformat(value))
-    elif key == "correlation_threshold":
-        config.correlation_threshold = float(value)
-    elif key == "max_adf_lag":
-        config.max_adf_lag = int(value)
-    elif key == "keywords":
-        kws = tuple(k.strip().lower() for k in value.split(",") if k.strip())
-        if not kws:
-            raise ValueError("keywords list is empty")
-        config.keywords = kws
-    elif key == "language":
-        config.language = value
 
 
 def _fmt(value: float) -> str:
@@ -396,39 +394,36 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--data-dir", type=Path, default=None,
                         help=f"prefix for relative input paths (default ${DATA_DIR_ENV} "
                              "or the config file directory)")
-    parser.add_argument("--output-dir", type=Path, default=None)
-    parser.add_argument("--split-date", type=dt.date.fromisoformat, default=None)
-    parser.add_argument("--window-start", type=dt.date.fromisoformat, default=None)
-    parser.add_argument("--window-end", type=dt.date.fromisoformat, default=None)
-    parser.add_argument("--correlation-threshold", type=float, default=None)
-    parser.add_argument("--max-adf-lag", type=int, default=None)
-    parser.add_argument("--language", default=None)
+    for name in _FLAG_KEYS:
+        parser.add_argument("--" + name.replace("_", "-"),
+                            type=_SETTINGS[name].metadata["parse"], default=None)
     parser.add_argument("command", choices=[*COMMANDS, "all"])
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    inputs = None
     try:
         if not args.config.is_file():
             raise ConfigError(f"config file not found: {args.config}")
         config = parse_config_file(args.config, data_dir=args.data_dir)
-        for flag in ("output_dir", "split_date", "window_start", "window_end",
-                     "correlation_threshold", "max_adf_lag", "language"):
-            value = getattr(args, flag)
+        for name in _FLAG_KEYS:
+            value = getattr(args, name)
             if value is not None:
-                setattr(config, flag, value)
+                setattr(config, name, value)
         config.check_settings()
         config.output_dir.mkdir(parents=True, exist_ok=True)
         inputs = RunInputs(config)
         for name in COMMANDS if args.command == "all" else [args.command]:
             COMMANDS[name](inputs)
+        code = 0
     except (OSError, ValueError) as exc:      # every input and config error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    for warning in inputs.warnings:
+        code = 1
+    for warning in inputs.warnings if inputs is not None else ():  # a failed run's too
         print(f"warning: {warning}", file=sys.stderr)
-    return 0
+    return code
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ import numpy as np
 from .econometrics import (ConstantColumnError, InsufficientDataError, OlsFit,
                            SingularDesignError, ols_fit, pearson_matrix, significance_stars)
 from .panel import DUMMY_COLUMNS, Panel
+from .tweets import STUDY_WINDOW_END, STUDY_WINDOW_START
 
 INTERCEPT = "intercept"
 
@@ -65,8 +66,8 @@ class WindowSpec:
             raise ValueError(f"window {self.label}: start must precede end")
 
 
-def default_windows(study_start: dt.date = dt.date(2017, 6, 23),
-                    study_end: dt.date = dt.date(2022, 10, 31),
+def default_windows(study_start: dt.date = STUDY_WINDOW_START,
+                    study_end: dt.date = STUDY_WINDOW_END,
                     split_date: dt.date = DEFAULT_SPLIT_DATE) -> tuple[WindowSpec, ...]:
     """The three study periods, in this order: pre-split, post-split, full span.
 

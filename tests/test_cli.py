@@ -7,6 +7,7 @@ import subprocess
 import sys
 import textwrap
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -102,7 +103,30 @@ class TestConfig:
         table = readme.split("Keys:", 1)[1].split("\n\n", 2)[1]
         documented = {key for line in table.splitlines()[2:]
                       for key in re.findall(r"`(\w+)`", line.split("|")[1])}
-        assert documented == set(cli._CONFIG_KEYS)
+        assert documented == {setting.name for setting in fields(cli.RunConfig)}
+        flag_list = re.search(r"which overrides the\s+config value:(.*?)\.", readme, re.S)[1]
+        documented_flags = set(re.findall(r"`(--[\w-]+)`", flag_list))
+        setting_flags = set(re.findall(r"--[\w-]+", cli.build_parser().format_usage()))
+        assert documented_flags == setting_flags - {"--config", "--data-dir"}
+        assert documented_flags == {"--" + setting.name.replace("_", "-")
+                                    for setting in fields(cli.RunConfig)
+                                    if setting.metadata["flag"]}
+
+    FLAG_VALUES = {"output_dir": "runs/a", "split_date": "2021-06-01",
+                   "window_start": "2018-02-01", "window_end": "2022-03-31",
+                   "correlation_threshold": "0.25", "max_adf_lag": "3", "language": "es"}
+
+    @pytest.mark.parametrize("key", [setting.name for setting in fields(cli.RunConfig)
+                                     if setting.metadata["flag"]])
+    def test_flag_parses_as_its_config_key(self, tmp_path, key):
+        text = self.FLAG_VALUES[key]
+        config = tmp_path / "config.txt"
+        config.write_text(f"{key} = {text}\n", encoding="utf-8")
+        args = cli.build_parser().parse_args(
+            ["--config", str(config), "--" + key.replace("_", "-"), text, "all"])
+        value = getattr(parse_config_file(config), key)
+        assert getattr(args, key) == value != getattr(cli.RunConfig(), key)
+        assert type(getattr(args, key)) is type(value)
 
 
     @pytest.mark.parametrize("key, value, message", [
@@ -286,6 +310,28 @@ class TestRegress:
         doc = json.loads((out / "suite.json").read_text())
         for cell in doc["results"].values():
             assert cell["stars"] == [significance_stars(p) for p in cell["p_values"]]
+
+    def test_suite_json_floats_are_the_repr_of_the_fits(self, synthetic_dataset, tmp_path,
+                                                        monkeypatch):
+        suites = []
+        run_suite = cli.study.run_suite
+
+        def kept(*args, **kwargs):
+            suites.append(run_suite(*args, **kwargs))
+            return suites[-1]
+        monkeypatch.setattr(cli.study, "run_suite", kept)
+        out = tmp_path / "out"
+        assert main(["--config", str(synthetic_dataset), "--output-dir", str(out),
+                     "regress"]) == 0
+        text = (out / "suite.json").read_text()
+        results = json.loads(text)["results"]
+        (suite,) = suites
+        for (label, model_id), fit in suite.fits.items():
+            doc = results[f"{label}.{model_id}"]
+            for name, value in (("r2", fit.r2), ("adj_r2", fit.adj_r2)):
+                assert f'"{name}": {float(value)!r},' in text
+                assert doc[name] == value
+            assert doc["coefficients"] == fit.coefficients.tolist()
 
     def test_panel_csv_round_trips(self, synthetic_dataset, tmp_path):
         out = tmp_path / "out"
@@ -543,6 +589,16 @@ class TestAll:
         assert files_a == files_b
         for rel in files_a:
             assert (out_a / rel).read_bytes() == (out_b / rel).read_bytes(), rel
+
+    def test_warnings_gathered_before_an_error_follow_it(self, synthetic_dataset, tmp_path,
+                                                         capsys):
+        with open(synthetic_dataset, "a", encoding="utf-8") as fh:
+            fh.write("language = es\n")
+        assert main(["--config", str(synthetic_dataset), "--output-dir",
+                     str(tmp_path / "out"), "all"]) == 1
+        assert capsys.readouterr().err == (
+            "error: no sale date is covered by every daily input series\n"
+            "warning: no data: tweet corpus is empty after filtering\n")
 
     def test_each_input_read_and_each_tweet_scored_once(self, synthetic_dataset, tmp_path,
                                                        monkeypatch, capsys):
