@@ -77,6 +77,10 @@ BUT_WORDS = frozenset(["but"])
 
 _STRIP_CHARS = string.punctuation + "¡¿‘’“”…"
 
+# Boosters and negation share one look-back slice, so their scopes must be
+# equal (a test pins this).
+_LOOK_BACK = BOOSTER_SCOPE
+
 
 class LexiconError(ValueError):
     """Raised for malformed or invalid lexicon files."""
@@ -171,49 +175,60 @@ def _punctuation_emphasis(text: str) -> float:
     return ep + qm
 
 
+def _shouting(token: str) -> bool:
+    # Edge punctuation is neither cased nor alphabetic, so a raw token
+    # shouts exactly when its stripped form does.
+    return token.isupper() and any(c.isalpha() for c in token)
+
+
 def _valences(lexicon: SentimentLexicon, text: str) -> tuple[int, list[float]]:
     """Token count of ``text`` and, in token order, the final valence of each
     token with a nonzero lexicon valence; every other token scores 0.
 
     Tokens are the whitespace-split words stripped of edge punctuation,
-    unless all punctuation.  One walk finds the lexicon hits, the shouting
-    tokens and the first "but"; only the hits look back for modifiers.
+    unless all punctuation.  Each token costs one strip, one lowercasing,
+    one lexicon lookup and one append; a text without a hit ends there.
+    Each hit then tests its raw token for shouting, takes one slice of the
+    tokens before it for both boosters and negation, and is weighed against
+    the first "but".  That "but" is searched for only when the text holds
+    one, and whether every token shouts only when a hit does.
     """
     get = lexicon.entries.get
-    but_words = lexicon.but_words
     lowered: list[str] = []
-    hits: list[tuple[int, float, bool]] = []     # (index, lexicon valence, shouting)
-    shouted = 0
-    but_at = None
+    hits: list[tuple[int, float, str]] = []      # (index, lexicon valence, raw token)
     for raw in text.split():
-        token = raw.strip(_STRIP_CHARS) or raw
-        low = token.lower()
-        shouting = token.isupper() and any(c.isalpha() for c in token)
-        shouted += shouting
-        if but_at is None and low in but_words:
-            but_at = len(lowered)
+        low = (raw.strip(_STRIP_CHARS) or raw).lower()
         valence = get(low)      # no booster is an entry (SentimentLexicon checks)
         if valence:
-            hits.append((len(lowered), valence, shouting))
+            hits.append((len(lowered), valence, raw))
         lowered.append(low)
+    if not hits:
+        return len(lowered), []
 
+    but_words = lexicon.but_words
+    but_at = None
+    if not but_words.isdisjoint(lowered):
+        but_at = next(i for i, low in enumerate(lowered) if low in but_words)
     # Caps emphasis applies only when the text mixes cased styles.
-    cap_differential = 0 < shouted < len(lowered)
+    cap_differential = None
     boosters = lexicon.boosters
     booster_words = boosters.keys()
     negations = lexicon.negations
     valences = []
-    for i, v, shouting in hits:
-        if cap_differential and shouting:
-            v += CAPS_INCREMENT if v > 0 else -CAPS_INCREMENT
-        before = lowered[max(i - BOOSTER_SCOPE, 0):i]
+    for i, v, raw in hits:
+        if _shouting(raw):
+            if cap_differential is None:
+                cap_differential = not all(map(_shouting, text.split()))
+            if cap_differential:
+                v += CAPS_INCREMENT if v > 0 else -CAPS_INCREMENT
+        before = lowered[i - _LOOK_BACK if i > _LOOK_BACK else 0:i]
         if not booster_words.isdisjoint(before):
             for scale, word in zip(BOOSTER_DISTANCE_SCALE, reversed(before)):
                 step = boosters.get(word)
                 if step is not None:
                     step *= scale
                     v += -step if v < 0 else step
-        if not negations.isdisjoint(lowered[max(i - NEGATION_SCOPE, 0):i]):
+        if not negations.isdisjoint(before):
             v *= NEGATION_FACTOR
         if but_at is not None and i != but_at:
             v *= BUT_BEFORE_FACTOR if i < but_at else BUT_AFTER_FACTOR

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sentiment_reference
 from conftest import make_lexicon
+from punk_hedonics import sentiment
 from punk_hedonics.sentiment import (BOOSTER_DISTANCE_SCALE, BOOSTER_SCOPE,
                                      BOOSTERS, BUT_AFTER_FACTOR, BUT_BEFORE_FACTOR,
                                      CAPS_INCREMENT, EXCLAIM_INCREMENT, MAX_EXCLAIM,
@@ -308,8 +310,9 @@ def same_float(a: float, b: float) -> bool:
 
 
 # Lexicon words whose valences each example draws: "but" and "no" also have
-# the but/negation role, and a dampener right before "tiny" takes it to 0.
-LEXICON_WORDS = ("good", "bad", "meh", "tiny", "but", "no")
+# the but/negation role, a dampener right before "tiny" takes it to 0, and
+# "ⓐ" is cased but no letter, so "Ⓐ" is upper case yet does not shout.
+LEXICON_WORDS = ("good", "bad", "meh", "tiny", "but", "no", "ⓐ")
 valences = st.one_of(
     st.sampled_from([0.0, 0.293, -0.293, 0.1, 5e-324, 1.9, -2.5, 4.0]),
     st.floats(min_value=-4.0, max_value=4.0))
@@ -329,10 +332,12 @@ cased = st.tuples(words, st.sampled_from([str, str.upper, str.lower, str.title,
 edges = st.text(alphabet=_STRIP_CHARS + "!?", max_size=3)
 tokens = st.builds(lambda pre, word, post: pre + word + post, edges, cased, edges)
 separators = st.sampled_from([" ", "  ", "\t", "\n", "\u00a0", "\u3000"])
-texts = st.one_of(
+mixed_texts = st.one_of(
     st.lists(st.tuples(tokens, separators), max_size=14).map(
         lambda parts: "".join(token + sep for token, sep in parts)),
     st.text(max_size=80))
+# All-caps texts: every token with a letter shouts, so caps emphasis is off.
+texts = st.one_of(mixed_texts, mixed_texts.map(str.upper))
 
 
 class TestMatchesReference:
@@ -353,9 +358,48 @@ class TestMatchesReference:
         "tiny slightly tiny",               # 0.293 - 0.293 == 0: a neutral token
         "good but bad but good",            # only the first "but" reweights
         "GOOD day", "GOOD DAY", "NOT very good!!", "kinda not tiny??",
-        "no but no", "'but' good", "…good… ¿bad?", "Ⓐ good", ""])
+        "no but no", "'but' good", "…good… ¿bad?", "Ⓐ good", "",
+        # Each branch the scorer takes only at a hit: a shouting hit in a
+        # mixed or an all-caps text, a "but" found only after lowercasing,
+        # a hit with no token before it, a hit after an all-punctuation
+        # token, cased tokens that are no letters, one of them a hit, and a
+        # text with no hit.
+        "!!! GOOD", "GOOD", "GOOD BAD", "good BUT bad", "BUT GOOD day",
+        "... good", "ⓐⓑ GOOD", "Ⓐ GOOD day", "plain words only"])
     def test_fixed_cases(self, text):
         lexicon = make_lexicon({"good": 1.9, "bad": -2.5, "tiny": 0.293,
-                                "no": -1.2, "but": 0.5})
+                                "no": -1.2, "but": 0.5, "ⓐ": 1.1})
         assert score_text(lexicon, text) == reference_score_text(lexicon, text)
         assert compound_only(lexicon, text) == reference_score_text(lexicon, text).compound
+
+
+class TestMatchesPerTextReference:
+    """The scorer against the per-text walk it replaced (sentiment_reference),
+    which tested every token for shouting and "but"; bit for bit."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(lexicons, texts)
+    def test_valences(self, lexicon, text):
+        n_tokens, got = sentiment._valences(lexicon, text)
+        want_tokens, want = sentiment_reference._valences(lexicon, text)
+        assert n_tokens == want_tokens
+        assert len(got) == len(want)
+        assert all(map(same_float, got, want))
+
+    @settings(max_examples=600, deadline=None)
+    @given(lexicons, texts)
+    def test_compound_only(self, lexicon, text):
+        assert same_float(compound_only(lexicon, text),
+                          sentiment_reference.compound_only(lexicon, text))
+
+
+def test_strip_chars_are_uncased_and_not_alphabetic():
+    # The scorer tests shouting on the raw token, which equals testing the
+    # stripped token only if no edge-stripped character is cased or a letter.
+    for c in sentiment._STRIP_CHARS:
+        assert c.upper() == c.lower() == c, c
+        assert not (c.isupper() or c.islower() or c.isalpha()), c
+
+
+def test_boosters_and_negation_share_one_look_back():
+    assert BOOSTER_SCOPE == NEGATION_SCOPE == sentiment._LOOK_BACK
