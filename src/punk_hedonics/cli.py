@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import market, panel, study, tweets
-from .econometrics import ConstantColumnError, significance_stars
+from .econometrics import ConstantColumnError, InsufficientDataError, significance_stars
 from .ingest import IngestReport, utf8_error
 from .sentiment import SentimentLexicon, load_lexicon
 from .series import DailySeries, pct_change
@@ -231,9 +231,13 @@ def cmd_regress(inputs: RunInputs) -> None:
     gas = market.ingest_gas(config.gas.read_bytes())
     fx = market.ingest_fx(config.fx.read_bytes())
     active, volume = market.daily_aggregates(sales, fx)
-    active_pct, active_gaps = pct_change(active)
-    volume_pct, volume_gaps = pct_change(volume)
-    fx_pct, fx_gaps = pct_change(fx)
+    changes = {}        # series name -> (relative changes, gap days)
+    for name, series in (("active_wallets", active), ("sales_volume", volume), ("fx", fx)):
+        try:
+            changes[name] = pct_change(series)
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
+    (active_pct, _), (volume_pct, _), (fx_pct, _) = changes.values()
     rarity_map = market.rarity_score(sales)
     sale_panel, coverage = panel.build_panel(
         sales, sentiment, active_pct, volume_pct, gas, fx_pct, fx, rarity_map)
@@ -242,9 +246,9 @@ def cmd_regress(inputs: RunInputs) -> None:
 
     screen = panel.stationarity_screen(sale_panel, max_lag=config.max_adf_lag)
     for variable, entry in screen.items():
-        if entry.skip_reason is not None:
+        if "skip_reason" in entry:
             inputs.warnings.append(
-                f"stationarity screen of {variable} skipped: {entry.skip_reason}")
+                f"stationarity screen of {variable} skipped: {entry['skip_reason']}")
     windows = study.default_windows(config.window_start, config.window_end,
                                     config.split_date)
     suite = study.run_suite(sale_panel, windows)
@@ -256,34 +260,15 @@ def cmd_regress(inputs: RunInputs) -> None:
         "total_sales": coverage.total_sales,
         "rows_emitted": coverage.rows_emitted,
         "drop_counts": dict(sorted(coverage.drop_counts.items())),
-        "pct_change_gaps": {"active_wallets": len(active_gaps),
-                            "sales_volume": len(volume_gaps),
-                            "fx": len(fx_gaps)},
+        "pct_change_gaps": {name: len(gaps) for name, (_, gaps) in changes.items()},
     }
-    doc["stationarity"] = {
-        variable: ({"skip_reason": entry.skip_reason} if entry.result is None else {
-            "statistic": entry.result.statistic,
-            "lags": entry.result.lags,
-            "n_obs": entry.result.n_obs,
-            "critical_values": entry.result.critical_values,
-            "stationary_at_5pct": entry.stationary_at_5pct,
-        })
-        for variable, entry in screen.items()
-    }
+    doc["stationarity"] = screen
     try:
-        precheck = study.correlation_precheck(sale_panel, study.model_specs()[-1],
-                                              threshold=config.correlation_threshold)
-    except ConstantColumnError as exc:
+        doc["correlation_precheck"] = study.correlation_precheck(
+            sale_panel, study.model_specs()[-1], threshold=config.correlation_threshold)
+    except (ConstantColumnError, InsufficientDataError) as exc:
         doc["correlation_precheck"] = {"skip_reason": str(exc)}
         inputs.warnings.append(f"correlation precheck skipped: {exc}")
-    else:
-        doc["correlation_precheck"] = {
-            "threshold": precheck.threshold,
-            "weakly_correlated": precheck.weakly_correlated,
-            "names": list(precheck.names),
-            "matrix": [[float(v) for v in row] for row in precheck.matrix],
-            "offending_pairs": [[a, b, float(r)] for a, b, r in precheck.offending_pairs],
-        }
     with open(out / "suite.json", "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")

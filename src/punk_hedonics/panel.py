@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .econometrics import (ADF_MIN_LENGTH, AdfResult, adf_test, ConstantColumnError,
+from .econometrics import (ADF_MIN_LENGTH, adf_test, ConstantColumnError,
                            InsufficientDataError, SingularDesignError)
 from .ingest import csv_records
 from .market import GENDERS, SKIN_TONES, Gender, Sales, SkinTone
@@ -78,19 +78,6 @@ class CoverageReport:
     drop_counts: dict[str, int] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class ScreenEntry:
-    """One stationarity-screen line: a result or a skip with its reason."""
-
-    variable: str
-    result: AdfResult | None
-    skip_reason: str | None
-
-    @property
-    def stationary_at_5pct(self) -> bool | None:
-        return None if self.result is None else self.result.reject_at["5%"]
-
-
 def build_panel(sales: Sales,
                 sentiment: DailySeries,
                 active_wallet_pct: DailySeries,
@@ -155,33 +142,36 @@ def _daily_means(day_index: np.ndarray, column: np.ndarray) -> list[float]:
     return (np.bincount(day_index, weights=column) / np.bincount(day_index)).tolist()
 
 
-def stationarity_screen(panel: Panel,
-                        max_lag: int | None = None) -> dict[str, ScreenEntry]:
+def stationarity_screen(panel: Panel, max_lag: int | None = None) -> dict[str, dict]:
     """ADF screen over daily-collapsed log price and every daily control.
 
-    Failures to test (a short or constant series, or a regression at the
-    chosen lag whose design is singular) are reported as skips, never
-    silently dropped; the screen reports and does not gate.
+    Each variable in SCREEN_VARIABLES maps to its ``suite.json`` entry:
+    ``statistic``, ``lags``, ``n_obs``, ``critical_values`` and
+    ``stationary_at_5pct``, or ``{"skip_reason": ...}`` for a series it
+    cannot test (too short, constant, or a regression at the chosen lag
+    whose design is singular).  Skips are reported, never silently
+    dropped; the screen reports and does not gate.
     """
     if not panel:
         raise PanelError("panel is empty")
     _, day_index = np.unique(panel["date"], return_inverse=True)    # once for every variable
-    report: dict[str, ScreenEntry] = {}
+    report: dict[str, dict] = {}
     for variable in SCREEN_VARIABLES:
         values = _daily_means(day_index, panel[variable])
         if len(values) < ADF_MIN_LENGTH:
-            report[variable] = ScreenEntry(variable, None,
-                                           f"series too short ({len(values)} < {ADF_MIN_LENGTH})")
+            report[variable] = {
+                "skip_reason": f"series too short ({len(values)} < {ADF_MIN_LENGTH})"}
             continue
         try:
             result = adf_test(values, max_lag=max_lag)
         except ConstantColumnError:
-            report[variable] = ScreenEntry(variable, None, "zero variance")
-            continue
+            report[variable] = {"skip_reason": "zero variance"}
         except (InsufficientDataError, SingularDesignError) as exc:
-            report[variable] = ScreenEntry(variable, None, str(exc))
-            continue
-        report[variable] = ScreenEntry(variable, result, None)
+            report[variable] = {"skip_reason": str(exc)}
+        else:
+            report[variable] = {"statistic": result.statistic, "lags": result.lags,
+                                "n_obs": result.n_obs, "critical_values": result.critical_values,
+                                "stationary_at_5pct": result.reject_at["5%"]}
     return report
 
 

@@ -92,31 +92,6 @@ class SuiteResult:
     windows: tuple[WindowSpec, ...]     # pre-split, post-split, full span
 
 
-@dataclass
-class PrecheckResult:
-    names: tuple[str, ...]
-    matrix: np.ndarray
-    threshold: float
-    weakly_correlated: bool
-    offending_pairs: list[tuple[str, str, float]]
-
-
-@dataclass(frozen=True)
-class RegressorChange:
-    regressor: str
-    coef_before: float
-    coef_after: float
-    sign_flipped: bool
-    stars_before: int
-    stars_after: int
-    significance_lost: bool
-
-
-@dataclass
-class StructuralChangeReport:
-    changes: dict[str, RegressorChange]
-
-
 def design_for(panel: Panel, model: ModelSpec) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
     """Design matrix (intercept first), response, and column names."""
     names = (INTERCEPT,) + model.regressors
@@ -151,8 +126,10 @@ def run_suite(panel: Panel,
 
 
 def correlation_precheck(panel: Panel, model: ModelSpec,
-                         threshold: float = DEFAULT_CORRELATION_THRESHOLD) -> PrecheckResult:
-    """Pairwise correlations among the model's regressors.
+                         threshold: float = DEFAULT_CORRELATION_THRESHOLD) -> dict:
+    """Pairwise correlations among the model's regressors, as the
+    ``suite.json`` block: ``threshold``, ``weakly_correlated``, ``names``,
+    ``matrix`` (rows of floats) and ``offending_pairs`` (``[a, b, r]``).
 
     The weak-correlation flag is set only when every off-diagonal entry
     stays below the threshold in magnitude; otherwise the offending
@@ -161,19 +138,18 @@ def correlation_precheck(panel: Panel, model: ModelSpec,
     if not panel:
         raise ValueError("panel is empty")
     names, matrix = pearson_matrix([(reg, panel[reg]) for reg in model.regressors])
-    offending = []
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            r = float(matrix[i, j])
-            if abs(r) >= threshold:
-                offending.append((names[i], names[j], r))
-    return PrecheckResult(names=names, matrix=matrix, threshold=threshold,
-                          weakly_correlated=not offending,
-                          offending_pairs=offending)
+    rows = matrix.tolist()
+    offending = [[names[i], names[j], rows[i][j]]
+                 for i in range(len(names)) for j in range(i + 1, len(names))
+                 if abs(rows[i][j]) >= threshold]
+    return {"threshold": float(threshold), "weakly_correlated": not offending,
+            "names": list(names), "matrix": rows, "offending_pairs": offending}
 
 
-def structural_change(fit_before: OlsFit, fit_after: OlsFit) -> StructuralChangeReport:
-    """Per-regressor sign and significance transitions between two fits."""
+def structural_change(fit_before: OlsFit, fit_after: OlsFit) -> dict[str, dict]:
+    """Per-regressor sign and significance transitions between two fits,
+    keyed by regressor: ``coef_before``, ``coef_after``, ``sign_flipped``,
+    ``stars_before``, ``stars_after`` and ``significance_lost``."""
     if fit_before.names != fit_after.names:
         raise AlignmentError(
             f"regressor sets differ: {fit_before.names} vs {fit_after.names}")
@@ -183,16 +159,11 @@ def structural_change(fit_before: OlsFit, fit_after: OlsFit) -> StructuralChange
         after = float(fit_after.coefficients[i])
         stars_before = significance_stars(float(fit_before.p_values[i]))
         stars_after = significance_stars(float(fit_after.p_values[i]))
-        changes[name] = RegressorChange(
-            regressor=name,
-            coef_before=before,
-            coef_after=after,
-            sign_flipped=before * after < 0,
-            stars_before=stars_before,
-            stars_after=stars_after,
-            significance_lost=stars_before > 0 and stars_after == 0,
-        )
-    return StructuralChangeReport(changes=changes)
+        changes[name] = {"coef_before": before, "coef_after": after,
+                         "sign_flipped": before * after < 0,
+                         "stars_before": stars_before, "stars_after": stars_after,
+                         "significance_lost": stars_before > 0 and stars_after == 0}
+    return changes
 
 
 def fit_to_dict(fit: OlsFit) -> dict:
@@ -226,17 +197,6 @@ def suite_to_dict(suite: SuiteResult) -> dict:
     if skipped:
         doc["structural_change"] = {"skip_reason": "; ".join(skipped)}
     else:
-        report = structural_change(suite.fits[(suite.windows[0].label, 4)],
-                                   suite.fits[(suite.windows[1].label, 4)])
-        doc["structural_change"] = {
-            name: {
-                "coef_before": c.coef_before,
-                "coef_after": c.coef_after,
-                "sign_flipped": c.sign_flipped,
-                "stars_before": c.stars_before,
-                "stars_after": c.stars_after,
-                "significance_lost": c.significance_lost,
-            }
-            for name, c in report.changes.items()
-        }
+        doc["structural_change"] = structural_change(suite.fits[(suite.windows[0].label, 4)],
+                                                     suite.fits[(suite.windows[1].label, 4)])
     return doc

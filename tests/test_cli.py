@@ -10,10 +10,11 @@ from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import write_synthetic_dataset
-from punk_hedonics import cli, market, tweets
+from punk_hedonics import cli, market, panel, study, tweets
 from punk_hedonics.cli import (ConfigError, main, parse_config_file)
 
 HEADER = "id,timestamp,text,lang"
@@ -38,9 +39,42 @@ def drop_sales(root, predicate):
     path.write_text("\n".join([header, *kept]) + "\n", encoding="utf-8")
 
 
+def keep_first_sales(root, days):
+    """Keep only the first sale of each of the first ``days`` sale days."""
+    path = root / "sales.csv"
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    first = {}
+    for row in rows:
+        first.setdefault(row.split(",")[1], row)
+    kept = [first[day] for day in sorted(first)[:days]]
+    path.write_text("\n".join([header, *kept]) + "\n", encoding="utf-8")
+
+
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.reader(fh))
+
+
+def run_regress(root, edit=None):
+    """Write the synthetic dataset under ``root``, apply ``edit`` to it,
+    run ``regress`` and return the output directory."""
+    config = write_synthetic_dataset(root)
+    if edit is not None:
+        edit(root)
+    out = root / "out"
+    assert main(["--config", str(config), "--output-dir", str(out), "regress"]) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def regress_out(tmp_path_factory):
+    return run_regress(tmp_path_factory.mktemp("regress"))
+
+
+@pytest.fixture(scope="module")
+def one_row_out(tmp_path_factory):
+    return run_regress(tmp_path_factory.mktemp("one_row"),
+                       lambda root: keep_first_sales(root, 2))
 
 
 def test_runs_as_python_dash_m():
@@ -407,6 +441,101 @@ class TestRegress:
                    for name in doc["stationarity"] if name != "gas_price_gwei")
         for name in ("tables.txt", "lollipop.csv", "heatmap.csv"):
             assert (out / name).is_file(), name
+
+    def test_one_row_panel_skips_precheck_and_exits_zero(self, synthetic_dataset, tmp_path,
+                                                         capsys):
+        """One sale on each of the first two days: pct_change drops the first
+        day, which leaves a one-row panel, too short to correlate."""
+        keep_first_sales(synthetic_dataset.parent, 2)
+        out = tmp_path / "out"
+        assert main(["--config", str(synthetic_dataset), "--output-dir", str(out),
+                     "all"]) == 0
+        doc = json.loads((out / "suite.json").read_text())
+        assert doc["panel_coverage"]["rows_emitted"] == 1
+        assert doc["correlation_precheck"] == {
+            "skip_reason": "columns must have length >= 2"}
+        assert ("warning: correlation precheck skipped: columns must have length >= 2"
+                in capsys.readouterr().err)
+        for name in ("panel.csv", "tables.txt", "lollipop.csv", "heatmap.csv"):
+            assert (out / name).is_file(), name
+
+    @pytest.mark.parametrize("days", [0, 1])
+    def test_fewer_than_two_sale_days_is_an_error_naming_the_series(
+            self, synthetic_dataset, tmp_path, capsys, days):
+        keep_first_sales(synthetic_dataset.parent, days)
+        out = tmp_path / "out"
+        assert main(["--config", str(synthetic_dataset), "--output-dir", str(out),
+                     "all"]) == 1
+        assert capsys.readouterr().err == (
+            "error: active_wallets: pct_change needs at least 2 observations\n")
+        assert not (out / "suite.json").exists()
+
+
+def builtin_only(value):
+    """Whether ``value`` is made of dicts with str keys, lists, str, int,
+    float and bool alone: no numpy scalar, array or tuple."""
+    if type(value) is dict:
+        return all(type(k) is str and builtin_only(v) for k, v in value.items())
+    if type(value) is list:
+        return all(builtin_only(v) for v in value)
+    return type(value) in (str, int, float, bool)
+
+
+def structural_change_of(sale_panel):
+    suite = study.run_suite(sale_panel, study.default_windows())
+    before, after = (suite.fits[(window.label, 4)] for window in suite.windows[:2])
+    return study.structural_change(before, after)
+
+
+SUITE_BLOCKS = {
+    "stationarity": panel.stationarity_screen,
+    "correlation_precheck": lambda sale_panel: study.correlation_precheck(
+        sale_panel, study.model_specs()[-1]),
+    "structural_change": structural_change_of,
+}
+
+
+class TestSuiteBlocks:
+    """Each block of suite.json is what its producer returns, as is."""
+
+    @pytest.mark.parametrize("block", SUITE_BLOCKS)
+    def test_block_is_its_producers_result(self, regress_out, block):
+        sale_panel = panel.read_panel_csv((regress_out / "panel.csv").read_text())
+        result = SUITE_BLOCKS[block](sale_panel)
+        assert result == json.loads((regress_out / "suite.json").read_text())[block]
+        assert builtin_only(result)
+        json.dumps(result, allow_nan=False)
+
+    def test_builtin_only_refuses_numpy_and_tuples(self):
+        assert builtin_only({"a": [1, 2.5, True, "x", {"b": []}]})
+        for value in (np.float64(1.0), np.bool_(True), np.int64(1), np.zeros(2), (1.0,),
+                      {1: 1.0}, None):
+            assert not builtin_only({"a": [value]}), value
+
+    def test_readme_lists_the_keys_of_each_block(self, regress_out, one_row_out):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("| key | holds | keys of each entry |\n", 1)[1].split("\n\n")[0]
+        rows = [line.split("|")[1:4] for line in table.splitlines()[1:]]
+        documented = {re.search(r"`(\w+)`", key)[1]: (holds, re.findall(r"`(\w+)`", keys))
+                      for key, holds, keys in rows}
+        for out in (regress_out, one_row_out):
+            doc = json.loads((out / "suite.json").read_text())
+            assert list(doc) == list(documented)
+            for key, (holds, keys) in documented.items():
+                block = doc[key]
+                skip_allowed = "skip_reason" in holds
+                if not keys or skip_allowed and list(block) == ["skip_reason"]:
+                    continue
+                entries = (block if type(block) is list
+                           else block.values() if "→" in holds else [block])
+                for entry in entries:
+                    assert list(entry) == keys or (skip_allowed
+                                                   and list(entry) == ["skip_reason"]), key
+        # The one-row run shows each skip form the table names.
+        doc = json.loads((one_row_out / "suite.json").read_text())
+        assert "skip_reason" in doc["structural_change"]
+        assert "skip_reason" in doc["correlation_precheck"]
+        assert all(list(entry) == ["skip_reason"] for entry in doc["stationarity"].values())
 
 
 def replace_line(path, number, text):

@@ -165,21 +165,21 @@ class TestCorrelationPrecheck:
         panel = synthetic_panel(seed=6, n=300)
         panel = Panel({**panel.columns, "fx_pct": panel["sentiment"]})
         result = correlation_precheck(panel, model_specs()[-1])
-        assert not result.weakly_correlated
+        assert not result["weakly_correlated"]
         assert ("fx_pct", "sentiment", pytest.approx(1.0)) in [
-            (a, b, r) for a, b, r in result.offending_pairs] or \
-            ("sentiment", "fx_pct") in [(a, b) for a, b, _ in result.offending_pairs]
+            (a, b, r) for a, b, r in result["offending_pairs"]] or \
+            ("sentiment", "fx_pct") in [(a, b) for a, b, _ in result["offending_pairs"]]
 
     def test_independent_regressors_flag_true(self):
         panel = synthetic_panel(seed=7, n=2000)
         result = correlation_precheck(panel, model_specs()[-1])
-        assert result.weakly_correlated
-        assert result.offending_pairs == []
+        assert result["weakly_correlated"]
+        assert result["offending_pairs"] == []
 
     def test_threshold_configurable(self):
         panel = synthetic_panel(seed=8, n=2000)
         strict = correlation_precheck(panel, model_specs()[-1], threshold=0.0001)
-        assert not strict.weakly_correlated
+        assert not strict["weakly_correlated"]
 
 
 class TestStructuralChange:
@@ -188,10 +188,10 @@ class TestStructuralChange:
         suite = run_suite(panel, default_windows())
         fit = suite.fits[("2017-2022", 4)]
         report = structural_change(fit, fit)
-        for change in report.changes.values():
-            assert not change.sign_flipped
-            assert not change.significance_lost
-            assert change.stars_before == change.stars_after
+        for change in report.values():
+            assert not change["sign_flipped"]
+            assert not change["significance_lost"]
+            assert change["stars_before"] == change["stars_after"]
 
     def test_constructed_sign_flip(self):
         before_coeffs = dict(TRUE_COEFFS)
@@ -201,7 +201,7 @@ class TestStructuralChange:
         after = run_suite(synthetic_panel(seed=11, coeffs=after_coeffs, noise=0.2),
                           default_windows()).fits[("2017-2022", 4)]
         report = structural_change(before, after)
-        flips = [n for n, c in report.changes.items() if c.sign_flipped]
+        flips = [n for n, c in report.items() if c["sign_flipped"]]
         assert flips == ["x_male"]
 
     def test_mismatched_regressors_error(self):
@@ -216,8 +216,8 @@ class TestStructuralChange:
         suite = run_suite(panel, default_windows())
         report = structural_change(suite.fits[("2017-2021", 4)],
                                    suite.fits[("2021-2022", 4)])
-        for change in report.changes.values():
-            assert change.sign_flipped == (change.coef_before * change.coef_after < 0)
+        for change in report.values():
+            assert change["sign_flipped"] == (change["coef_before"] * change["coef_after"] < 0)
 
 
 class TestSuiteSerialization:
