@@ -32,11 +32,8 @@ class ConfigError(ValueError):
     pass
 
 
-def _keyword_list(text: str) -> tuple[str, ...]:
-    keywords = tuple(k.strip().lower() for k in text.split(",") if k.strip())
-    if not keywords:
-        raise ValueError("keywords list is empty")
-    return keywords
+def _keyword_filter(text: str) -> tweets.KeywordFilter:
+    return tweets.KeywordFilter(tuple(k.strip().lower() for k in text.split(",") if k.strip()))
 
 
 def _setting(default, parse, *, flag: bool = False, input_path: bool = False):
@@ -66,7 +63,8 @@ class RunConfig:
                                             flag=True)
     max_adf_lag: int | None = _setting(None, int, flag=True)
     language: str = _setting("en", str, flag=True)
-    keywords: tuple[str, ...] = _setting(tweets.DEFAULT_KEYWORDS, _keyword_list)
+    keywords: tweets.KeywordFilter = _setting(tweets.KeywordFilter(tweets.DEFAULT_KEYWORDS),
+                                              _keyword_filter)
 
     def check_settings(self) -> None:
         """Reject a setting no run can use, before any output is written."""
@@ -75,7 +73,6 @@ class RunConfig:
                               f"got {self.correlation_threshold}")
         if self.max_adf_lag is not None and self.max_adf_lag < 0:
             raise ConfigError(f"max_adf_lag must be >= 0, got {self.max_adf_lag}")
-        tweets.KeywordFilter(self.keywords)
         try:
             study.default_windows(self.window_start, self.window_end, self.split_date)
         except OverflowError:   # a window bound's next or previous day leaves date's range
@@ -209,14 +206,13 @@ def cmd_keywords(inputs: RunInputs) -> None:
     config.require("keyword_corpus", "lexicon")
     out = config.output_dir
     corpus = inputs.read_tweets("keyword_corpus", "keyword_rejects.csv")
-    kw_filter = tweets.KeywordFilter(config.keywords)
-    freq = tweets.keyword_frequency(corpus, kw_filter)
+    freq = tweets.keyword_frequency(corpus, config.keywords)
     _write_csv(out / "keyword_frequency.csv", ["keyword", "count"],
-               [[kw, str(freq[kw])] for kw in config.keywords])
-    sentiments = tweets.keyword_sentiment(corpus, kw_filter, inputs.lexicon)
+               [[kw, str(freq[kw])] for kw in config.keywords.keywords])
+    sentiments = tweets.keyword_sentiment(corpus, config.keywords, inputs.lexicon)
     _write_csv(out / "keyword_sentiment.csv", ["keyword", "mean_compound"],
                [[kw, "" if sentiments[kw] is None else _fmt(sentiments[kw])]
-                for kw in config.keywords])
+                for kw in config.keywords.keywords])
 
 
 def cmd_regress(inputs: RunInputs) -> None:
@@ -238,9 +234,8 @@ def cmd_regress(inputs: RunInputs) -> None:
         except ValueError as exc:
             raise ValueError(f"{name}: {exc}") from None
     (active_pct, _), (volume_pct, _), (fx_pct, _) = changes.values()
-    rarity_map = market.rarity_score(sales)
-    sale_panel, coverage = panel.build_panel(
-        sales, sentiment, active_pct, volume_pct, gas, fx_pct, fx, rarity_map)
+    sale_panel, coverage = panel.build_panel(sales, sentiment, active_pct, volume_pct, gas,
+                                             fx_pct, fx, market.rarity_score(sales))
     with open(out / "panel.csv", "w", encoding="utf-8", newline="") as fh:
         panel.write_panel_csv(sale_panel, fh)
 

@@ -47,8 +47,6 @@ _ADF_CRITICAL_SURFACE = {
     "10%": (-2.56677, -1.5384, -2.809, 0.0),
 }
 
-ADF_LEVELS = tuple(_ADF_CRITICAL_SURFACE)
-
 
 class InsufficientDataError(ValueError):
     pass
@@ -354,9 +352,7 @@ def ols_fit(design: np.ndarray, response: np.ndarray,
 
     beta, se, t_stats, rss = _fit(X, y, names)
     df = n - k
-    p_values = np.array([student_t_two_sided_p(float(t), df) if np.isfinite(t)
-                         else (1.0 if t == 0 else 0.0)
-                         for t in t_stats])
+    p_values = np.array([student_t_two_sided_p(float(t), df) for t in t_stats])
 
     tss = float(((y - y.mean()) ** 2).sum())
     r2 = 1.0 - rss / tss if tss > 0 else 0.0

@@ -11,7 +11,7 @@ from itertools import product
 import numpy as np
 
 from .ingest import IngestReport, csv_records
-from .series import EPOCH_ORDINAL, DailySeries
+from .series import EPOCH_ORDINAL, DailySeries, Table
 
 
 class Gender(Enum):
@@ -42,9 +42,6 @@ _SKIN_CODES = {s.value.lower(): code for code, s in enumerate(SKIN_TONES)}
 _GENDER_CODES = {g.value.lower(): code for code, g in enumerate(GENDERS)}
 
 SALES_COLUMNS = ("punk_id", "date", "price_eth", "skin_tone", "gender", "buyer", "seller")
-_SALES_DTYPES = {"punk_id": np.int64, "day": "datetime64[D]", "price_eth": np.float64,
-                 "rarity": np.float64, "has_rarity": np.bool_, "skin": np.int8,
-                 "gender": np.int8, "buyer": np.int64, "seller": np.int64}
 _INT64_LIMIT = 2 ** 63
 
 
@@ -59,33 +56,21 @@ class UncoveredDatesError(ValueError):
         super().__init__(f"{series_name} series missing sale dates: {listed}{more}")
 
 
-class Sales:
-    """Accepted sales in file order: one equal-length numpy array per name.
+class Sales(Table):
+    """Accepted sales in file order, one row each:
 
     - ``punk_id`` (int64) and ``day`` (datetime64[D]);
-    - ``price_eth``, and ``rarity``, the optional precomputed rarity: NaN
-      where ``has_rarity`` is false;
+    - ``price_eth``, and ``rarity``, the optional precomputed rarity, NaN
+      where the row gives none (a rarity given is finite and > 0);
     - ``skin`` and ``gender``, int8 codes: ``SKIN_TONES[code]`` and
       ``GENDERS[code]`` are the sale's SkinTone and Gender;
     - ``buyer`` and ``seller``, wallet ids interned per file: two ids are
       equal when the two addresses are equal after stripping whitespace.
     """
 
-    def __init__(self, columns):
-        self.columns = {name: np.asarray(columns[name], dtype=dtype)
-                        for name, dtype in _SALES_DTYPES.items()}
-        if len({len(column) for column in self.columns.values()}) > 1:
-            raise ValueError("sales columns differ in length")
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self.columns[name]
-
-    def __len__(self) -> int:
-        return len(self.columns["day"])
-
-    def select(self, mask: np.ndarray) -> Sales:
-        """The sales where ``mask`` is true, in the same order."""
-        return Sales({name: column[mask] for name, column in self.columns.items()})
+    DTYPES = {"punk_id": np.int64, "day": "datetime64[D]", "price_eth": np.float64,
+              "rarity": np.float64, "skin": np.int8, "gender": np.int8,
+              "buyer": np.int64, "seller": np.int64}
 
 
 @dataclass
@@ -213,8 +198,6 @@ def ingest_sales(source) -> tuple[Sales, IngestReport]:
     for role in ("buyer", "seller"):
         columns[role] = [wallet_ids.setdefault((raw or "").strip(), len(wallet_ids))
                          for raw in columns[role]]
-    # NaN marks a row without rarity: a non-finite rarity given is rejected.
-    columns["has_rarity"] = ~np.isnan(np.array(columns["rarity"], dtype=np.float64))
     return Sales(columns), report
 
 
@@ -307,20 +290,20 @@ def daily_aggregates(sales: Sales, fx: DailySeries) -> tuple[DailySeries, DailyS
     return DailySeries(days, active), DailySeries(days, volume)
 
 
-def rarity_score(sales: Sales) -> dict[int, float]:
-    """Inverse attribute-combination frequency over distinct punks.
+def rarity_score(sales: Sales) -> np.ndarray:
+    """The rarity of each sale's punk, one float per sale, in sale order.
 
     rarity(p) = N / |{punks with p's combination}| with N the number of
     distinct punks observed, the combination being (gender, skin tone)
     at the punk's last sale.  A punk's last precomputed rarity (the
-    optional CSV column) takes precedence over computation.
+    optional CSV column) takes precedence over computation, at every sale
+    of that punk.
     """
     punks, last = _last_occurrences(sales["punk_id"])
+    punk_index = np.searchsorted(punks, sales["punk_id"])
     combination = _combinations(sales, last)
     scores = len(punks) / np.bincount(combination)[combination]
-    result = dict(zip(punks.tolist(), scores.tolist()))
-    given = sales["has_rarity"]
-    if given.any():
-        punks, last = _last_occurrences(sales["punk_id"][given])
-        result.update(zip(punks.tolist(), sales["rarity"][given][last].tolist()))
-    return result
+    given = ~np.isnan(sales["rarity"])      # NaN: no precomputed rarity
+    rated, last_rated = _last_occurrences(punk_index[given])
+    scores[rated] = sales["rarity"][given][last_rated]
+    return scores[punk_index]

@@ -12,7 +12,7 @@ from .econometrics import (ADF_MIN_LENGTH, adf_test, ConstantColumnError,
                            InsufficientDataError, SingularDesignError)
 from .ingest import csv_records
 from .market import GENDERS, SKIN_TONES, Gender, Sales, SkinTone
-from .series import DailySeries
+from .series import DailySeries, Table
 
 # Integer columns: the one-hot encoding of a sale's skin tone and gender
 # against the Female + Albino base case; Alien, Ape and Zombie all set
@@ -24,9 +24,6 @@ _MALE = GENDERS.index(Gender.MALE)
 PANEL_COLUMNS = ("date", "log_usd_price", *DUMMY_COLUMNS, "rarity",
                  "active_wallet_pct", "sales_volume_pct", "gas_price_gwei",
                  "fx_pct", "sentiment")
-_DTYPES = {name: "datetime64[D]" if name == "date"
-           else np.int64 if name in DUMMY_COLUMNS else np.float64
-           for name in PANEL_COLUMNS}
 _WRITE_ROWS = 1024      # rows joined into one string at a time when writing
 
 # Daily control/regressor fields screened for stationarity.
@@ -38,22 +35,14 @@ class PanelError(ValueError):
     pass
 
 
-class Panel:
-    """Sale-level panel in sale order: one equal-length numpy array per
-    name in PANEL_COLUMNS, ``date`` as datetime64[D], the dummies as
-    integers and every other column as floats."""
+class Panel(Table):
+    """Sale-level panel in sale order: one row per sale kept, the columns
+    of PANEL_COLUMNS, ``date`` as datetime64[D], the dummies as integers
+    and every other column as floats."""
 
-    def __init__(self, columns):
-        self.columns = {name: np.asarray(columns[name], dtype=_DTYPES[name])
-                        for name in PANEL_COLUMNS}
-        if len({len(column) for column in self.columns.values()}) > 1:
-            raise PanelError("panel columns differ in length")
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self.columns[name]
-
-    def __len__(self) -> int:
-        return len(self.columns["date"])
+    DTYPES = {name: "datetime64[D]" if name == "date"
+              else np.int64 if name in DUMMY_COLUMNS else np.float64
+              for name in PANEL_COLUMNS}
 
 
 @dataclass
@@ -64,13 +53,13 @@ class CoverageReport:
     ``drop_counts`` maps each missing input to the number of dropped
     sales that lack it: a daily input's name (``sentiment``,
     ``active_wallet_pct``, ``sales_volume_pct``, ``gas_price_gwei``,
-    ``fx_pct``, ``fx_close``), ``rarity``, ``positive price``,
-    ``finite usd price`` (``price_eth * fx_close`` overflows) or
-    ``positive usd price`` (a positive ``price_eth * fx_close`` underflows
-    to 0, whose log is undefined).  A sale
-    lacking several inputs counts under each, so the counts can add up to
-    more than the ``total_sales - rows_emitted`` dropped sales.  A name
-    under which no sale was dropped is absent.
+    ``fx_pct``, ``fx_close``), ``rarity`` (the sale's rarity is NaN),
+    ``positive price``, ``finite usd price`` (``price_eth * fx_close``
+    overflows) or ``positive usd price`` (a positive ``price_eth *
+    fx_close`` underflows to 0, whose log is undefined).  A sale lacking
+    several inputs counts under each, so the counts can add up to more
+    than the ``total_sales - rows_emitted`` dropped sales.  A name under
+    which no sale was dropped is absent.
     """
 
     total_sales: int = 0
@@ -85,15 +74,16 @@ def build_panel(sales: Sales,
                 gas: DailySeries,
                 fx_pct: DailySeries,
                 fx_close: DailySeries,
-                rarity_map: dict[int, float],
+                rarity: np.ndarray,
                 ) -> tuple[Panel, CoverageReport]:
     """One row per sale in sale order, inner-joined on day-level inputs.
 
-    Each daily input is looked up once per distinct sale day and
-    ``rarity_map`` once per distinct punk.  A row is emitted only when
-    every daily input has the sale's day, the punk has a rarity, the
-    price is positive and its USD value is finite and positive; anything else is
-    dropped and counted in the CoverageReport, never imputed.
+    ``rarity`` holds one float per sale, as rarity_score returns it, NaN
+    for a sale without one.  Each daily input is looked up once per
+    distinct sale day.  A row is emitted only when every daily input has
+    the sale's day, its rarity is not NaN, the price is positive and its
+    USD value is finite and positive; anything else is dropped and
+    counted in the CoverageReport, never imputed.
     ``log_usd_price`` is ``math.log(price_eth * fx_close)``; the dummies
     encode the sale's skin and gender codes (see DUMMY_COLUMNS).  An
     entirely empty result raises rather than returning a silent empty
@@ -109,10 +99,7 @@ def build_panel(sales: Sales,
     for name, series in (*controls.items(), ("fx_close", fx_close)):
         daily[name], present = series.lookup(days)
         missing[name] = ~present[day_index]
-    punks, punk_index = np.unique(sales["punk_id"], return_inverse=True)
-    rarity = [rarity_map.get(punk) for punk in punks.tolist()]
-    missing["rarity"] = np.array([r is None for r in rarity], dtype=bool)[punk_index]
-    rarity = np.array(rarity, dtype=np.float64)     # None -> NaN
+    missing["rarity"] = np.isnan(rarity)
     missing["positive price"] = sales["price_eth"] <= 0
     with np.errstate(over="ignore"):        # an overflow is a drop, counted here
         usd = sales["price_eth"] * daily["fx_close"][day_index]
@@ -120,12 +107,12 @@ def build_panel(sales: Sales,
     missing["positive usd price"] = (usd == 0.0) & ~missing["positive price"]
     keep = ~np.logical_or.reduce(list(missing.values()))
 
-    day_index, punk_index = day_index[keep], punk_index[keep]
+    day_index = day_index[keep]
     columns = {"date": sales["day"][keep],
                "log_usd_price": [math.log(v) for v in usd[keep].tolist()],
                **dict(zip(DUMMY_COLUMNS[:-1], _SKIN_DUMMIES[sales["skin"][keep]].T)),
                "x_male": sales["gender"][keep] == _MALE,
-               "rarity": rarity[punk_index],
+               "rarity": rarity[keep],
                **{name: daily[name][day_index] for name in controls}}
     panel = Panel(columns)
     report = CoverageReport(total_sales=len(sales), rows_emitted=len(panel),

@@ -88,12 +88,10 @@ class LexiconError(ValueError):
 
 @dataclass(frozen=True)
 class SentimentLexicon:
-    """Token valences plus the compiled-in modifier word lists."""
+    """Token valences; the modifier word lists are the compiled-in
+    BOOSTERS, NEGATIONS and BUT_WORDS, and no booster is an entry."""
 
     entries: dict[str, float]
-    boosters: dict[str, float]
-    negations: frozenset[str]
-    but_words: frozenset[str]
 
     def __post_init__(self):
         for token, valence in self.entries.items():
@@ -101,7 +99,7 @@ class SentimentLexicon:
                 raise LexiconError(f"lexicon token {token!r} must be lowercase and non-empty")
             if not VALENCE_MIN <= valence <= VALENCE_MAX:
                 raise LexiconError(f"valence {valence} for {token!r} outside [{VALENCE_MIN}, {VALENCE_MAX}]")
-        overlap = self.entries.keys() & self.boosters.keys()
+        overlap = self.entries.keys() & BOOSTERS.keys()
         if overlap:
             raise LexiconError(f"tokens cannot be both entries and boosters: {sorted(overlap)}")
 
@@ -155,8 +153,7 @@ def load_lexicon(source) -> SentimentLexicon:
         if token in BOOSTERS:
             continue
         entries[token] = valence
-    return SentimentLexicon(entries=entries, boosters=dict(BOOSTERS),
-                            negations=NEGATIONS, but_words=BUT_WORDS)
+    return SentimentLexicon(entries=entries)
 
 
 def normalize_valence_sum(total: float) -> float:
@@ -205,15 +202,12 @@ def _valences(lexicon: SentimentLexicon, text: str) -> tuple[int, list[float]]:
     if not hits:
         return len(lowered), []
 
-    but_words = lexicon.but_words
     but_at = None
-    if not but_words.isdisjoint(lowered):
-        but_at = next(i for i, low in enumerate(lowered) if low in but_words)
+    if not BUT_WORDS.isdisjoint(lowered):
+        but_at = next(i for i, low in enumerate(lowered) if low in BUT_WORDS)
     # Caps emphasis applies only when the text mixes cased styles.
     cap_differential = None
-    boosters = lexicon.boosters
-    booster_words = boosters.keys()
-    negations = lexicon.negations
+    booster_words = BOOSTERS.keys()
     valences = []
     for i, v, raw in hits:
         if _shouting(raw):
@@ -224,11 +218,11 @@ def _valences(lexicon: SentimentLexicon, text: str) -> tuple[int, list[float]]:
         before = lowered[i - _LOOK_BACK if i > _LOOK_BACK else 0:i]
         if not booster_words.isdisjoint(before):
             for scale, word in zip(BOOSTER_DISTANCE_SCALE, reversed(before)):
-                step = boosters.get(word)
+                step = BOOSTERS.get(word)
                 if step is not None:
                     step *= scale
                     v += -step if v < 0 else step
-        if not negations.isdisjoint(before):
+        if not NEGATIONS.isdisjoint(before):
             v *= NEGATION_FACTOR
         if but_at is not None and i != but_at:
             v *= BUT_BEFORE_FACTOR if i < but_at else BUT_AFTER_FACTOR

@@ -1,4 +1,5 @@
-"""Daily time series: one value per calendar day, as two numpy columns."""
+"""Numpy column tables: daily time series, one value per calendar day, and
+row tables such as the sales and the panel."""
 
 from __future__ import annotations
 
@@ -7,6 +8,31 @@ import datetime as dt
 import numpy as np
 
 EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()     # the date of day number 0
+
+
+class Table:
+    """Rows as one equal-length numpy array per column.  A subclass declares
+    its columns, in order, and their dtypes in ``DTYPES``; it is built from
+    any mapping that holds at least those names, each converted to its
+    dtype, and a length mismatch is a ValueError naming the subclass."""
+
+    DTYPES: dict[str, object] = {}
+
+    def __init__(self, columns):
+        self.columns = {name: np.asarray(columns[name], dtype=dtype)
+                        for name, dtype in self.DTYPES.items()}
+        if len({len(column) for column in self.columns.values()}) > 1:
+            raise ValueError(f"{type(self).__name__.lower()} columns differ in length")
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self.columns[name]
+
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values())))
+
+    def select(self, mask: np.ndarray) -> Table:
+        """The rows where ``mask`` is true, in the same order."""
+        return type(self)({name: column[mask] for name, column in self.columns.items()})
 
 
 class DailySeries:

@@ -110,8 +110,7 @@ def run_suite(panel: Panel,
     dates = panel["date"]
     for window in windows:
         mask = (dates >= np.datetime64(window.start)) & (dates <= np.datetime64(window.end))
-        in_window = panel if mask.all() else Panel({name: column[mask]
-                                                    for name, column in panel.columns.items()})
+        in_window = panel if mask.all() else panel.select(mask)
         if len(in_window) <= max_params:
             skipped[window.label] = f"only {len(in_window)} rows for {max_params} parameters"
             continue

@@ -51,7 +51,6 @@ def make_sales(sales):
         "day": np.array([s.date for s in sales], dtype="datetime64[D]"),
         "price_eth": [s.price_eth for s in sales],
         "rarity": [math.nan if s.rarity is None else s.rarity for s in sales],
-        "has_rarity": [s.rarity is not None for s in sales],
         "skin": [SKIN_TONES.index(s.skin_tone) for s in sales],
         "gender": [GENDERS.index(s.gender) for s in sales],
         "buyer": [wallet_ids.setdefault(s.buyer_wallet, len(wallet_ids)) for s in sales],

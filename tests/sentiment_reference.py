@@ -14,11 +14,12 @@ from __future__ import annotations
 import math
 import string
 
-from punk_hedonics.sentiment import (BOOSTER_DISTANCE_SCALE, BOOSTER_SCOPE,
-                                     BUT_AFTER_FACTOR, BUT_BEFORE_FACTOR, CAPS_INCREMENT,
-                                     EXCLAIM_INCREMENT, MAX_EXCLAIM, NEGATION_FACTOR,
-                                     NEGATION_SCOPE, NORMALIZATION_ALPHA, QUESTION_CAP,
-                                     QUESTION_INCREMENT, SentimentLexicon)
+from punk_hedonics.sentiment import (BOOSTER_DISTANCE_SCALE, BOOSTER_SCOPE, BOOSTERS,
+                                     BUT_AFTER_FACTOR, BUT_BEFORE_FACTOR, BUT_WORDS,
+                                     CAPS_INCREMENT, EXCLAIM_INCREMENT, MAX_EXCLAIM,
+                                     NEGATION_FACTOR, NEGATION_SCOPE, NEGATIONS,
+                                     NORMALIZATION_ALPHA, QUESTION_CAP, QUESTION_INCREMENT,
+                                     SentimentLexicon)
 
 _STRIP_CHARS = string.punctuation + "¡¿‘’“”…"
 
@@ -48,7 +49,7 @@ def _valences(lexicon: SentimentLexicon, text: str) -> tuple[int, list[float]]:
     tokens and the first "but"; only the hits look back for modifiers.
     """
     get = lexicon.entries.get
-    but_words = lexicon.but_words
+    but_words = BUT_WORDS
     lowered: list[str] = []
     hits: list[tuple[int, float, bool]] = []     # (index, lexicon valence, shouting)
     shouted = 0
@@ -67,9 +68,9 @@ def _valences(lexicon: SentimentLexicon, text: str) -> tuple[int, list[float]]:
 
     # Caps emphasis applies only when the text mixes cased styles.
     cap_differential = 0 < shouted < len(lowered)
-    boosters = lexicon.boosters
+    boosters = BOOSTERS
     booster_words = boosters.keys()
-    negations = lexicon.negations
+    negations = NEGATIONS
     valences = []
     for i, v, shouting in hits:
         if cap_differential and shouting:

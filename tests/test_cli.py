@@ -95,7 +95,7 @@ class TestConfig:
         assert cfg.lexicon == tmp_path / "lexicon.txt"
         assert cfg.split_date == dt.date(2021, 6, 1)
         assert cfg.correlation_threshold == 0.4
-        assert cfg.keywords == ("ape", "zombie")
+        assert cfg.keywords.keywords == ("ape", "zombie")
 
     def test_env_var_prefix(self, tmp_path, monkeypatch):
         data = tmp_path / "data"
@@ -278,7 +278,7 @@ class TestKeywords:
         config = write_config(tmp_path, keyword_corpus="kw.csv", keywords=keywords)
         assert main(["--config", str(config), "--output-dir", str(tmp_path / "out"),
                      "keywords"]) == 1
-        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert capsys.readouterr().err.startswith(f"error: {config}:3: {message}")
         assert not (tmp_path / "out").exists()
 
 
@@ -315,6 +315,26 @@ class TestHeatmap:
         assert all(r[2] == "0" for r in rows[1:])
 
 
+def table_stars(text):
+    """{(window, model id, regressor): stars} read off the coefficient rows
+    of tables.txt, whose four model cells are 14 characters wide each."""
+    names = {label: name for name, label in study.REGRESSOR_LABELS.items()}
+    stars, window = {}, None
+    for line in text.splitlines():
+        if line.startswith("Window "):
+            window = line.split()[1]
+            continue
+        cells_at = len(line) - 4 * 14
+        label = line[:cells_at].strip()
+        if label not in names:
+            continue
+        for model_id, start in enumerate(range(cells_at, len(line), 14), start=1):
+            cell = line[start:start + 14].strip()
+            if cell:
+                stars[(window, model_id, names[label])] = len(cell) - len(cell.rstrip("*"))
+    return stars
+
+
 class TestRegress:
     def test_full_pipeline_outputs(self, synthetic_dataset, tmp_path):
         out = tmp_path / "out"
@@ -324,12 +344,16 @@ class TestRegress:
         assert doc["schema_version"] == 1
         assert len(doc["results"]) == 12
         coverage = doc["panel_coverage"]
-        assert coverage["rows_emitted"] + sum(
-            1 for _ in []) <= coverage["total_sales"]
+        assert coverage["rows_emitted"] <= coverage["total_sales"]
         assert "stationarity" in doc and "correlation_precheck" in doc
         # Stars in the text tables must match the JSON p-values.
         tables = (out / "tables.txt").read_text()
         assert "Dependent Variable: log(USD Price)" in tables
+        want = {(key.rsplit(".", 1)[0], int(key.rsplit(".", 1)[1]), name): stars
+                for key, fit in doc["results"].items()
+                for name, stars in zip(fit["names"], fit["stars"])}
+        assert table_stars(tables) == want
+        assert table_stars(tables.replace("*", "", 1)) != want
         lollipop = read_csv(out / "lollipop.csv")
         assert lollipop[0] == ["regressor", "coefficient", "stars", "model_tag"]
         tags = {r[3] for r in lollipop[1:]}

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import Sale, make_sales, mapping_of, series_of
 from punk_hedonics.ingest import SchemaError
-from punk_hedonics.market import (GENDERS, SKIN_TONES, Gender, SkinTone,
+from punk_hedonics.market import (GENDERS, SKIN_TONES, Gender, Sales, SkinTone,
                                   UncoveredDatesError, attribute_distribution,
                                   daily_aggregates, ingest_fx, ingest_gas, ingest_sales,
                                   rarity_score)
@@ -34,7 +34,7 @@ class TestIngestSales:
         assert [SKIN_TONES[c] for c in sales["skin"]] == [SkinTone.DARK, SkinTone.ALBINO]
         assert [GENDERS[c] for c in sales["gender"]] == [Gender.MALE, Gender.FEMALE]
         assert sales["skin"].dtype == sales["gender"].dtype == np.int8
-        assert sales["has_rarity"].tolist() == [False, False]
+        assert np.isnan(sales["rarity"]).tolist() == [True, True]
         assert report.rejects == [] and report.accepted == 2
 
     def test_unknown_skin_rejected(self):
@@ -63,7 +63,7 @@ class TestIngestSales:
                     "1,2021-05-01,2.5,Dark,Male,0xa,0xb,42.5\n"
                     "2,2021-05-02,0.8,Albino,Female,0xc,0xd,\n")
         sales, _ = ingest_sales(csv_text)
-        assert sales["has_rarity"].tolist() == [True, False]
+        assert np.isnan(sales["rarity"]).tolist() == [False, True]
         assert sales["rarity"][0] == 42.5 and math.isnan(sales["rarity"][1])
 
     def test_extra_columns_ignored(self):
@@ -130,6 +130,11 @@ class TestIngestSales:
         picked = sales.select(np.array([True, False, True, True]))
         assert picked["punk_id"].tolist() == [0, 2, 3]
         assert all(picked[name].dtype == sales[name].dtype for name in sales.columns)
+
+    def test_columns_of_unequal_length_are_an_error(self):
+        sales = make_sales([sale(1, dt.date(2021, 5, 1))])
+        with pytest.raises(ValueError, match="^sales columns differ in length$"):
+            Sales({**sales.columns, "seller": []})
 
 
 class TestSeriesIngest:
@@ -274,18 +279,24 @@ class TestPctChange:
         assert result.values.tolist() == pytest.approx(list(oracle), abs=1e-12)
 
 
+def per_sale(want, sales):
+    """The {punk: rarity} map ``want`` read at each sale's punk, in sale order."""
+    return [want[p] for p in sales["punk_id"].tolist()]
+
+
 class TestRarity:
     def test_uniform_population(self):
         day = dt.date(2021, 5, 1)
-        sales = [sale(i, day, skin=SkinTone.DARK, gender=Gender.MALE) for i in range(5)]
-        assert rarity_score(make_sales(sales)) == {i: 1.0 for i in range(5)}
+        sales = make_sales([sale(i, day, skin=SkinTone.DARK, gender=Gender.MALE)
+                            for i in range(5)])
+        assert rarity_score(sales).tolist() == per_sale({i: 1.0 for i in range(5)}, sales)
 
     def test_inverse_frequency(self):
         day = dt.date(2021, 5, 1)
         sales = [sale(i, day, skin=SkinTone.DARK, gender=Gender.MALE)
                  for i in range(99)]
         sales.append(sale(99, day, skin=SkinTone.ALIEN, gender=Gender.FEMALE))
-        scores = rarity_score(make_sales(sales))
+        scores = rarity_score(make_sales(sales))       # sale i is punk i
         assert scores[99] == pytest.approx(100.0)
         assert scores[0] == pytest.approx(100.0 / 99.0)
 
@@ -298,29 +309,27 @@ class TestRarity:
                   for s in base]
         original = rarity_score(make_sales(base))
         doubled = rarity_score(make_sales(base + clones))
-        for punk_id, score in original.items():
-            assert doubled[punk_id] == pytest.approx(score)
-            assert doubled[punk_id + 100] == pytest.approx(score)
+        for i, score in enumerate(original.tolist()):
+            assert doubled[i] == pytest.approx(score)               # punk i
+            assert doubled[len(base) + i] == pytest.approx(score)   # its clone, punk i + 100
 
     def test_all_scores_positive(self):
         day = dt.date(2021, 5, 1)
         sales = [sale(i, day, skin=list(SkinTone)[i % 7],
                       gender=list(Gender)[i % 2]) for i in range(40)]
-        assert all(v > 0 for v in rarity_score(make_sales(sales)).values())
+        assert all(v > 0 for v in rarity_score(make_sales(sales)).tolist())
 
     def test_last_combination_and_last_override_win(self):
         day = dt.date(2021, 5, 1)
-        sales = [sale(1, day, skin=SkinTone.DARK, rarity=9.0),
-                 sale(2, day, skin=SkinTone.DARK),
-                 sale(1, day, skin=SkinTone.APE),
-                 sale(3, day, skin=SkinTone.APE, rarity=4.0),
-                 sale(3, day, skin=SkinTone.APE, rarity=5.0)]
+        sales = make_sales([sale(1, day, skin=SkinTone.DARK, rarity=9.0),
+                            sale(2, day, skin=SkinTone.DARK),
+                            sale(1, day, skin=SkinTone.APE),
+                            sale(3, day, skin=SkinTone.APE, rarity=4.0),
+                            sale(3, day, skin=SkinTone.APE, rarity=5.0)])
         # Punk 1 is an Ape by its last sale, like punk 3; punk 2 alone is Dark.
-        assert rarity_score(make_sales(sales)) == {1: 9.0, 2: 3.0, 3: 5.0}
+        assert rarity_score(sales).tolist() == per_sale({1: 9.0, 2: 3.0, 3: 5.0}, sales)
 
     def test_precomputed_rarity_overrides(self):
         day = dt.date(2021, 5, 1)
-        sales = [sale(1, day, rarity=7.5), sale(2, day)]
-        scores = rarity_score(make_sales(sales))
-        assert scores[1] == 7.5
-        assert scores[2] == 1.0
+        sales = make_sales([sale(1, day, rarity=7.5), sale(2, day)])
+        assert rarity_score(sales).tolist() == per_sale({1: 7.5, 2: 1.0}, sales)

@@ -108,8 +108,11 @@ def aggregates_outcome(sales, records, fx):
 
 
 def panel_outcome(sales, records, inputs, rarity_map):
-    """panel's and the reference's build_panel over the same daily maps."""
-    return (outcome(panel.build_panel, sales, *map(series_of, inputs), rarity_map),
+    """panel's and the reference's build_panel over the same daily maps and
+    {punk: rarity} map; panel's gets one rarity per sale, NaN for a punk
+    not in the map."""
+    rarity = np.array([rarity_map.get(punk, np.nan) for punk in sales["punk_id"].tolist()])
+    return (outcome(panel.build_panel, sales, *map(series_of, inputs), rarity),
             outcome(ref.build_panel, records, *map(series_reference.DailySeries, inputs),
                     rarity_map))
 
@@ -126,8 +129,8 @@ def assert_sales_equal(sales, records):
     assert sales["day"].tolist() == [r.date for r in records]
     assert (sales["price_eth"].view(np.int64).tolist()
             == np.array([r.price_eth for r in records], dtype=np.float64).view(np.int64).tolist())
-    assert sales["has_rarity"].tolist() == [r.rarity is not None for r in records]
-    assert sales["rarity"][sales["has_rarity"]].tolist() == [
+    assert np.isnan(sales["rarity"]).tolist() == [r.rarity is None for r in records]
+    assert sales["rarity"][~np.isnan(sales["rarity"])].tolist() == [
         r.rarity for r in records if r.rarity is not None]
     assert [SKIN_TONES[c] for c in sales["skin"]] == [r.skin_tone for r in records]
     assert [GENDERS[c] for c in sales["gender"]] == [r.gender for r in records]
@@ -167,8 +170,9 @@ class TestMatchesRowReference:
         distribution = market.attribute_distribution(sales)
         assert distribution == ref.attribute_distribution(records)
 
-        rarity = market.rarity_score(sales)
-        assert rarity == ref.rarity_score(records)
+        rarity = ref.rarity_score(records)
+        assert market.rarity_score(sales).tolist() == [
+            rarity[p] for p in sales["punk_id"].tolist()]
 
         got, want = aggregates_outcome(sales, records, inputs["fx_close"])
         assert got == want
@@ -208,15 +212,16 @@ class TestMatchesRowReference:
                 "2,2021-05-03,1,Ape,Male,w1,w3,\n")
         records, _ = ref.ingest_sales(text)
         sales, _ = market.ingest_sales(text)
-        assert market.rarity_score(sales) == ref.rarity_score(records) == {
-            1: 4.0, 2: 1.5, 3: 3.0}
+        rarity = ref.rarity_score(records)
+        assert rarity == {1: 4.0, 2: 1.5, 3: 3.0}
+        assert market.rarity_score(sales).tolist() == [
+            rarity[p] for p in sales["punk_id"].tolist()]
         fx = {d: 3000.0 for d in DAYS}
         (active, volume), want = aggregates_outcome(sales, records, fx)
         assert [active, volume] == want
         assert list(active.values()) == [2.0, 3.0, 2.0]
         inputs = [{d: 0.5 for d in DAYS} for _ in range(5)] + [fx]
         inputs[3] = {d: 20.0 for d in DAYS if d != DAYS[2]}
-        rarity = market.rarity_score(sales)
         (got_panel, got_report), (want_panel, want_report) = panel_outcome(
             sales, records, inputs, rarity)
         assert_panels_bitwise_equal(got_panel, want_panel)

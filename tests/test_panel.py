@@ -31,8 +31,10 @@ def sale(punk_id, d, price=2.0, skin=SkinTone.DARK, gender=Gender.MALE):
 
 
 def panel_of(sales, rarity_map, **inputs):
-    """build_panel over Sale tuples and {date: value} daily inputs."""
-    return build_panel(make_sales(sales), rarity_map=rarity_map,
+    """build_panel over Sale tuples, {date: value} daily inputs and a
+    {punk: rarity} map; a punk not in the map has a NaN rarity."""
+    rarity = np.array([rarity_map.get(s.punk_id, math.nan) for s in sales])
+    return build_panel(make_sales(sales), rarity=rarity,
                        **{name: series_of(mapping) for name, mapping in inputs.items()})
 
 
@@ -114,6 +116,11 @@ class TestBuildPanel:
         assert panel["date"].dtype == np.dtype("datetime64[D]")
         for name in PANEL_COLUMNS[1:]:
             assert panel[name].dtype.kind == ("i" if name in DUMMY_COLUMNS else "f"), name
+
+    def test_columns_of_unequal_length_are_an_error(self):
+        panel, _ = panel_of([sale(1, day(1))], rarity_map={1: 2.5}, **full_inputs(3))
+        with pytest.raises(ValueError, match="^panel columns differ in length$"):
+            Panel({**panel.columns, "sentiment": []})
 
     def test_missing_sentiment_drops_with_reason(self):
         inputs = full_inputs(3)

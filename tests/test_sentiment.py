@@ -10,7 +10,7 @@ import sentiment_reference
 from conftest import make_lexicon
 from punk_hedonics import sentiment
 from punk_hedonics.sentiment import (BOOSTER_DISTANCE_SCALE, BOOSTER_SCOPE,
-                                     BOOSTERS, BUT_AFTER_FACTOR, BUT_BEFORE_FACTOR,
+                                     BOOSTERS, BUT_AFTER_FACTOR, BUT_BEFORE_FACTOR, BUT_WORDS,
                                      CAPS_INCREMENT, EXCLAIM_INCREMENT, MAX_EXCLAIM,
                                      NEGATION_FACTOR, NEGATION_SCOPE, NEGATIONS,
                                      QUESTION_CAP, QUESTION_INCREMENT, LexiconError,
@@ -75,7 +75,7 @@ class TestLoadLexicon:
     def test_booster_collision_keeps_sets_disjoint(self):
         lex = load_lexicon("very\t0.3\ngood\t1.0\n")
         assert "very" not in lex.entries
-        assert not lex.entries.keys() & lex.boosters.keys()
+        assert not lex.entries.keys() & BOOSTERS.keys()
 
 
 class TestCompound:
@@ -252,7 +252,7 @@ def reference_score_text(lexicon, text: str) -> SentimentScore:
 
     valences = []
     for i, low in enumerate(lowered):
-        if low in lexicon.boosters or low not in lexicon.entries:
+        if low in BOOSTERS or low not in lexicon.entries:
             valences.append(0.0)
             continue
         v = lexicon.entries[low]
@@ -266,17 +266,17 @@ def reference_score_text(lexicon, text: str) -> SentimentScore:
             j = i - dist
             if j < 0:
                 break
-            step = lexicon.boosters.get(lowered[j])
+            step = BOOSTERS.get(lowered[j])
             if step is not None:
                 step *= BOOSTER_DISTANCE_SCALE[dist - 1]
                 v += -step if v < 0 else step
-        if any(lowered[i - d] in lexicon.negations
+        if any(lowered[i - d] in NEGATIONS
                for d in range(1, NEGATION_SCOPE + 1) if i - d >= 0):
             v *= NEGATION_FACTOR
         valences.append(v)
 
     for bi, low in enumerate(lowered):
-        if low in lexicon.but_words:
+        if low in BUT_WORDS:
             valences = [v * BUT_BEFORE_FACTOR if k < bi
                         else v * BUT_AFTER_FACTOR if k > bi else v
                         for k, v in enumerate(valences)]
