@@ -14,7 +14,6 @@ import datetime as dt
 import numpy as np
 
 from punk_hedonics import Panel, default_windows, run_suite
-from punk_hedonics.econometrics import significance_stars
 from punk_hedonics.panel import PANEL_COLUMNS
 from punk_hedonics.study import REGRESSOR_LABELS, model_specs
 
@@ -49,22 +48,23 @@ for _ in range(6000):
         columns[name].append(value)
 
 # One numpy column per panel field; each window is a date mask over them.
+# The result is the fits' part of suite.json: each fit is keyed
+# "<window>.<model>" under "results".
 suite = run_suite(Panel(columns), default_windows())
+results = suite["results"]
 
 # r-squared climbs as each nested model adds regressors.
 print("R^2 by window and model:")
 for window in ("2017-2021", "2021-2022", "2017-2022"):
-    r2s = "  ".join(f"({m}) {suite.fits[(window, m)].r2:.4f}" for m in (1, 2, 3, 4))
+    r2s = "  ".join(f"({m}) {results[f'{window}.{m}']['r2']:.4f}" for m in (1, 2, 3, 4))
     print(f"  {window}: {r2s}")
 
 print("\nFull-span Model 4 estimates vs truth:")
-fit = suite.fits[("2017-2022", 4)]
-stars = {0: "", 1: "*", 2: "**", 3: "***"}
-for i, name in enumerate(fit.names):
+fit = results["2017-2022.4"]
+for name, coef, se, stars in zip(fit["names"], fit["coefficients"],
+                                 fit["standard_errors"], fit["stars"]):
     label = REGRESSOR_LABELS[name]
-    star = stars[significance_stars(float(fit.p_values[i]))]
-    print(f"  {label:<42} {fit.coefficients[i]:9.4f}{star:<3} "
-          f"(se {fit.standard_errors[i]:.4f}, truth {TRUTH[name]:g})")
+    print(f"  {label:<42} {coef:9.4f}{'*' * stars:<3} (se {se:.4f}, truth {TRUTH[name]:g})")
 
 # The same grid runs over real CSV inputs through the CLI:
 #   punk-hedonics --config config.txt --output-dir out regress

@@ -12,8 +12,8 @@ from .panel import (CoverageReport, Panel, build_panel, read_panel_csv,
 from .sentiment import (SentimentLexicon, SentimentScore, compound_only,
                         load_lexicon, score_text)
 from .series import DailySeries, pct_change
-from .study import (ModelSpec, SuiteResult, WindowSpec, correlation_precheck,
-                    default_windows, model_specs, run_suite, structural_change)
+from .study import (ModelSpec, WindowSpec, correlation_precheck, default_windows,
+                    model_specs, run_suite, structural_change)
 from .tweets import (KeywordFilter, daily_mean_sentiment, ingest_tweets,
                      keyword_frequency, keyword_sentiment)
 

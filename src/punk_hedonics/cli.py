@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import market, panel, study, tweets
-from .econometrics import ConstantColumnError, InsufficientDataError, significance_stars
-from .ingest import IngestReport, utf8_error
+from .econometrics import ConstantColumnError, InsufficientDataError
+from .ingest import IngestReport, numbered_lines
 from .sentiment import SentimentLexicon, load_lexicon
 from .series import DailySeries, pct_change
 
@@ -93,7 +93,8 @@ _FLAG_KEYS = [name for name, setting in _SETTINGS.items() if setting.metadata["f
 
 
 def parse_config_file(path: Path, data_dir: Path | None = None) -> RunConfig:
-    """Parse ``key = value`` lines; '#' starts a comment.
+    """Parse ``key = value`` lines, each ended by ``"\\n"`` alone; '#'
+    starts a comment.
 
     Relative input paths are resolved against --data-dir, else the
     PUNK_HEDONICS_DATA_DIR environment variable, else the config file's
@@ -102,15 +103,10 @@ def parse_config_file(path: Path, data_dir: Path | None = None) -> RunConfig:
     if data_dir is None:
         env = os.environ.get(DATA_DIR_ENV)
         data_dir = Path(env) if env else path.parent
-    data = path.read_bytes()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # The bad byte's line, numbered as the loop below numbers lines.
-        lineno = len((data[:exc.start].decode("utf-8") + "x").splitlines())
-        raise ConfigError(f"{path}:{lineno}: {utf8_error(exc)}") from None
     config = RunConfig()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in numbered_lines(
+            path.read_bytes(), lambda number, reason: ConfigError(f"{path}:{number}: {reason}")):
+        raw = raw.rstrip("\n\r")
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -152,12 +148,22 @@ class RunInputs:
         self.config = config
         self.warnings: list[str] = []
 
+    def read(self, key: str, reader, **options):
+        """``reader(data, **options)`` on the bytes of the file at config key
+        ``key``; a ValueError it raises is prefixed with the file's path."""
+        path = getattr(self.config, key)
+        data = path.read_bytes()
+        try:
+            return reader(data, **options)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
     def read_tweets(self, which: str, rejects_name: str) -> list[tuple[dt.date, str]]:
         """The corpus at config key ``which``; its rejects go to ``rejects_name``."""
         config = self.config
         path = getattr(config, which)
-        corpus, report = tweets.ingest_tweets(
-            path.read_bytes(), language_filter=config.language,
+        corpus, report = self.read(
+            which, tweets.ingest_tweets, language_filter=config.language,
             window_start=config.window_start, window_end=config.window_end)
         _write_rejects(config.output_dir / rejects_name, report)
         if report.out_of_window:
@@ -167,7 +173,7 @@ class RunInputs:
 
     @cached_property
     def lexicon(self) -> SentimentLexicon:
-        return load_lexicon(self.config.lexicon.read_bytes())
+        return self.read("lexicon", load_lexicon)
 
     @cached_property
     def sentiment(self) -> DailySeries:
@@ -177,7 +183,7 @@ class RunInputs:
 
     @cached_property
     def sales(self) -> market.Sales:
-        sales, report = market.ingest_sales(self.config.sales.read_bytes())
+        sales, report = self.read("sales", market.ingest_sales)
         _write_rejects(self.config.output_dir / "sales_rejects.csv", report)
         return sales
 
@@ -224,8 +230,8 @@ def cmd_regress(inputs: RunInputs) -> None:
     day = inputs.sales["day"]
     sales = inputs.sales.select((day >= np.datetime64(config.window_start))
                                 & (day <= np.datetime64(config.window_end)))
-    gas = market.ingest_gas(config.gas.read_bytes())
-    fx = market.ingest_fx(config.fx.read_bytes())
+    gas = inputs.read("gas", market.ingest_gas)
+    fx = inputs.read("fx", market.ingest_fx)
     active, volume = market.daily_aggregates(sales, fx)
     changes = {}        # series name -> (relative changes, gap days)
     for name, series in (("active_wallets", active), ("sales_volume", volume), ("fx", fx)):
@@ -246,11 +252,10 @@ def cmd_regress(inputs: RunInputs) -> None:
                 f"stationarity screen of {variable} skipped: {entry['skip_reason']}")
     windows = study.default_windows(config.window_start, config.window_end,
                                     config.split_date)
-    suite = study.run_suite(sale_panel, windows)
-    for label, reason in suite.skipped_windows.items():
-        inputs.warnings.append(f"window {label} skipped: {reason}")
-
-    doc = study.suite_to_dict(suite)
+    doc = study.run_suite(sale_panel, windows)
+    skipped = doc["skipped_windows"]
+    inputs.warnings += [f"window {w.label} skipped: {skipped[w.label]}"
+                        for w in windows if w.label in skipped]
     doc["panel_coverage"] = {
         "total_sales": coverage.total_sales,
         "rows_emitted": coverage.rows_emitted,
@@ -270,24 +275,22 @@ def cmd_regress(inputs: RunInputs) -> None:
 
     with open(out / "tables.txt", "w", encoding="utf-8") as fh:
         for window in windows:
-            if window.label in suite.skipped_windows:
-                fh.write(f"Window {window.label}: skipped "
-                         f"({suite.skipped_windows[window.label]})\n\n")
+            if window.label in skipped:
+                fh.write(f"Window {window.label}: skipped ({skipped[window.label]})\n\n")
                 continue
-            fh.write(_format_window_table(suite, window.label))
+            fh.write(_format_window_table(doc["results"], window.label))
             fh.write("\n")
 
     _write_csv(out / "lollipop.csv",
                ["regressor", "coefficient", "stars", "model_tag"],
-               _lollipop_rows(suite))
+               _lollipop_rows(doc["results"], windows))
 
 
-def _format_window_table(suite: study.SuiteResult, label: str) -> str:
+def _format_window_table(results: dict[str, dict], label: str) -> str:
     """Text table in the four-column nested-model layout: coefficient with
     stars, standard error in parentheses beneath, fit statistics below."""
-    fits = {mid: suite.fits[(label, mid)] for mid in (1, 2, 3, 4)}
-    order = fits[4].names
-    star_text = {0: "", 1: "*", 2: "**", 3: "***"}
+    fits = {mid: results[f"{label}.{mid}"] for mid in (1, 2, 3, 4)}
+    order = fits[4]["names"]
     name_width = max(len(study.REGRESSOR_LABELS[n]) for n in order) + 2
     col = 14
     lines = [f"Window {label}    Dependent Variable: log(USD Price)"]
@@ -297,49 +300,48 @@ def _format_window_table(suite: study.SuiteResult, label: str) -> str:
         coef_cells, se_cells = [], []
         for mid in (1, 2, 3, 4):
             fit = fits[mid]
-            if name in fit.names:
-                i = fit.names.index(name)
-                stars = star_text[significance_stars(float(fit.p_values[i]))]
-                coef_cells.append(f"{fit.coefficients[i]:.4f}{stars}".rjust(col))
-                se_cells.append(f"({fit.standard_errors[i]:.4f})".rjust(col))
+            if name in fit["names"]:
+                i = fit["names"].index(name)
+                stars = "*" * fit["stars"][i]
+                coef_cells.append(f"{fit['coefficients'][i]:.4f}{stars}".rjust(col))
+                se_cells.append(f"({fit['standard_errors'][i]:.4f})".rjust(col))
             else:
                 coef_cells.append(" " * col)
                 se_cells.append(" " * col)
         lines.append(study.REGRESSOR_LABELS[name].ljust(name_width) + "".join(coef_cells))
         lines.append(" " * name_width + "".join(se_cells))
     lines.append("R^2".ljust(name_width)
-                 + "".join(f"{fits[mid].r2:.4f}".rjust(col) for mid in (1, 2, 3, 4)))
+                 + "".join(f"{fits[mid]['r2']:.4f}".rjust(col) for mid in (1, 2, 3, 4)))
     lines.append("Adjusted R^2".ljust(name_width)
-                 + "".join(f"{fits[mid].adj_r2:.4f}".rjust(col) for mid in (1, 2, 3, 4)))
+                 + "".join(f"{fits[mid]['adj_r2']:.4f}".rjust(col) for mid in (1, 2, 3, 4)))
     lines.append("N".ljust(name_width)
-                 + "".join(str(fits[mid].n_obs).rjust(col) for mid in (1, 2, 3, 4)))
+                 + "".join(str(fits[mid]["n_obs"]).rjust(col) for mid in (1, 2, 3, 4)))
     lines.append("Standard errors in parentheses. * p<0.1, ** p<0.05, *** p<0.01.")
     return "\n".join(lines) + "\n"
 
 
-def _lollipop_rows(suite: study.SuiteResult) -> list[list[str]]:
+def _lollipop_rows(results: dict[str, dict],
+                   windows: tuple[study.WindowSpec, ...]) -> list[list[str]]:
     """Coefficient/stars rows for the two comparison charts: with vs
     without sentiment (models 3 and 4, pre-split window) and model 4
     before vs after the split.  The split is named by its ISO date, or
     by its year alone when it falls on 1 January."""
-    before, after = suite.windows[0].label, suite.windows[1].label
-    split_name = suite.windows[1].start.isoformat().removesuffix("-01-01")
+    before, after = windows[0].label, windows[1].label
+    split_name = windows[1].start.isoformat().removesuffix("-01-01")
     comparisons = [
-        ((before, 3), f"{before}.without_sentiment"),
-        ((before, 4), f"{before}.with_sentiment"),
-        ((before, 4), f"before_{split_name}"),
-        ((after, 4), f"after_{split_name}"),
+        (f"{before}.3", f"{before}.without_sentiment"),
+        (f"{before}.4", f"{before}.with_sentiment"),
+        (f"{before}.4", f"before_{split_name}"),
+        (f"{after}.4", f"after_{split_name}"),
     ]
     rows = []
     for key, tag in comparisons:
-        fit = suite.fits.get(key)
+        fit = results.get(key)
         if fit is None:
             continue
-        for i, name in enumerate(fit.names):
-            if name == study.INTERCEPT:
-                continue
-            stars = significance_stars(float(fit.p_values[i]))
-            rows.append([name, _fmt(fit.coefficients[i]), str(stars), tag])
+        for name, coefficient, stars in zip(fit["names"], fit["coefficients"], fit["stars"]):
+            if name != study.INTERCEPT:
+                rows.append([name, _fmt(coefficient), str(stars), tag])
     return rows
 
 

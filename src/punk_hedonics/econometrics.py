@@ -76,12 +76,6 @@ class OlsFit:
     n_obs: int
     n_params: int
 
-    def coefficient(self, name: str) -> float:
-        return float(self.coefficients[self.names.index(name)])
-
-    def standard_error(self, name: str) -> float:
-        return float(self.standard_errors[self.names.index(name)])
-
 
 @dataclass(frozen=True)
 class AdfResult:

@@ -1,5 +1,5 @@
-"""Shared by every input reader: the source normaliser, the CSV record
-reader, the ingest report and the schema error."""
+"""Shared by every input reader: the source normaliser, the numbered line
+and CSV record readers, the ingest report and the schema error."""
 
 from __future__ import annotations
 
@@ -45,6 +45,17 @@ def text_stream(source) -> Iterator[str]:
 def utf8_error(exc: UnicodeDecodeError) -> str:
     """The text of a UTF-8 decoding failure, without its position in a line."""
     return f"not valid UTF-8 (byte 0x{exc.object[exc.start]:02x}: {exc.reason})"
+
+
+def numbered_lines(source, bad_line) -> Iterator[tuple[int, str]]:
+    """``text_stream``'s lines, numbered from 1.  A line that is not valid
+    UTF-8 raises ``bad_line(number, reason)`` when it is reached."""
+    lines, lineno = text_stream(source), 0
+    try:
+        for lineno, line in enumerate(lines, start=1):
+            yield lineno, line
+    except UnicodeDecodeError as exc:       # raised reading the line after lineno
+        raise bad_line(lineno + 1, utf8_error(exc)) from None
 
 
 def csv_records(source, required: tuple[str, ...], what: str,

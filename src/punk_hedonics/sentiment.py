@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import math
 import string
-from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .ingest import text_stream, utf8_error
+from .ingest import numbered_lines
 
 # Rule constants.  Kept in one table; changing any of these changes the
 # compound scores of every text.
@@ -115,15 +114,6 @@ class SentimentScore:
 _EMPTY_SCORE = SentimentScore(0.0, 0.0, 0.0, 0.0)
 
 
-def _numbered_lines(source) -> Iterator[tuple[int, str]]:
-    lines, lineno = text_stream(source), 0
-    try:
-        for lineno, line in enumerate(lines, start=1):
-            yield lineno, line
-    except UnicodeDecodeError as exc:       # raised reading the line after lineno
-        raise LexiconError(f"line {lineno + 1}: {utf8_error(exc)}") from None
-
-
 def load_lexicon(source) -> SentimentLexicon:
     """Parse a tab-separated ``token<TAB>valence`` stream into a lexicon.
 
@@ -134,7 +124,8 @@ def load_lexicon(source) -> SentimentLexicon:
     that is not valid UTF-8 is a LexiconError naming it.
     """
     entries: dict[str, float] = {}
-    for lineno, line in _numbered_lines(source):
+    for lineno, line in numbered_lines(
+            source, lambda number, reason: LexiconError(f"line {number}: {reason}")):
         line = line.rstrip("\n\r")
         if not line.strip() or line.lstrip().startswith("#"):
             continue

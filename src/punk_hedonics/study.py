@@ -85,13 +85,6 @@ def default_windows(study_start: dt.date = STUDY_WINDOW_START,
                  for label, (start, end) in zip(labels, bounds))
 
 
-@dataclass
-class SuiteResult:
-    fits: dict[tuple[str, int], OlsFit]
-    skipped_windows: dict[str, str]
-    windows: tuple[WindowSpec, ...]     # pre-split, post-split, full span
-
-
 def design_for(panel: Panel, model: ModelSpec) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
     """Design matrix (intercept first), response, and column names."""
     names = (INTERCEPT,) + model.regressors
@@ -99,13 +92,19 @@ def design_for(panel: Panel, model: ModelSpec) -> tuple[np.ndarray, np.ndarray, 
     return X, panel["log_usd_price"], names
 
 
-def run_suite(panel: Panel,
-              windows: tuple[WindowSpec, ...]) -> SuiteResult:
+def run_suite(panel: Panel, windows: tuple[WindowSpec, ...]) -> dict:
     """Fit every (window, model) cell; windows that cannot support the
-    widest model are skipped with a reason, the rest still run."""
+    widest model are skipped with a reason, the rest still run.
+
+    Returns the fits' part of ``suite.json``: ``schema_version``,
+    ``windows``, ``skipped_windows``, ``results`` (``<window>.<model>`` →
+    ``fit_to_dict``, sorted by window label and model id) and
+    ``structural_change``, which compares model 4 of the first two windows
+    (pre-split and post-split) or gives the ``skip_reason``.
+    """
     specs = model_specs()
     max_params = 1 + len(specs[-1].regressors)
-    fits: dict[tuple[str, int], OlsFit] = {}
+    fits: dict[tuple[str, int], dict] = {}
     skipped: dict[str, str] = {}
     dates = panel["date"]
     for window in windows:
@@ -117,11 +116,23 @@ def run_suite(panel: Panel,
         try:
             for spec in specs:
                 X, y, names = design_for(in_window, spec)
-                fits[(window.label, spec.id)] = ols_fit(X, y, names=names)
+                fits[(window.label, spec.id)] = fit_to_dict(ols_fit(X, y, names=names))
         except (InsufficientDataError, ConstantColumnError, SingularDesignError) as exc:
             skipped[window.label] = str(exc)
             fits = {k: v for k, v in fits.items() if k[0] != window.label}
-    return SuiteResult(fits=fits, skipped_windows=skipped, windows=tuple(windows))
+    results = {f"{label}.{model_id}": fit for (label, model_id), fit in sorted(fits.items())}
+    pair_skipped = [f"window {w.label} skipped: {skipped[w.label]}"
+                    for w in windows[:2] if w.label in skipped]
+    return {
+        "schema_version": 1,
+        "windows": [{"label": w.label, "start": w.start.isoformat(),
+                     "end": w.end.isoformat()} for w in windows],
+        "skipped_windows": dict(sorted(skipped.items())),
+        "results": results,
+        "structural_change": ({"skip_reason": "; ".join(pair_skipped)} if pair_skipped
+                              else structural_change(results[f"{windows[0].label}.4"],
+                                                     results[f"{windows[1].label}.4"])),
+    }
 
 
 def correlation_precheck(panel: Panel, model: ModelSpec,
@@ -145,21 +156,20 @@ def correlation_precheck(panel: Panel, model: ModelSpec,
             "names": list(names), "matrix": rows, "offending_pairs": offending}
 
 
-def structural_change(fit_before: OlsFit, fit_after: OlsFit) -> dict[str, dict]:
-    """Per-regressor sign and significance transitions between two fits,
-    keyed by regressor: ``coef_before``, ``coef_after``, ``sign_flipped``,
-    ``stars_before``, ``stars_after`` and ``significance_lost``."""
-    if fit_before.names != fit_after.names:
+def structural_change(before: dict, after: dict) -> dict[str, dict]:
+    """Per-regressor sign and significance transitions between two
+    ``results`` entries, keyed by regressor: ``coef_before``,
+    ``coef_after``, ``sign_flipped``, ``stars_before``, ``stars_after`` and
+    ``significance_lost``."""
+    if before["names"] != after["names"]:
         raise AlignmentError(
-            f"regressor sets differ: {fit_before.names} vs {fit_after.names}")
+            f"regressor sets differ: {before['names']} vs {after['names']}")
     changes = {}
-    for i, name in enumerate(fit_before.names):
-        before = float(fit_before.coefficients[i])
-        after = float(fit_after.coefficients[i])
-        stars_before = significance_stars(float(fit_before.p_values[i]))
-        stars_after = significance_stars(float(fit_after.p_values[i]))
-        changes[name] = {"coef_before": before, "coef_after": after,
-                         "sign_flipped": before * after < 0,
+    for name, coef_before, coef_after, stars_before, stars_after in zip(
+            before["names"], before["coefficients"], after["coefficients"],
+            before["stars"], after["stars"]):
+        changes[name] = {"coef_before": coef_before, "coef_after": coef_after,
+                         "sign_flipped": coef_before * coef_after < 0,
                          "stars_before": stars_before, "stars_after": stars_after,
                          "significance_lost": stars_before > 0 and stars_after == 0}
     return changes
@@ -178,24 +188,3 @@ def fit_to_dict(fit: OlsFit) -> dict:
         "n_obs": fit.n_obs,
         "n_params": fit.n_params,
     }
-
-
-def suite_to_dict(suite: SuiteResult) -> dict:
-    """JSON-ready suite document keyed ``window.model``; schema versioned."""
-    results = {f"{label}.{model_id}": fit_to_dict(fit)
-               for (label, model_id), fit in sorted(suite.fits.items())}
-    doc = {
-        "schema_version": 1,
-        "windows": [{"label": w.label, "start": w.start.isoformat(),
-                     "end": w.end.isoformat()} for w in suite.windows],
-        "skipped_windows": dict(sorted(suite.skipped_windows.items())),
-        "results": results,
-    }
-    skipped = [f"window {w.label} skipped: {suite.skipped_windows[w.label]}"
-               for w in suite.windows[:2] if w.label in suite.skipped_windows]
-    if skipped:
-        doc["structural_change"] = {"skip_reason": "; ".join(skipped)}
-    else:
-        doc["structural_change"] = structural_change(suite.fits[(suite.windows[0].label, 4)],
-                                                     suite.fits[(suite.windows[1].label, 4)])
-    return doc

@@ -57,13 +57,14 @@ def test_criterion_2_ols_recovery_and_nesting():
     panel = synthetic_panel(n=10_000, seed=2002, noise=1.0)
     assert TRUE_COEFFS["sentiment"] == 2.0 and TRUE_COEFFS["x_male"] == -0.3
     suite = run_suite(panel, default_windows())
-    assert suite.skipped_windows == {}
+    assert suite["skipped_windows"] == {}
     for window in ("2017-2021", "2021-2022", "2017-2022"):
-        fit = suite.fits[(window, 4)]
+        fit = suite["results"][f"{window}.4"]
+        by_name = dict(zip(fit["names"], fit["coefficients"]))
+        se = dict(zip(fit["names"], fit["standard_errors"]))
         for name, truth in TRUE_COEFFS.items():
-            assert abs(fit.coefficient(name) - truth) <= \
-                3 * fit.standard_error(name), (window, name)
-        r2s = [suite.fits[(window, m)].r2 for m in (1, 2, 3, 4)]
+            assert abs(by_name[name] - truth) <= 3 * se[name], (window, name)
+        r2s = [suite["results"][f"{window}.{m}"]["r2"] for m in (1, 2, 3, 4)]
         assert all(a <= b + 1e-12 for a, b in zip(r2s, r2s[1:])), window
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0

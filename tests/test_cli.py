@@ -112,7 +112,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("data, line", [
         (b"\xff = 1\n", 1), (b"language = en\n# caf\xc3\xa9\r\nkeywords = ape,\xe9\n", 3),
-        (b"language = en\xc2\x85language = \xc3", 2),   # U+0085 ends a line too
+        (b"language = en\xc2\x85language = \xc3", 1),   # U+0085 does not end a line
     ])
     def test_config_that_is_not_utf8_names_its_file_and_line(self, tmp_path, capsys,
                                                             data, line):
@@ -121,6 +121,18 @@ class TestConfig:
         assert main(["--config", str(config), "score"]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {config}:{line}: not valid UTF-8 (byte 0x"), err
+
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85", "\f", "\v", "\x1c",
+                                           "\x1d", "\x1e", "\r"])
+    def test_comment_holding_a_line_separator_is_ignored(self, synthetic_dataset, tmp_path,
+                                                         capsys, separator):
+        # Only "\n" ends a config line, as in every other input.
+        with open(synthetic_dataset, "a", encoding="utf-8", newline="") as fh:
+            fh.write(f"# window note{separator}see ticket\nlanguage = es # {separator} page\n")
+        assert parse_config_file(synthetic_dataset).language == "es"
+        assert main(["--config", str(synthetic_dataset), "--output-dir",
+                     str(tmp_path / "out"), "heatmap"]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_missing_required_input_is_fatal(self, tmp_path, capsys):
         config = write_config(tmp_path)  # lexicon.txt never written
@@ -371,21 +383,25 @@ class TestRegress:
 
     def test_suite_json_floats_are_the_repr_of_the_fits(self, synthetic_dataset, tmp_path,
                                                         monkeypatch):
-        suites = []
-        run_suite = cli.study.run_suite
+        fits = []
+        ols_fit = study.ols_fit
 
         def kept(*args, **kwargs):
-            suites.append(run_suite(*args, **kwargs))
-            return suites[-1]
-        monkeypatch.setattr(cli.study, "run_suite", kept)
+            fits.append(ols_fit(*args, **kwargs))
+            return fits[-1]
+        monkeypatch.setattr(study, "ols_fit", kept)
         out = tmp_path / "out"
         assert main(["--config", str(synthetic_dataset), "--output-dir", str(out),
                      "regress"]) == 0
         text = (out / "suite.json").read_text()
-        results = json.loads(text)["results"]
-        (suite,) = suites
-        for (label, model_id), fit in suite.fits.items():
-            doc = results[f"{label}.{model_id}"]
+        suite = json.loads(text)
+        results = suite["results"]
+        # run_suite fits each window's models in turn, none skipped here.
+        keys = [f"{window['label']}.{model_id}" for window in suite["windows"]
+                for model_id in (1, 2, 3, 4)]
+        assert len(fits) == len(keys) == len(results)
+        for key, fit in zip(keys, fits):
+            doc = results[key]
             for name, value in (("r2", fit.r2), ("adj_r2", fit.adj_r2)):
                 assert f'"{name}": {float(value)!r},' in text
                 assert doc[name] == value
@@ -507,7 +523,8 @@ def builtin_only(value):
 
 def structural_change_of(sale_panel):
     suite = study.run_suite(sale_panel, study.default_windows())
-    before, after = (suite.fits[(window.label, 4)] for window in suite.windows[:2])
+    before, after = (suite["results"][f"{window['label']}.4"]
+                     for window in suite["windows"][:2])
     return study.structural_change(before, after)
 
 
@@ -527,6 +544,16 @@ class TestSuiteBlocks:
         sale_panel = panel.read_panel_csv((regress_out / "panel.csv").read_text())
         result = SUITE_BLOCKS[block](sale_panel)
         assert result == json.loads((regress_out / "suite.json").read_text())[block]
+        assert builtin_only(result)
+        json.dumps(result, allow_nan=False)
+
+    def test_fits_are_run_suites_result(self, regress_out):
+        sale_panel = panel.read_panel_csv((regress_out / "panel.csv").read_text())
+        result = study.run_suite(sale_panel, study.default_windows())
+        doc = json.loads((regress_out / "suite.json").read_text())
+        assert list(result) == ["schema_version", "windows", "skipped_windows", "results",
+                                "structural_change"] == list(doc)[:5]
+        assert result == {key: doc[key] for key in result}
         assert builtin_only(result)
         json.dumps(result, allow_nan=False)
 
@@ -648,7 +675,8 @@ class TestBadMarketValues:
         replace_line(synthetic_dataset.parent / name, 3, line)
         assert self.run_all(synthetic_dataset, tmp_path) == 1
         what = name.removesuffix(".csv")
-        assert capsys.readouterr().err == f"error: {what} CSV {message}\n"
+        path = synthetic_dataset.parent / name
+        assert capsys.readouterr().err == f"error: {path}: {what} CSV {message}\n"
 
 
 class TestBadInputText:
@@ -678,8 +706,9 @@ class TestBadInputText:
         replace_line(synthetic_dataset.parent / name, 3, "1," + "x" * 140_000)
         out = tmp_path / "out"
         assert main(["--config", str(synthetic_dataset), "--output-dir", str(out), "all"]) == 1
-        assert capsys.readouterr().err == (
-            f"error: {what} CSV row 3: field larger than field limit (131072)\n")
+        assert capsys.readouterr().err == (f"error: {synthetic_dataset.parent / name}: "
+                                           f"{what} CSV row 3: field larger than field "
+                                           "limit (131072)\n")
 
     @pytest.mark.parametrize("name, where", [
         ("tweets.csv", "tweet CSV row 3"), ("keyword_tweets.csv", "tweet CSV row 3"),
@@ -697,7 +726,7 @@ class TestBadInputText:
         out = tmp_path / "out"
         assert main(["--config", str(synthetic_dataset), "--output-dir", str(out), "all"]) == 1
         assert capsys.readouterr().err == (
-            f"error: {where}: not valid UTF-8 (byte 0xff: invalid start byte)\n")
+            f"error: {path}: {where}: not valid UTF-8 (byte 0xff: invalid start byte)\n")
 
 
 class TestAll:

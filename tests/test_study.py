@@ -6,8 +6,7 @@ import pytest
 from punk_hedonics.panel import PANEL_COLUMNS, Panel
 from punk_hedonics.study import (AlignmentError, correlation_precheck,
                                  default_windows, design_for, model_specs,
-                                 run_suite, structural_change, suite_to_dict,
-                                 WindowSpec)
+                                 run_suite, structural_change, WindowSpec)
 
 TRUE_COEFFS = {
     "intercept": 6.0, "x_dark": -0.3, "x_light": -0.2, "x_medium": -0.25,
@@ -95,44 +94,46 @@ class TestRunSuite:
     def test_twelve_fits_and_recovery(self):
         panel = synthetic_panel(seed=1)
         suite = run_suite(panel, default_windows())
-        assert suite.skipped_windows == {}
-        assert len(suite.fits) == 12
+        assert suite["skipped_windows"] == {}
+        assert len(suite["results"]) == 12
         for window in ("2017-2021", "2021-2022", "2017-2022"):
-            fit = suite.fits[(window, 4)]
+            fit = suite["results"][f"{window}.4"]
+            coefficients = dict(zip(fit["names"], fit["coefficients"]))
+            standard_errors = dict(zip(fit["names"], fit["standard_errors"]))
             for name, truth in TRUE_COEFFS.items():
-                delta = abs(fit.coefficient(name) - truth)
-                assert delta <= 3 * fit.standard_error(name), (window, name)
+                delta = abs(coefficients[name] - truth)
+                assert delta <= 3 * standard_errors[name], (window, name)
 
     def test_nesting_monotonicity_of_r2(self):
         panel = synthetic_panel(seed=2, n=2000)
         suite = run_suite(panel, default_windows())
         for window in ("2017-2021", "2021-2022", "2017-2022"):
-            r2s = [suite.fits[(window, m)].r2 for m in (1, 2, 3, 4)]
+            r2s = [suite["results"][f"{window}.{m}"]["r2"] for m in (1, 2, 3, 4)]
             assert all(a <= b + 1e-12 for a, b in zip(r2s, r2s[1:]))
 
     def test_regressor_sets_match_specs(self):
         panel = synthetic_panel(seed=3, n=500)
         suite = run_suite(panel, default_windows())
         for spec in model_specs():
-            fit = suite.fits[("2017-2022", spec.id)]
-            assert fit.names == ("intercept",) + spec.regressors
+            fit = suite["results"][f"2017-2022.{spec.id}"]
+            assert fit["names"] == ["intercept", *spec.regressors]
 
     def test_insufficient_window_skipped_others_run(self):
         panel = synthetic_panel(seed=4, n=300, start=dt.date(2021, 6, 1),
                                 span_days=300)
         windows = default_windows()
         suite = run_suite(panel, windows)
-        assert "2017-2021" in suite.skipped_windows
-        assert ("2021-2022", 4) in suite.fits
+        assert "2017-2021" in suite["skipped_windows"]
+        assert "2021-2022.4" in suite["results"]
         # No non-human sale before the split: a zero dummy column there.
         panel = synthetic_panel(seed=4, n=800)
         pre_split = panel["date"] < np.datetime64(windows[1].start)
         panel = Panel({**panel.columns,
                        "x_nonhuman": np.where(pre_split, 0, panel["x_nonhuman"])})
         suite = run_suite(panel, windows)
-        assert "rank deficient" in suite.skipped_windows["2017-2021"]
-        assert ("2021-2022", 4) in suite.fits and ("2017-2022", 4) in suite.fits
-        assert not any(label == "2017-2021" for label, _ in suite.fits)
+        assert "rank deficient" in suite["skipped_windows"]["2017-2021"]
+        assert "2021-2022.4" in suite["results"] and "2017-2022.4" in suite["results"]
+        assert not any(key.startswith("2017-2021.") for key in suite["results"])
 
     def test_full_window_fits_same_as_from_a_masked_copy(self):
         # Every row lies in the full window, so it is fitted on the panel
@@ -145,19 +146,20 @@ class TestRunSuite:
                         for name, column in panel.columns.items()})
         whole, masked = run_suite(panel, windows), run_suite(padded, windows)
         for spec in model_specs():
-            a, b = whole.fits[(windows[2].label, spec.id)], masked.fits[(windows[2].label, spec.id)]
+            key = f"{windows[2].label}.{spec.id}"
+            a, b = whole["results"][key], masked["results"][key]
             for field in ("coefficients", "standard_errors", "t_stats", "p_values"):
-                assert np.array_equal(getattr(a, field), getattr(b, field)), field
-            assert (a.r2, a.adj_r2, a.n_obs) == (b.r2, b.adj_r2, b.n_obs)
+                assert a[field] == b[field], field
+            assert (a["r2"], a["adj_r2"], a["n_obs"]) == (b["r2"], b["adj_r2"], b["n_obs"])
 
     def test_determinism(self):
         panel = synthetic_panel(seed=5, n=800)
         a = run_suite(panel, default_windows())
         b = run_suite(panel, default_windows())
-        for key in a.fits:
-            assert np.array_equal(a.fits[key].coefficients, b.fits[key].coefficients)
-            assert a.fits[key].r2 == b.fits[key].r2
-        assert suite_to_dict(a) == suite_to_dict(b)
+        for key in a["results"]:
+            assert a["results"][key]["coefficients"] == b["results"][key]["coefficients"]
+            assert a["results"][key]["r2"] == b["results"][key]["r2"]
+        assert a == b
 
 
 class TestCorrelationPrecheck:
@@ -186,7 +188,7 @@ class TestStructuralChange:
     def test_identical_fits_no_changes(self):
         panel = synthetic_panel(seed=9, n=600)
         suite = run_suite(panel, default_windows())
-        fit = suite.fits[("2017-2022", 4)]
+        fit = suite["results"]["2017-2022.4"]
         report = structural_change(fit, fit)
         for change in report.values():
             assert not change["sign_flipped"]
@@ -197,9 +199,9 @@ class TestStructuralChange:
         before_coeffs = dict(TRUE_COEFFS)
         after_coeffs = dict(TRUE_COEFFS, x_male=+0.3)
         before = run_suite(synthetic_panel(seed=10, coeffs=before_coeffs, noise=0.2),
-                           default_windows()).fits[("2017-2022", 4)]
+                           default_windows())["results"]["2017-2022.4"]
         after = run_suite(synthetic_panel(seed=11, coeffs=after_coeffs, noise=0.2),
-                          default_windows()).fits[("2017-2022", 4)]
+                          default_windows())["results"]["2017-2022.4"]
         report = structural_change(before, after)
         flips = [n for n, c in report.items() if c["sign_flipped"]]
         assert flips == ["x_male"]
@@ -208,14 +210,14 @@ class TestStructuralChange:
         panel = synthetic_panel(seed=12, n=500)
         suite = run_suite(panel, default_windows())
         with pytest.raises(AlignmentError):
-            structural_change(suite.fits[("2017-2022", 3)],
-                              suite.fits[("2017-2022", 4)])
+            structural_change(suite["results"]["2017-2022.3"],
+                              suite["results"]["2017-2022.4"])
 
     def test_sign_flip_definition(self):
         panel = synthetic_panel(seed=13, n=500)
         suite = run_suite(panel, default_windows())
-        report = structural_change(suite.fits[("2017-2021", 4)],
-                                   suite.fits[("2021-2022", 4)])
+        report = structural_change(suite["results"]["2017-2021.4"],
+                                   suite["results"]["2021-2022.4"])
         for change in report.values():
             assert change["sign_flipped"] == (change["coef_before"] * change["coef_after"] < 0)
 
@@ -223,8 +225,7 @@ class TestStructuralChange:
 class TestSuiteSerialization:
     def test_schema_and_keys(self):
         panel = synthetic_panel(seed=14, n=600)
-        suite = run_suite(panel, default_windows())
-        doc = suite_to_dict(suite)
+        doc = run_suite(panel, default_windows())
         assert doc["schema_version"] == 1
         assert set(doc["results"]) == {f"{w}.{m}" for w in
                                        ("2017-2021", "2021-2022", "2017-2022")
