@@ -21,7 +21,7 @@ import numpy as np
 
 from . import market, panel, study, tweets
 from .econometrics import ConstantColumnError, InsufficientDataError
-from .ingest import IngestReport, numbered_lines
+from .ingest import IngestReport, iso_date, numbered_lines
 from .sentiment import SentimentLexicon, load_lexicon
 from .series import DailySeries, pct_change
 
@@ -55,10 +55,9 @@ class RunConfig:
     fx: Path | None = _setting(None, Path, input_path=True)
     lexicon: Path | None = _setting(None, Path, input_path=True)
     output_dir: Path = _setting(Path("out"), Path, flag=True)
-    split_date: dt.date = _setting(study.DEFAULT_SPLIT_DATE, dt.date.fromisoformat, flag=True)
-    window_start: dt.date = _setting(tweets.STUDY_WINDOW_START, dt.date.fromisoformat,
-                                     flag=True)
-    window_end: dt.date = _setting(tweets.STUDY_WINDOW_END, dt.date.fromisoformat, flag=True)
+    split_date: dt.date = _setting(study.DEFAULT_SPLIT_DATE, iso_date, flag=True)
+    window_start: dt.date = _setting(tweets.STUDY_WINDOW_START, iso_date, flag=True)
+    window_end: dt.date = _setting(tweets.STUDY_WINDOW_END, iso_date, flag=True)
     correlation_threshold: float = _setting(study.DEFAULT_CORRELATION_THRESHOLD, float,
                                             flag=True)
     max_adf_lag: int | None = _setting(None, int, flag=True)

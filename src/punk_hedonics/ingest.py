@@ -1,12 +1,24 @@
-"""Shared by every input reader: the source normaliser, the numbered line
-and CSV record readers, the ingest report and the schema error."""
+"""Shared by every input reader: the source normaliser, the numbered line,
+CSV record and CSV column readers, the date parser, the ingest report and
+the schema error."""
 
 from __future__ import annotations
 
 import csv
+import datetime as dt
 import io
-from collections.abc import Iterator
+import re
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
+from itertools import chain, islice, repeat
+
+# Lines per chunk of csv_columns.  1,024 sales lines decode to about 0.5 MB
+# of small field strings, inside one 1 MiB pymalloc arena.  4,096 lines ran
+# no faster, and the few objects that outlive a chunk kept arenas of its
+# freed fields resident: the peak RSS of ``all`` on the benchmark's
+# ``market`` inputs rose by ~2.4 MB, where 1,024 lines add ~0.5 MB.
+CHUNK_LINES = 1024
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
 class SchemaError(ValueError):
@@ -23,15 +35,24 @@ class IngestReport:
     accepted: int = 0
 
 
+def iso_date(text: str) -> dt.date:
+    """The date of ``YYYY-MM-DD`` text, and nothing else: Python 3.11's
+    ``date.fromisoformat`` also reads ``20210501`` and ``2021-W17-6``,
+    which 3.10's rejects.  Anything else is a ValueError."""
+    if not _ISO_DATE.fullmatch(text):
+        raise ValueError(f"Invalid isoformat string: {text!r}")
+    return dt.date.fromisoformat(text)
+
+
 def text_stream(source) -> Iterator[str]:
     """The lines of UTF-8 bytes, a str, or a binary or text file, split
     after each ``"\\n"`` as ``io.StringIO`` splits them.
 
     Bytes, a binary file's included, are decoded one line at a time, so
-    the whole text is never held decoded; a line that is not valid UTF-8
-    raises UnicodeDecodeError when it is reached.  In UTF-8 the byte 0x0A
-    only ever encodes ``"\\n"``, so the lines and the failures are those
-    of decoding the whole text.
+    the whole text is never held decoded (a reader may hold a chunk of
+    lines); a line that is not valid UTF-8 raises UnicodeDecodeError when
+    it is reached.  In UTF-8 the byte 0x0A only ever encodes ``"\\n"``, so
+    the lines and the failures are those of decoding the whole text.
     """
     if hasattr(source, "read"):
         source = source.read()
@@ -58,32 +79,43 @@ def numbered_lines(source, bad_line) -> Iterator[tuple[int, str]]:
         raise bad_line(lineno + 1, utf8_error(exc)) from None
 
 
+def _record_error(what: str, row_number: int, exc: Exception) -> ValueError:
+    """The ValueError for a record that ``csv`` or UTF-8 cannot read."""
+    reason = utf8_error(exc) if isinstance(exc, UnicodeDecodeError) else exc
+    return ValueError(f"{what} CSV row {row_number}: {reason}")
+
+
+def _header(lines, required: tuple[str, ...], what: str) -> tuple[dict[str, int], int]:
+    """The column of each name in the header record read from ``lines``,
+    and the header's width."""
+    try:
+        header = next(csv.reader(lines), [])
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise _record_error(what, 1, exc) from None
+    index = {name: i for i, name in enumerate(header)}
+    missing = [c for c in required if c not in index]
+    if missing:
+        raise SchemaError(f"{what} CSV missing columns: {', '.join(missing)}")
+    return index, len(header)
+
+
 def csv_records(source, required: tuple[str, ...], what: str,
                 ) -> tuple[dict[str, int], Iterator[tuple[int, list]]]:
     """The header and the records of a CSV, read as ``csv.DictReader`` reads them.
 
     Returns the column of each header name (a repeated name keeps its last
-    column) and an iterator of ``(row_number, row)``.  ``row_number``
-    counts CSV records with the header as 1; blank lines are skipped and
-    not counted.  A row shorter than the header is padded with None;
-    fields past the header are never looked up.  A header without every
-    name in ``required`` is a SchemaError naming the ``what`` CSV.  A record
-    ``csv`` cannot read (a field over its size limit) is a ValueError naming
-    the ``what`` CSV and the record's row number, and so is a record that
-    is not valid UTF-8.
+    column) and an iterator of ``(row_number, row)``, reading one line of
+    ``text_stream`` at a time.  ``row_number`` counts CSV records with the
+    header as 1; blank lines are skipped and not counted.  A row shorter
+    than the header is padded with None; fields past the header are never
+    looked up.  A header without every name in ``required`` is a
+    SchemaError naming the ``what`` CSV.  A record ``csv`` cannot read (a
+    field over its size limit) is a ValueError naming the ``what`` CSV and
+    the record's row number, and so is a record that is not valid UTF-8.
     """
-    reader = csv.reader(text_stream(source))
-    try:
-        header = next(reader, [])
-    except csv.Error as exc:
-        raise ValueError(f"{what} CSV row 1: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{what} CSV row 1: {utf8_error(exc)}") from None
-    index = {name: i for i, name in enumerate(header)}
-    missing = [c for c in required if c not in index]
-    if missing:
-        raise SchemaError(f"{what} CSV missing columns: {', '.join(missing)}")
-    return index, _numbered(reader, len(header), what)
+    lines = text_stream(source)
+    index, width = _header(lines, required, what)
+    return index, _numbered(csv.reader(lines), width, what)
 
 
 def _numbered(reader, width: int, what: str) -> Iterator[tuple[int, list]]:
@@ -96,7 +128,82 @@ def _numbered(reader, width: int, what: str) -> Iterator[tuple[int, list]]:
             if len(row) < width:
                 row += [None] * (width - len(row))
             yield row_number, row
-    except csv.Error as exc:                # the reader failed on the record after row_number
-        raise ValueError(f"{what} CSV row {row_number + 1}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{what} CSV row {row_number + 1}: {utf8_error(exc)}") from None
+    except (csv.Error, UnicodeDecodeError) as exc:  # failed on the record after row_number
+        raise _record_error(what, row_number + 1, exc) from None
+
+
+def csv_columns(source, required: tuple[str, ...], what: str,
+                ) -> tuple[dict[str, int], Iterator[tuple[Sequence[int], list[list]]]]:
+    """The header and the records of a CSV as ``csv_records`` reads them,
+    a chunk of columns at a time.
+
+    Returns the column of each header name and an iterator of
+    ``(row_numbers, columns)``, one per chunk of ``CHUNK_LINES`` lines of
+    ``text_stream``: the row number of each record in the chunk, and one
+    list of fields per header column, None where a row is short.  Row
+    numbers, header checks and errors are those of ``csv_records``; the
+    records of a chunk that fails are not returned.  At most one chunk is
+    held decoded: a chunk of plain lines (no ``"``, NUL, blank line or
+    lone ``\\r``, none longer than ``csv.field_size_limit()``, and as many
+    fields as the header on each) is split on commas, and any other chunk
+    is read by ``csv.reader``, a quoted field running on past its last line.
+    """
+    lines = text_stream(source)
+    index, width = _header(lines, required, what)
+    return index, _chunks(lines, width, what)
+
+
+def _raising(exc: Exception) -> Iterator[str]:
+    """An iterator that raises ``exc`` when it is first advanced."""
+    raise exc
+    yield
+
+
+def _chunks(lines, width: int, what: str) -> Iterator[tuple[Sequence[int], list[list]]]:
+    limit, row_number = csv.field_size_limit(), 1
+    while True:
+        chunk, rest = [], lines
+        try:
+            chunk.extend(islice(lines, CHUNK_LINES))    # keeps the lines before a failure
+        except UnicodeDecodeError as exc:
+            rest = _raising(exc)                        # fails where the next line would be
+        if not chunk and rest is lines:
+            return
+        columns = _plain_columns(chunk, width, limit) if rest is lines else None
+        if columns is not None:
+            yield range(row_number + 1, row_number + 1 + len(chunk)), columns
+            row_number += len(chunk)
+            continue
+        numbers, rows = [], []
+        reader = csv.reader(chain(chunk, rest))
+        try:
+            for row in reader:
+                if row:
+                    row_number += 1
+                    numbers.append(row_number)
+                    rows.append(row + [None] * (width - len(row)))
+                if reader.line_num >= len(chunk):
+                    break
+            if rest is not lines:
+                next(rest)                              # the failure after the chunk
+        except (csv.Error, UnicodeDecodeError) as exc:  # failed on the record after row_number
+            raise _record_error(what, row_number + 1, exc) from None
+        if rows:
+            yield numbers, [list(column) for column in islice(zip(*rows), width)]
+
+
+def _plain_columns(chunk: list[str], width: int, limit: int) -> list[list[str]] | None:
+    """The columns of a chunk of lines split on commas, where that reads
+    them as ``csv.reader`` does: no ``"``, NUL, blank line or ``\\r`` but
+    in a ``\\r\\n`` line end, no line longer than ``limit``, and
+    ``width - 1`` commas on every line.  Otherwise None."""
+    text = ",".join(chunk)
+    if ('"' in text or "\x00" in text or "\n" in chunk or "\r\n" in chunk
+            or ("\r" in text and text.count("\r") != text.count("\r\n"))
+            or max(map(len, chunk)) > limit
+            or set(map(str.count, chunk, repeat(","))) != {width - 1}):
+        return None
+    fields = text.split(",")
+    columns = [fields[i::width] for i in range(width)]
+    columns[-1] = list(map(str.rstrip, columns[-1], repeat("\r\n")))     # drop the line ends
+    return columns

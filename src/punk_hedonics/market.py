@@ -6,11 +6,11 @@ import datetime as dt
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product
+from itertools import compress, product
 
 import numpy as np
 
-from .ingest import IngestReport, csv_records
+from .ingest import IngestReport, csv_columns, iso_date
 from .series import EPOCH_ORDINAL, DailySeries, Table
 
 
@@ -110,11 +110,89 @@ class _Memo(dict):
 
 
 def _day_number(raw: str | None) -> int | None:
-    """Days since 1970-01-01 of an ISO date, or None if it is not one."""
+    """Days since 1970-01-01 of a ``YYYY-MM-DD`` date, or None if it is not one."""
     try:
-        return dt.date.fromisoformat((raw or "").strip()).toordinal() - EPOCH_ORDINAL
+        return iso_date((raw or "").strip()).toordinal() - EPOCH_ORDINAL
     except ValueError:
         return None
+
+
+def _rarity(raw: str | None) -> float | None:
+    """A rarity field's number, None if it is blank."""
+    return float(raw) if raw and raw.strip() else None
+
+
+def _mapped(parse, column: list, fill) -> tuple[list, list[int]]:
+    """``parse`` of each field, ``fill`` where it raises TypeError or
+    ValueError, and the positions of those fields."""
+    values, failed, parsed = [], [], map(parse, column)
+    while True:
+        try:
+            values.extend(parsed)           # keeps the values before a failure
+            return values, failed
+        except (TypeError, ValueError):     # ``parsed`` resumes after the failed field
+            failed.append(len(values))
+            values.append(fill)
+
+
+def _positions(values: list, value=None) -> list[int]:
+    """The positions of ``value`` in ``values``."""
+    found, at = [], -1
+    try:
+        while True:
+            at = values.index(value, at + 1)
+            found.append(at)
+    except ValueError:
+        return found
+
+
+def _check_sales(raw: dict[str, list], memos: dict[str, _Memo],
+                 ) -> tuple[dict[str, list | np.ndarray], dict[int, str]]:
+    """Check a chunk of sales fields a column at a time, rule after rule
+    in ingest_sales' order.  Returns the parsed columns, with a stand-in
+    value where a row fails, and the first reason of each failing row, by
+    its position in the chunk."""
+    reasons: dict[int, str] = {}
+
+    def reject(positions, reason):
+        for at in positions:
+            reasons.setdefault(at, reason)
+
+    punk, failed = _mapped(int, raw["punk_id"], 0)
+    if punk and not (-_INT64_LIMIT <= min(punk) and max(punk) < _INT64_LIMIT):
+        wide = [at for at, p in enumerate(punk) if not -_INT64_LIMIT <= p < _INT64_LIMIT]
+        for at in wide:
+            punk[at] = 0
+        failed += wide
+    reject(failed, "bad punk_id")
+    day = list(map(memos["date"].__getitem__, raw["date"]))
+    for at in _positions(day):
+        reasons.setdefault(at, "bad date")
+        day[at] = 0
+    price, failed = _mapped(float, raw["price_eth"], 0.0)
+    reject(failed, "bad price_eth")
+    price = np.array(price, dtype=np.float64)
+    reject(np.flatnonzero(~np.isfinite(price)).tolist(), "non-finite price_eth")
+    reject(np.flatnonzero(price < 0).tolist(), "negative price_eth")
+    codes = {}
+    for name, label in (("skin", "skin_tone"), ("gender", "gender")):
+        codes[name] = list(map(memos[label].__getitem__, raw[label]))
+        for at in _positions(codes[name]):
+            reasons.setdefault(at, f"unknown {label} {raw[label][at]!r}")
+            codes[name][at] = 0
+    rarity = np.full(len(punk), np.nan)
+    if "rarity" in raw:
+        given, failed = _mapped(memos["rarity"].__getitem__, raw["rarity"], None)
+        reject(failed, "bad rarity")
+        blank = _positions(given)
+        for at in blank:
+            given[at] = 1.0                     # passes the two rules below
+        rarity = np.array(given, dtype=np.float64)
+        reject(np.flatnonzero(~np.isfinite(rarity)).tolist(), "non-finite rarity")
+        reject(np.flatnonzero(rarity <= 0).tolist(), "non-positive rarity")
+        rarity[blank] = np.nan
+    return {"punk_id": punk, "day": day, "price_eth": price, "rarity": rarity,
+            "skin": codes["skin"], "gender": codes["gender"]}, reasons
 
 
 def ingest_sales(source) -> tuple[Sales, IngestReport]:
@@ -123,113 +201,84 @@ def ingest_sales(source) -> tuple[Sales, IngestReport]:
     Header: ``punk_id,date,price_eth,skin_tone,gender,buyer,seller[,rarity]``.
     Unknown extra columns are ignored.  A row is rejected, with the first
     reason that applies, for a punk_id that is not an integer in 64 bits,
-    a date that is not ISO, a price_eth that is not a number, not finite
-    or negative, a skin_tone or gender label that is not a SkinTone or
-    Gender value (any case, surrounding space ignored), or a non-empty
-    rarity that is not a finite number > 0.  A reject's row number counts CSV
-    records with the header as 1; blank lines are not counted.  See Sales
-    for the columns of the accepted rows.
-    """
-    index, records = csv_records(source, SALES_COLUMNS, "sales")
-    i_punk, i_date, i_price, i_skin, i_gender, i_buyer, i_seller = (
-        index[c] for c in SALES_COLUMNS)
-    i_rarity = index.get("rarity")
-    days = _Memo(_day_number)                   # each distinct date string parsed once
-    skins = _Memo(lambda raw: _SKIN_CODES.get((raw or "").strip().lower()))
-    genders = _Memo(lambda raw: _GENDER_CODES.get((raw or "").strip().lower()))
-    isfinite = math.isfinite
+    a date that is not ``YYYY-MM-DD``, a price_eth that is not a number,
+    not finite or negative, a skin_tone or gender label that is not a
+    SkinTone or Gender value (any case, surrounding space ignored), or a
+    non-empty rarity that is not a finite number > 0.  A reject's row
+    number counts CSV records with the header as 1; blank lines are not
+    counted.  See Sales for the columns of the accepted rows.
 
+    The CSV is read one ``csv_columns`` chunk at a time, and each chunk is
+    checked a column at a time, so at most one chunk is held decoded.
+    """
+    index, chunks = csv_columns(source, SALES_COLUMNS, "sales")
+    memos = {"date": _Memo(_day_number),       # each distinct field parsed once
+             "skin_tone": _Memo(lambda raw: _SKIN_CODES.get((raw or "").strip().lower())),
+             "gender": _Memo(lambda raw: _GENDER_CODES.get((raw or "").strip().lower())),
+             "rarity": _Memo(_rarity)}
+    parts = {name: [np.empty(0, Sales.DTYPES[name])]
+             for name in ("punk_id", "day", "price_eth", "rarity", "skin", "gender")}
+    wallets = {"buyer": [], "seller": []}       # the accepted addresses as read
     report = IngestReport()
-    rejects = report.rejects
-    accepted = []
-    for row_number, row in records:
-        try:
-            punk_id = int(row[i_punk])
-        except (TypeError, ValueError):
-            rejects.append((row_number, "bad punk_id"))
-            continue
-        if not -_INT64_LIMIT <= punk_id < _INT64_LIMIT:
-            rejects.append((row_number, "bad punk_id"))
-            continue
-        day = days[row[i_date]]
-        if day is None:
-            rejects.append((row_number, "bad date"))
-            continue
-        try:
-            price = float(row[i_price])
-        except (TypeError, ValueError):
-            rejects.append((row_number, "bad price_eth"))
-            continue
-        if not isfinite(price):
-            rejects.append((row_number, "non-finite price_eth"))
-            continue
-        if price < 0:
-            rejects.append((row_number, "negative price_eth"))
-            continue
-        skin = skins[row[i_skin]]
-        if skin is None:
-            rejects.append((row_number, f"unknown skin_tone {row[i_skin]!r}"))
-            continue
-        gender = genders[row[i_gender]]
-        if gender is None:
-            rejects.append((row_number, f"unknown gender {row[i_gender]!r}"))
-            continue
-        rarity = math.nan
-        raw_rarity = None if i_rarity is None else row[i_rarity]
-        if raw_rarity and raw_rarity.strip():
-            try:
-                rarity = float(raw_rarity)
-            except ValueError:
-                rejects.append((row_number, "bad rarity"))
-                continue
-            if not isfinite(rarity):
-                rejects.append((row_number, "non-finite rarity"))
-                continue
-            if rarity <= 0:
-                rejects.append((row_number, "non-positive rarity"))
-                continue
-        accepted.append((punk_id, day, price, rarity, skin, gender,
-                         row[i_buyer], row[i_seller]))
-    report.accepted = len(accepted)
-    names = ("punk_id", "day", "price_eth", "rarity", "skin", "gender", "buyer", "seller")
-    columns = dict(zip(names, zip(*accepted))) if accepted else dict.fromkeys(names, ())
-    columns["day"] = np.array(columns["day"], dtype=np.int64).astype("datetime64[D]")
-    wallet_ids: dict[str, int] = {}
-    for role in ("buyer", "seller"):
-        columns[role] = [wallet_ids.setdefault((raw or "").strip(), len(wallet_ids))
-                         for raw in columns[role]]
+    for rows, columns in chunks:
+        raw = {name: columns[i] for name, i in index.items()}
+        values, reasons = _check_sales(raw, memos)
+        keep = np.ones(len(rows), dtype=bool)
+        if reasons:
+            bad = sorted(reasons)
+            report.rejects += [(rows[at], reasons[at]) for at in bad]
+            keep[bad] = False
+        for name, column in values.items():
+            parts[name].append(np.asarray(column, dtype=Sales.DTYPES[name])[keep])
+        for role, addresses in wallets.items():
+            addresses += compress(raw[role], keep.tolist()) if reasons else raw[role]
+    columns = {name: np.concatenate(arrays) for name, arrays in parts.items()}
+    # Wallet ids number the stripped addresses in first-seen order, over
+    # the buyers and then the sellers.
+    ids: dict[str, int] = {}
+    for role, addresses in wallets.items():
+        columns[role] = [ids.setdefault((raw or "").strip(), len(ids)) for raw in addresses]
+    report.accepted = len(columns["punk_id"])
     return Sales(columns), report
 
 
 def _ingest_two_column_series(source, what: str, date_col: str,
                               value_col: str) -> DailySeries:
-    """Read a ``date,value`` CSV of finite values > 0; any bad row is fatal,
-    a ValueError ``<what> CSV row N: ...``, as in the errors of
-    ``csv_records``, with rows numbered as ingest_sales numbers them."""
-    index, records = csv_records(source, (date_col, value_col), what)
-    i_date, i_value = index[date_col], index[value_col]
+    """Read a ``date,value`` CSV of finite values > 0 and distinct
+    ``YYYY-MM-DD`` dates.  The first bad row is fatal, a ValueError
+    ``<what> CSV row N: ...`` numbered as ``csv_records`` numbers rows; a
+    row's bad date wins over its bad value.  Read one ``csv_columns``
+    chunk at a time and checked a column at a time."""
+    index, chunks = csv_columns(source, (date_col, value_col), what)
     out = {}                                    # day number -> value
-    for row_number, row in records:
-        raw_date, raw_value = row[i_date], row[i_value]
-        day = _day_number(raw_date)
-        if day is None:
-            raise ValueError(f"{what} CSV row {row_number}: bad {date_col} {raw_date!r}")
-        try:
-            value = float(raw_value)
-        except (TypeError, ValueError):
-            raise ValueError(f"{what} CSV row {row_number}: "
-                             f"bad {value_col} {raw_value!r}") from None
-        if not math.isfinite(value):
-            raise ValueError(f"{what} CSV row {row_number}: "
-                             f"{value_col} must be finite, got {value}")
-        if value <= 0:
-            raise ValueError(f"{what} CSV row {row_number}: "
-                             f"{value_col} must be > 0, got {value}")
-        if day in out:
-            date = dt.date.fromordinal(day + EPOCH_ORDINAL)
-            raise ValueError(f"{what} CSV row {row_number}: "
-                             f"duplicate date {date.isoformat()}")
-        out[day] = value
+    for rows, columns in chunks:
+        raw_dates, raw_values = columns[index[date_col]], columns[index[value_col]]
+        days = list(map(_day_number, raw_dates))
+        values, unparsed = _mapped(float, raw_values, math.nan)
+        array = np.array(values, dtype=np.float64)
+        errors = []                             # (position, rule, message) of each rule's first
+        for at in _positions(days)[:1]:
+            errors.append((at, 0, f"bad {date_col} {raw_dates[at]!r}"))
+        for at in unparsed[:1]:
+            errors.append((at, 1, f"bad {value_col} {raw_values[at]!r}"))
+        for at in np.flatnonzero(~np.isfinite(array))[:1].tolist():
+            errors.append((at, 2, f"{value_col} must be finite, got {values[at]}"))
+        for at in np.flatnonzero(array <= 0)[:1].tolist():
+            errors.append((at, 3, f"{value_col} must be > 0, got {values[at]}"))
+        known = len(out)
+        out.update(zip(days, values))
+        if len(out) < known + len(days):        # a date seen before
+            seen = set(list(out)[:known])
+            for at, day in enumerate(days):
+                if day in seen:
+                    break
+                seen.add(day)
+            if days[at] is not None:            # else a bad date comes first
+                date = dt.date.fromordinal(days[at] + EPOCH_ORDINAL)
+                errors.append((at, 4, f"duplicate date {date.isoformat()}"))
+        if errors:
+            at, _, message = min(errors)
+            raise ValueError(f"{what} CSV row {rows[at]}: {message}")
     return DailySeries(list(out), list(out.values()))
 
 

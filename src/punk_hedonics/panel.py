@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import datetime as dt
 import math
 from dataclasses import dataclass, field
 
@@ -10,7 +9,7 @@ import numpy as np
 
 from .econometrics import (ADF_MIN_LENGTH, adf_test, ConstantColumnError,
                            InsufficientDataError, SingularDesignError)
-from .ingest import csv_records
+from .ingest import csv_records, iso_date
 from .market import GENDERS, SKIN_TONES, Gender, Sales, SkinTone
 from .series import DailySeries, Table
 
@@ -198,5 +197,5 @@ def read_panel_csv(source) -> Panel:
             raise PanelError(f"panel CSV row {row_number} must have {len(PANEL_COLUMNS)} fields")
         rows.append(row)
     columns = {name: [row[i] for row in rows] for i, name in enumerate(PANEL_COLUMNS)}
-    columns["date"] = [dt.date.fromisoformat(d) for d in columns["date"]]  # numpy truncates a time
+    columns["date"] = [iso_date(d) for d in columns["date"]]   # numpy truncates a time
     return Panel(columns)

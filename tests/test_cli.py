@@ -158,6 +158,25 @@ class TestConfig:
                                     for setting in fields(cli.RunConfig)
                                     if setting.metadata["flag"]}
 
+    @pytest.mark.parametrize("key", ["split_date", "window_start", "window_end"])
+    @pytest.mark.parametrize("value", ["20210601", "2021-W22-2"])
+    def test_date_setting_not_yyyy_mm_dd_is_an_error(self, synthetic_dataset, tmp_path,
+                                                     capsys, key, value):
+        # Python 3.11's date.fromisoformat reads both; 3.10's reads neither.
+        lines = len(synthetic_dataset.read_text(encoding="utf-8").splitlines())
+        with open(synthetic_dataset, "a", encoding="utf-8") as fh:
+            fh.write(f"{key} = {value}\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(synthetic_dataset), "--output-dir", str(out), "all"]) == 1
+        assert capsys.readouterr().err == (f"error: {synthetic_dataset}:{lines + 1}: "
+                                           f"Invalid isoformat string: {value!r}\n")
+        with pytest.raises(SystemExit) as info:
+            main(["--config", str(synthetic_dataset), "--" + key.replace("_", "-"), value,
+                  "all"])
+        assert info.value.code == 2
+        assert f"invalid iso_date value: {value!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     FLAG_VALUES = {"output_dir": "runs/a", "split_date": "2021-06-01",
                    "window_start": "2018-02-01", "window_end": "2022-03-31",
                    "correlation_threshold": "0.25", "max_adf_lag": "3", "language": "es"}
@@ -669,10 +688,20 @@ class TestBadMarketValues:
         ("fx.csv", "2020-09-02,1e999", "row 3: eth_usd_close must be finite, got inf"),
         ("fx.csv", ",412.5", "row 3: bad date ''"),
         ("fx.csv", "2020-09-31,412.5", "row 3: bad date '2020-09-31'"),
+        ("fx.csv", "20200902,412.5", "row 3: bad date '20200902'"),
+        ("gas.csv", "2020-W36-3,55", "row 3: bad date '2020-W36-3'"),
+        # Lines 3, 4, 5, ...: the first bad row is the error, and within a
+        # row a bad date comes before a bad value.
+        ("gas.csv", "2020-09-02,fast\n2020-09-03,50\n2020-09-31,50",
+         "row 3: bad gwei_avg 'fast'"),
+        ("fx.csv", "2020-09-02,inf\n2020-09-02,412.5",
+         "row 3: eth_usd_close must be finite, got inf"),
+        ("gas.csv", "2020-09-31,fast", "row 3: bad date '2020-09-31'"),
     ])
     def test_bad_gas_or_fx_row_is_an_error(self, synthetic_dataset, tmp_path, capsys,
                                            name, line, message):
-        replace_line(synthetic_dataset.parent / name, 3, line)
+        for number, text in enumerate(line.split("\n"), start=3):
+            replace_line(synthetic_dataset.parent / name, number, text)
         assert self.run_all(synthetic_dataset, tmp_path) == 1
         what = name.removesuffix(".csv")
         path = synthetic_dataset.parent / name

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import Sale, make_sales, mapping_of, series_of
+from punk_hedonics import ingest
 from punk_hedonics.ingest import SchemaError
 from punk_hedonics.market import (GENDERS, SKIN_TONES, Gender, Sales, SkinTone,
                                   UncoveredDatesError, attribute_distribution,
@@ -92,6 +93,14 @@ class TestIngestSales:
         assert report.rejects == [(2, "non-finite rarity")]
         assert sales["rarity"].tolist() == [3.5]
 
+    @pytest.mark.parametrize("date", ["20210501", "2021-W17-6", "2021-5-1", "2021-05-01T00"])
+    def test_date_not_yyyy_mm_dd_rejected(self, date):
+        # Python 3.11's date.fromisoformat reads the first two; 3.10's does not.
+        sales, report = ingest_sales(f"{HEADER}\n1,{date},1,Dark,Male,a,b\n"
+                                     "2, 2021-05-01 ,1,Dark,Male,a,b\n")
+        assert report.rejects == [(2, "bad date")]
+        assert sales["day"].tolist() == [dt.date(2021, 5, 1)]
+
     def test_punk_id_beyond_64_bits_rejected(self):
         csv_text = (f"{HEADER}\n{2 ** 63},2021-05-01,1,Dark,Male,a,b\n"
                     f"{-2 ** 63},2021-05-01,1,Dark,Male,a,b\n")
@@ -155,10 +164,27 @@ class TestSeriesIngest:
         ("2021-05-01,nan\n", "row 2: gwei_avg must be finite, got nan"),
         ("2021-05-01,1\n\n2021-05-02,inf\n", "row 3: gwei_avg must be finite, got inf"),
         ("2021-05-01,1\n2021-13-01,1\n", "row 3: bad date '2021-13-01'"),
+        ("2021-05-01,1\n20210502,1\n", "row 3: bad date '20210502'"),
+        ("2021-W17-6,1\n", "row 2: bad date '2021-W17-6'"),
         (",1\n", "row 2: bad date ''"),
+        ("2021-05-01,1\nx,1\ny,2\n", "row 3: bad date 'x'"),
         ("2021-05-01,1\n2021-05-01,2\n", "row 3: duplicate date 2021-05-01"),
     ])
     def test_bad_row_is_a_value_error_naming_it(self, body, message):
+        with pytest.raises(ValueError) as info:
+            ingest_gas("date,gwei_avg\n" + body)
+        assert str(info.value) == f"gas CSV {message}"
+
+    @pytest.mark.parametrize("chunk_lines", [1, 2, 3])
+    @pytest.mark.parametrize("body, message", [
+        ("2021-05-01,1\n2021-05-02,x\n2021-05-01,2\n,3\n", "row 3: bad gwei_avg 'x'"),
+        ("2021-05-01,1\n2021-05-02,2\n\n2021-05-01,5\n2021-05-03,x\n",
+         "row 4: duplicate date 2021-05-01"),
+        ("2021-05-01,1\n2021-05-02,2\n2021-05-03,3\n2021-02-30,0\n",
+         "row 5: bad date '2021-02-30'"),
+    ])
+    def test_first_bad_row_wins_across_chunks(self, monkeypatch, chunk_lines, body, message):
+        monkeypatch.setattr(ingest, "CHUNK_LINES", chunk_lines)
         with pytest.raises(ValueError) as info:
             ingest_gas("date,gwei_avg\n" + body)
         assert str(info.value) == f"gas CSV {message}"

@@ -7,7 +7,10 @@ sales, rarity overrides, zero prices, a subnormal price whose USD value may
 underflow to 0, a wallet on both sides of a day, and daily inputs that miss
 some sale days.  Prices span magnitudes so that summing a day's volume in
 another order changes its bits.  Each CSV is
-read as a str or as its UTF-8 bytes, which the reference decodes whole.
+read as a str or as its UTF-8 bytes, which the reference decodes whole, and
+read in chunks of 1, 2, 3 or ``ingest.CHUNK_LINES`` lines, so that blank
+lines, short and long rows, bad fields and quoted multi-line fields fall on
+every side of a chunk's end.
 """
 
 import csv
@@ -22,7 +25,7 @@ from hypothesis import strategies as st
 import row_reference as ref
 import series_reference
 from conftest import mapping_of, series_of
-from punk_hedonics import market, panel
+from punk_hedonics import ingest, market, panel
 from punk_hedonics.market import GENDERS, SALES_COLUMNS, SKIN_TONES, UncoveredDatesError
 from punk_hedonics.panel import PANEL_COLUMNS, PanelError
 
@@ -31,8 +34,8 @@ PRICES = ["0", "0.0", "-0.0", "0.1", "0.2", "0.3", "1", "2.5", "3.7", "1e16", "1
           "5e-324", "123456.789", " 4.2 ", "1_000"]
 # Per column: (values that pass, values that give its reject reason).
 FIELDS = {
-    "punk_id": (st.sampled_from(["0", "1", "2", "3", "4", " 5 ", "-1"]),
-                st.sampled_from(["x", "", "1.5"])),
+    "punk_id": (st.sampled_from(["0", "1", "2", "3", "4", " 5 ", "-1", str(2 ** 63 - 1)]),
+                st.sampled_from(["x", "", "1.5", str(2 ** 63), str(-2 ** 63 - 1)])),
     "date": (st.sampled_from([d.isoformat() for d in DAYS] + [f" {DAYS[2].isoformat()} "]),
              st.sampled_from(["2021-13-01", "yesterday", ""])),
     "price_eth": (st.sampled_from(PRICES) | st.floats(min_value=0, max_value=1e300).map(repr),
@@ -76,6 +79,27 @@ def sales_csvs(draw):
     buffer = io.StringIO()
     csv.writer(buffer, lineterminator="\n").writerows(lines)
     return buffer.getvalue()
+
+
+def reference_ingest(source):
+    """row_reference's ingest_sales plus the rule added after it: a punk_id
+    outside 64 bits is its row's first reason, ``bad punk_id``."""
+    records, report = ref.ingest_sales(source)
+    text = source.decode("utf-8") if isinstance(source, bytes) else source
+    wide = set()
+    for number, row in enumerate(csv.DictReader(io.StringIO(text)), start=2):
+        try:
+            if not -2 ** 63 <= int(row["punk_id"]) < 2 ** 63:
+                wide.add(number)
+        except (TypeError, ValueError):
+            pass
+    reasons = dict(report.rejects)
+    numbers = [n for n in range(2, 2 + len(records) + len(reasons)) if n not in reasons]
+    kept = [record for number, record in zip(numbers, records) if number not in wide]
+    reasons.update(dict.fromkeys(wide, "bad punk_id"))
+    report.rejects = sorted(reasons.items())
+    report.accepted = len(kept)
+    return kept, report
 
 
 def series_over(draw, days):
@@ -157,13 +181,15 @@ def assert_panels_bitwise_equal(a, b):
 
 
 class TestMatchesRowReference:
-    @settings(max_examples=250, deadline=None)
+    @settings(max_examples=400, deadline=None)
     @given(sales_csvs(), daily_inputs(), st.sets(st.integers(-1, 5), max_size=2),
-           st.booleans())
-    def test_market_path(self, text, inputs, unrated, as_bytes):
+           st.booleans(), st.sampled_from([1, 2, 3, ingest.CHUNK_LINES]))
+    def test_market_path(self, text, inputs, unrated, as_bytes, chunk_lines):
         source = text.encode("utf-8") if as_bytes else text
-        records, ref_report = ref.ingest_sales(source)
-        sales, report = market.ingest_sales(source)
+        records, ref_report = reference_ingest(source)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest, "CHUNK_LINES", chunk_lines)
+            sales, report = market.ingest_sales(source)
         assert report == ref_report
         assert_sales_equal(sales, records)
 
