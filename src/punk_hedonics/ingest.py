@@ -1,6 +1,6 @@
-"""Shared by every input reader: the source normaliser, the numbered line,
-CSV record and CSV column readers, the date parser, the ingest report and
-the schema error."""
+"""Every text format is read here: the source normaliser, the numbered
+line, CSV record and CSV column readers, the date and timestamp parsers,
+the ingest report and the schema error."""
 
 from __future__ import annotations
 
@@ -12,13 +12,21 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
 
-# Lines per chunk of csv_columns.  1,024 sales lines decode to about 0.5 MB
-# of small field strings, inside one 1 MiB pymalloc arena.  4,096 lines ran
-# no faster, and the few objects that outlive a chunk kept arenas of its
-# freed fields resident: the peak RSS of ``all`` on the benchmark's
-# ``market`` inputs rose by ~2.4 MB, where 1,024 lines add ~0.5 MB.
+# Lines (records, after its switch) per chunk of csv_columns.  1,024 sales
+# lines decode to about 0.5 MB of small field strings, inside one 1 MiB
+# pymalloc arena.  4,096 lines ran no faster, and the few objects that
+# outlive a chunk kept arenas of its freed fields resident: the peak RSS of
+# ``all`` on the benchmark's ``market`` inputs rose by ~2.4 MB.
 CHUNK_LINES = 1024
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+# Python 3.10's fromisoformat: YYYY-MM-DD[?HH[:MM[:SS]][.fff[fff]][+HH:MM[:SS[.ffffff]]]],
+# ? any character, with its C parser's quirks: ":" also opens a fraction after
+# seconds, and a time may end in a NUL, or in any character before an offset.
+_ISO_TIMESTAMP = re.compile(
+    r"[0-9]{4}-[0-9]{2}-[0-9]{2}(?:.[0-9]{2}"
+    r"(?:(?::[0-9]{2}){0,2}(?:[^+-](?=[+-])|\x00)?|(?::[0-9]{2})?\.[0-9]{3}(?:[0-9]{3})?"
+    r"|:[0-9]{2}:[0-9]{2}[.:][0-9]{3}(?:[0-9]{3})?)"
+    r"(?:[+-][0-9]{2}:[0-9]{2}(?::[0-9]{2}(?:[.:][0-9]{6})?)?)?)?", re.DOTALL)
 
 
 class SchemaError(ValueError):
@@ -42,6 +50,22 @@ def iso_date(text: str) -> dt.date:
     if not _ISO_DATE.fullmatch(text):
         raise ValueError(f"Invalid isoformat string: {text!r}")
     return dt.date.fromisoformat(text)
+
+
+def utc_day(text: str) -> dt.date:
+    """The UTC day of an ISO timestamp as Python 3.10's ``fromisoformat``
+    reads it, surrounding whitespace stripped and each ``Z`` read as
+    ``+00:00``; a naive time is its own day.  Forms only 3.11's reads, such
+    as ``2021-05-01T1200``, are a ValueError on every Python, as is any
+    other text; a UTC day past ``date``'s range is an OverflowError."""
+    text = text.strip().replace("Z", "+00:00")
+    # The common shapes pass on their separators; fromisoformat checks the digits.
+    if not ((len(text) == 19 or len(text) == 25 and text[19] in "+-" and text[22] == ":")
+            and text[4] == text[7] == "-" and text[13] == text[16] == ":"
+            or _ISO_TIMESTAMP.fullmatch(text)):
+        raise ValueError(f"Invalid isoformat string: {text!r}")
+    ts = dt.datetime.fromisoformat(text)
+    return (ts if ts.tzinfo is None else ts.astimezone(dt.timezone.utc)).date()
 
 
 def text_stream(source) -> Iterator[str]:
@@ -115,11 +139,11 @@ def csv_records(source, required: tuple[str, ...], what: str,
     """
     lines = text_stream(source)
     index, width = _header(lines, required, what)
-    return index, _numbered(csv.reader(lines), width, what)
+    return index, _numbered(csv.reader(lines), width, what, 1)
 
 
-def _numbered(reader, width: int, what: str) -> Iterator[tuple[int, list]]:
-    row_number = 1
+def _numbered(reader, width: int, what: str, row_number: int) -> Iterator[tuple[int, list]]:
+    """``reader``'s records after row ``row_number``, as ``csv_records`` gives them."""
     try:
         for row in reader:
             if not row:
@@ -138,15 +162,14 @@ def csv_columns(source, required: tuple[str, ...], what: str,
     a chunk of columns at a time.
 
     Returns the column of each header name and an iterator of
-    ``(row_numbers, columns)``, one per chunk of ``CHUNK_LINES`` lines of
-    ``text_stream``: the row number of each record in the chunk, and one
-    list of fields per header column, None where a row is short.  Row
-    numbers, header checks and errors are those of ``csv_records``; the
-    records of a chunk that fails are not returned.  At most one chunk is
-    held decoded: a chunk of plain lines (no ``"``, NUL, blank line or
-    lone ``\\r``, none longer than ``csv.field_size_limit()``, and as many
-    fields as the header on each) is split on commas, and any other chunk
-    is read by ``csv.reader``, a quoted field running on past its last line.
+    ``(row_numbers, columns)``, one per chunk: the row number of each record
+    and one list of fields per header column, None where a row is short.
+    Chunks of ``CHUNK_LINES`` plain lines (no ``"``, NUL, blank line or lone
+    ``\\r``, none longer than ``csv.field_size_limit()``, and as many fields
+    as the header on each) are split on commas.  From the first chunk that
+    is not plain or not UTF-8 on, ``csv_records``' reader reads the rest,
+    ``CHUNK_LINES`` records a chunk.  Row numbers, header checks and errors
+    are those of ``csv_records``; a failing chunk's records are not returned.
     """
     lines = text_stream(source)
     index, width = _header(lines, required, what)
@@ -170,26 +193,14 @@ def _chunks(lines, width: int, what: str) -> Iterator[tuple[Sequence[int], list[
         if not chunk and rest is lines:
             return
         columns = _plain_columns(chunk, width, limit) if rest is lines else None
-        if columns is not None:
-            yield range(row_number + 1, row_number + 1 + len(chunk)), columns
-            row_number += len(chunk)
-            continue
-        numbers, rows = [], []
-        reader = csv.reader(chain(chunk, rest))
-        try:
-            for row in reader:
-                if row:
-                    row_number += 1
-                    numbers.append(row_number)
-                    rows.append(row + [None] * (width - len(row)))
-                if reader.line_num >= len(chunk):
-                    break
-            if rest is not lines:
-                next(rest)                              # the failure after the chunk
-        except (csv.Error, UnicodeDecodeError) as exc:  # failed on the record after row_number
-            raise _record_error(what, row_number + 1, exc) from None
-        if rows:
-            yield numbers, [list(column) for column in islice(zip(*rows), width)]
+        if columns is None:
+            break
+        yield range(row_number + 1, row_number + 1 + len(chunk)), columns
+        row_number += len(chunk)
+    records = _numbered(csv.reader(chain(chunk, rest)), width, what, row_number)
+    while batch := list(islice(records, CHUNK_LINES)):
+        numbers, rows = zip(*batch)
+        yield numbers, [list(column) for column in islice(zip(*rows), width)]
 
 
 def _plain_columns(chunk: list[str], width: int, limit: int) -> list[list[str]] | None:

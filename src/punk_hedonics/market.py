@@ -10,7 +10,7 @@ from itertools import compress, product
 
 import numpy as np
 
-from .ingest import IngestReport, csv_columns, iso_date
+from .ingest import IngestReport, csv_columns, csv_records, iso_date
 from .series import EPOCH_ORDINAL, DailySeries, Table
 
 
@@ -135,12 +135,12 @@ def _mapped(parse, column: list, fill) -> tuple[list, list[int]]:
             values.append(fill)
 
 
-def _positions(values: list, value=None) -> list[int]:
-    """The positions of ``value`` in ``values``."""
+def _positions(values: list) -> list[int]:
+    """The positions of None in ``values``."""
     found, at = [], -1
     try:
         while True:
-            at = values.index(value, at + 1)
+            at = values.index(None, at + 1)
             found.append(at)
     except ValueError:
         return found
@@ -245,40 +245,33 @@ def ingest_sales(source) -> tuple[Sales, IngestReport]:
 def _ingest_two_column_series(source, what: str, date_col: str,
                               value_col: str) -> DailySeries:
     """Read a ``date,value`` CSV of finite values > 0 and distinct
-    ``YYYY-MM-DD`` dates.  The first bad row is fatal, a ValueError
-    ``<what> CSV row N: ...`` numbered as ``csv_records`` numbers rows; a
-    row's bad date wins over its bad value.  Read one ``csv_columns``
-    chunk at a time and checked a column at a time."""
-    index, chunks = csv_columns(source, (date_col, value_col), what)
+    ``YYYY-MM-DD`` dates, one ``csv_records`` record at a time.  The first
+    bad row is fatal, a ValueError ``<what> CSV row N: ...`` for the first
+    rule it fails: bad date, bad value, not finite, not > 0, duplicate date."""
+    index, records = csv_records(source, (date_col, value_col), what)
+    i_date, i_value = index[date_col], index[value_col]
     out = {}                                    # day number -> value
-    for rows, columns in chunks:
-        raw_dates, raw_values = columns[index[date_col]], columns[index[value_col]]
-        days = list(map(_day_number, raw_dates))
-        values, unparsed = _mapped(float, raw_values, math.nan)
-        array = np.array(values, dtype=np.float64)
-        errors = []                             # (position, rule, message) of each rule's first
-        for at in _positions(days)[:1]:
-            errors.append((at, 0, f"bad {date_col} {raw_dates[at]!r}"))
-        for at in unparsed[:1]:
-            errors.append((at, 1, f"bad {value_col} {raw_values[at]!r}"))
-        for at in np.flatnonzero(~np.isfinite(array))[:1].tolist():
-            errors.append((at, 2, f"{value_col} must be finite, got {values[at]}"))
-        for at in np.flatnonzero(array <= 0)[:1].tolist():
-            errors.append((at, 3, f"{value_col} must be > 0, got {values[at]}"))
-        known = len(out)
-        out.update(zip(days, values))
-        if len(out) < known + len(days):        # a date seen before
-            seen = set(list(out)[:known])
-            for at, day in enumerate(days):
-                if day in seen:
-                    break
-                seen.add(day)
-            if days[at] is not None:            # else a bad date comes first
-                date = dt.date.fromordinal(days[at] + EPOCH_ORDINAL)
-                errors.append((at, 4, f"duplicate date {date.isoformat()}"))
-        if errors:
-            at, _, message = min(errors)
-            raise ValueError(f"{what} CSV row {rows[at]}: {message}")
+    for row_number, row in records:
+        raw_date, raw_value = row[i_date], row[i_value]
+        day = _day_number(raw_date)
+        try:
+            value = float(raw_value)
+        except (TypeError, ValueError):
+            value = None
+        if day is None:
+            error = f"bad {date_col} {raw_date!r}"
+        elif value is None:
+            error = f"bad {value_col} {raw_value!r}"
+        elif not math.isfinite(value):
+            error = f"{value_col} must be finite, got {value}"
+        elif value <= 0:
+            error = f"{value_col} must be > 0, got {value}"
+        elif day in out:
+            error = f"duplicate date {dt.date.fromordinal(day + EPOCH_ORDINAL).isoformat()}"
+        else:
+            out[day] = value
+            continue
+        raise ValueError(f"{what} CSV row {row_number}: {error}")
     return DailySeries(list(out), list(out.values()))
 
 

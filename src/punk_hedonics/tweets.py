@@ -7,7 +7,7 @@ import re
 from collections import defaultdict
 from itertools import permutations
 
-from .ingest import IngestReport, csv_records
+from .ingest import IngestReport, csv_records, utc_day
 from .sentiment import SentimentLexicon, compound_only
 from .series import EPOCH_ORDINAL, DailySeries
 
@@ -57,11 +57,6 @@ class KeywordFilter:
             re.IGNORECASE)
 
 
-def _utc_day(raw: str) -> dt.date:
-    ts = dt.datetime.fromisoformat(raw.strip().replace("Z", "+00:00"))
-    return (ts if ts.tzinfo is None else ts.astimezone(dt.timezone.utc)).date()
-
-
 def ingest_tweets(source, language_filter: str = "en",
                   window_start: dt.date = STUDY_WINDOW_START,
                   window_end: dt.date = STUDY_WINDOW_END,
@@ -85,7 +80,7 @@ def ingest_tweets(source, language_filter: str = "en",
             report.filtered_language += 1
             continue
         try:
-            day = _utc_day(row[i_timestamp] or "")
+            day = utc_day(row[i_timestamp] or "")
         except (ValueError, OverflowError):      # OverflowError: UTC day past date's range
             rejects.append((row_number, "unparseable timestamp"))
             continue

@@ -8,6 +8,10 @@ private names; the package itself is not.
 
 Every name a module imports is used in it.  ``__init__.py`` is exempt:
 its imports are the package's API.
+
+Only ``ingest.py`` reads text formats: no other module calls
+``.fromisoformat`` or ``csv.reader``, whose grammars differ between
+Python versions or need ``ingest``'s row numbers and errors.
 """
 
 import ast
@@ -97,3 +101,30 @@ def test_unused_import_guard_finds_each_form():
               "def f(x: dt.date) -> None:\n"
               "    return adf_test(panel)\n")
     assert unused_imports(source) == [(2, "os"), (4, "AdfResult"), (5, "m")]
+
+
+def text_format_calls(source):
+    """(line, callee) of each ``.fromisoformat`` or ``csv.reader`` call in the module source."""
+    calls = [node.func for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)]
+    return sorted((func.lineno, ast.unparse(func)) for func in calls
+                  if func.attr == "fromisoformat" or ast.unparse(func) == "csv.reader")
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "ingest.py"],
+                         ids=lambda p: p.name)
+def test_only_ingest_reads_text_formats(path):
+    assert text_format_calls(path.read_text(encoding="utf-8")) == []
+
+
+def test_text_format_guard_finds_each_form():
+    source = ("import csv\n"
+              "import datetime as dt\n"
+              "from datetime import date\n"
+              "dt.datetime.fromisoformat(a)\n"
+              "date.fromisoformat(b)\n"
+              "rows = csv.reader(c)\n"
+              "csv.writer(d)\n"
+              "fromisoformat(e)\n")
+    assert text_format_calls(source) == [(4, "dt.datetime.fromisoformat"),
+                                         (5, "date.fromisoformat"), (6, "csv.reader")]

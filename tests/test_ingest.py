@@ -1,12 +1,14 @@
 import csv
+import datetime as dt
 import io
+import sys
 import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from punk_hedonics import ingest, market, tweets
-from punk_hedonics.ingest import csv_columns, csv_records, iso_date, text_stream
+from punk_hedonics.ingest import csv_columns, csv_records, iso_date, text_stream, utc_day
 
 LONG = "x" * 140_000            # over csv's default field size limit of 131,072
 
@@ -149,15 +151,18 @@ class TestCsvColumns:
         assert got == want
 
     def test_plain_and_quoted_chunks(self, monkeypatch):
+        """Plain chunks are split on commas.  From the first chunk that is
+        not plain on, the rest of the file is csv_records' records, in
+        batches of CHUNK_LINES records, the plain lines after it included."""
         monkeypatch.setattr(ingest, "CHUNK_LINES", 2)
-        text = 'a,b,c\n1,2,3\r\n4,5\n"6\n7",8,9\n\n10,11,12\n13,14,15'
+        text = 'a,b,c\n1,2,3\r\n4,5,6\n7,8\n"9\n10",11,12\n\n13,14,15\n16,17,18\n19,20,21'
         index, chunks = csv_columns(text, ("c",), "t")
         assert index == {"a": 0, "b": 1, "c": 2}
         assert [(list(numbers), columns) for numbers, columns in chunks] == [
-            ([2, 3], [["1", "4"], ["2", "5"], ["3", None]]),
-            ([4], [["6\n7"], ["8"], ["9"]]),           # its quoted field runs on a line
-            ([5], [["10"], ["11"], ["12"]]),
-            ([6], [["13"], ["14"], ["15"]])]
+            ([2, 3], [["1", "4"], ["2", "5"], ["3", "6"]]),
+            ([4, 5], [["7", "9\n10"], ["8", "11"], [None, "12"]]),  # a short row, then a
+            ([6, 7], [["13", "16"], ["14", "17"], ["15", "18"]]),   # field that runs on a line
+            ([8], [["19"], ["20"], ["21"]])]
 
     def test_errors_name_their_row(self, monkeypatch):
         monkeypatch.setattr(ingest, "CHUNK_LINES", 2)
@@ -167,7 +172,9 @@ class TestCsvColumns:
                 (b'a,b\n1,2\n\n3,"x\nx\xc3"\n4,5\n',
                  "t CSV row 3: not valid UTF-8 (byte 0xc3: invalid continuation byte)"),
                 (b"a,b\n1,2\n3,4\n\xff\n", "t CSV row 4: not valid UTF-8 (byte 0xff: "
-                                            "invalid start byte)")]:
+                                            "invalid start byte)"),
+                (b'a,b\n1,2\n3,4\n"5\n6",7\n8,9\n\xff\n',     # in the 2nd batch after the switch
+                 "t CSV row 6: not valid UTF-8 (byte 0xff: invalid start byte)")]:
             with pytest.raises(ValueError) as info:
                 list(csv_columns(source, (), "t")[1])
             assert str(info.value) == message
@@ -187,6 +194,77 @@ class TestIsoDate:
     def test_a_day_the_month_lacks_is_a_value_error(self):
         with pytest.raises(ValueError):
             iso_date("2021-02-30")
+
+
+def day_310(text):
+    """The UTC day of a timestamp as ``datetime.fromisoformat`` reads it on
+    Python 3.10; on a later Python, checked first against utc_day's grammar."""
+    text = text.strip().replace("Z", "+00:00")
+    if sys.version_info >= (3, 11) and not ingest._ISO_TIMESTAMP.fullmatch(text):
+        raise ValueError(text)
+    ts = dt.datetime.fromisoformat(text)
+    return (ts if ts.tzinfo is None else ts.astimezone(dt.timezone.utc)).date()
+
+
+def day_or_error(read, text):
+    try:
+        return read(text)
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+
+
+# Timestamps, most in the benchmark's common shapes, some not, and some that
+# only Python 3.11's fromisoformat reads; the test below edits them.
+STAMPS = ["2021-05-01T12:34:56", "2021-05-01 12:34:56+05:30", "2021-05-01T12:34:56-04:00",
+          "2021-05-01T12:34:56Z", "2021-05-01", "2021-05-01T12:34",
+          "2021-05-01T12:34:56.123456+00:00", "0001-01-01T00:30:00+01:00",
+          "9999-12-31T23:59:59-01:00", "20210501T123456", "2021-W17-6T12:00:00",
+          "2021-05-01T12:00:00+0530", "2021-05-01T12:00:00.1", "2021-05-01T1200",
+          "2021-05-01T12:00:00,123", "2021-05-01T12:00:00+00"]
+STAMP_CHARS = st.sampled_from("0123456789") | st.sampled_from(list("WTZ:.,+- \x00é١😀"))
+
+
+class TestUtcDay:
+    @pytest.mark.parametrize("text, day", [
+        ("2021-05-01T23:30:00-02:00", "2021-05-02"), (" 2021-05-01T10:00:00Z ", "2021-05-01"),
+        ("2021-05-01 01:00:00+05:00", "2021-04-30"), ("2021-05-01", "2021-05-01"),
+        ("2021-05-01T12", "2021-05-01"), ("2021-05-01é12:30.123", "2021-05-01"),
+        ("2021-05-01T23:00:00.123456-02:00:00.123456", "2021-05-02"),
+        # quirks of 3.10's parser: a fraction after ":", one more character
+        # before an offset, and a NUL at the end
+        ("2021-05-01T12:30:00:123", "2021-05-01"), ("2021-05-01T23:30x-01:00", "2021-05-02"),
+        ("2021-05-01T12\x00", "2021-05-01")])
+    def test_reads_what_python_3_10_reads(self, text, day):
+        assert utc_day(text).isoformat() == day
+
+    @pytest.mark.parametrize("text", [            # Python 3.11 reads the first three
+        "2021-05-01T12:00:00,123", "2021-05-01T12:00:00+00", "2021-05-01T12:00:00.123456789",
+        "2021-05-01T12:", "2021-05-01T١٢:00:00", "not-a-time", ""])
+    def test_anything_else_is_a_value_error(self, text):
+        with pytest.raises(ValueError):
+            utc_day(text)
+
+    def test_a_utc_day_past_the_calendar_is_an_overflow_error(self):
+        with pytest.raises(OverflowError):
+            utc_day("9999-12-31T23:00:00-05:00")
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.sampled_from(STAMPS), st.lists(st.tuples(st.integers(0, 40), st.integers(0, 2),
+                                                       STAMP_CHARS), max_size=3))
+    def test_is_day_310_over_edited_timestamps(self, text, edits):
+        """On 3.10, utc_day is fromisoformat; on later Pythons, its quick
+        path for the common shapes agrees with its grammar."""
+        chars = list(text)
+        for at, how, char in edits:
+            at %= len(chars) + 1
+            if how == 0 or at == len(chars):
+                chars.insert(at, char)
+            elif how == 1:
+                chars[at] = char
+            else:
+                del chars[at]
+        text = "".join(chars)
+        assert day_or_error(utc_day, text) == day_or_error(day_310, text)
 
 
 def test_sales_ingest_holds_one_chunk_not_the_file():

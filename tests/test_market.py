@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from conftest import Sale, make_sales, mapping_of, series_of
-from punk_hedonics import ingest
 from punk_hedonics.ingest import SchemaError
 from punk_hedonics.market import (GENDERS, SKIN_TONES, Gender, Sales, SkinTone,
                                   UncoveredDatesError, attribute_distribution,
@@ -169,22 +168,14 @@ class TestSeriesIngest:
         (",1\n", "row 2: bad date ''"),
         ("2021-05-01,1\nx,1\ny,2\n", "row 3: bad date 'x'"),
         ("2021-05-01,1\n2021-05-01,2\n", "row 3: duplicate date 2021-05-01"),
-    ])
-    def test_bad_row_is_a_value_error_naming_it(self, body, message):
-        with pytest.raises(ValueError) as info:
-            ingest_gas("date,gwei_avg\n" + body)
-        assert str(info.value) == f"gas CSV {message}"
-
-    @pytest.mark.parametrize("chunk_lines", [1, 2, 3])
-    @pytest.mark.parametrize("body, message", [
+        # the first bad row wins, with its first rule
         ("2021-05-01,1\n2021-05-02,x\n2021-05-01,2\n,3\n", "row 3: bad gwei_avg 'x'"),
         ("2021-05-01,1\n2021-05-02,2\n\n2021-05-01,5\n2021-05-03,x\n",
          "row 4: duplicate date 2021-05-01"),
         ("2021-05-01,1\n2021-05-02,2\n2021-05-03,3\n2021-02-30,0\n",
          "row 5: bad date '2021-02-30'"),
     ])
-    def test_first_bad_row_wins_across_chunks(self, monkeypatch, chunk_lines, body, message):
-        monkeypatch.setattr(ingest, "CHUNK_LINES", chunk_lines)
+    def test_bad_row_is_a_value_error_naming_it(self, body, message):
         with pytest.raises(ValueError) as info:
             ingest_gas("date,gwei_avg\n" + body)
         assert str(info.value) == f"gas CSV {message}"

@@ -51,9 +51,12 @@ class TestIngest:
         assert len(corpus) == 1
         assert report.rejects == [(2, "unparseable timestamp")]
 
-    @pytest.mark.parametrize("timestamp", ["0001-01-01T00:00:00+01:00",
-                                           "9999-12-31T23:00:00-05:00"])
-    def test_timestamp_whose_utc_day_leaves_the_calendar_rejected(self, timestamp):
+    @pytest.mark.parametrize("timestamp", [
+        "0001-01-01T00:00:00+01:00", "9999-12-31T23:00:00-05:00",  # UTC day leaves the calendar
+        # Python 3.11's fromisoformat reads these, 3.10's does not
+        "20210501T120000+00:00", "2021-W17-6T12:00:00", "2021-05-01T12:00:00+0530",
+        "2021-05-01T12:00:00.1", "2021-05-01T1200"])
+    def test_unparseable_timestamp_rejected_on_every_python(self, timestamp):
         corpus, report = ingest_tweets(f"{HEADER}\n1,{timestamp},x,en\n")
         assert corpus == [] and report.rejects == [(2, "unparseable timestamp")]
 
