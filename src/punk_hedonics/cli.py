@@ -157,7 +157,7 @@ class RunInputs:
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
 
-    def read_tweets(self, which: str, rejects_name: str) -> list[tuple[dt.date, str]]:
+    def read_tweets(self, which: str, rejects_name: str) -> tweets.Tweets:
         """The corpus at config key ``which``; its rejects go to ``rejects_name``."""
         config = self.config
         path = getattr(config, which)
@@ -227,8 +227,9 @@ def cmd_regress(inputs: RunInputs) -> None:
     out = config.output_dir
     sentiment = inputs.sentiment
     day = inputs.sales["day"]
-    sales = inputs.sales.select((day >= np.datetime64(config.window_start))
-                                & (day <= np.datetime64(config.window_end)))
+    in_window = ((day >= np.datetime64(config.window_start))
+                 & (day <= np.datetime64(config.window_end)))
+    sales = inputs.sales if in_window.all() else inputs.sales.select(in_window)
     gas = inputs.read("gas", market.ingest_gas)
     fx = inputs.read("fx", market.ingest_fx)
     active, volume = market.daily_aggregates(sales, fx)

@@ -45,17 +45,6 @@ SALES_COLUMNS = ("punk_id", "date", "price_eth", "skin_tone", "gender", "buyer",
 _INT64_LIMIT = 2 ** 63
 
 
-class UncoveredDatesError(ValueError):
-    """A daily series does not cover every sale date."""
-
-    def __init__(self, series_name: str, dates: list[dt.date]):
-        self.series_name = series_name
-        self.dates = dates
-        listed = ", ".join(d.isoformat() for d in dates[:10])
-        more = "" if len(dates) <= 10 else f" (+{len(dates) - 10} more)"
-        super().__init__(f"{series_name} series missing sale dates: {listed}{more}")
-
-
 class Sales(Table):
     """Accepted sales in file order, one row each:
 
@@ -308,14 +297,13 @@ def daily_aggregates(sales: Sales, fx: DailySeries) -> tuple[DailySeries, DailyS
     """Distinct active wallets and USD sales volume per day.
 
     Active wallets are the union of buyer and seller addresses seen that
-    day.  Volume adds each sale's USD value in sale order, leaving out a
-    sale whose USD value overflows.  The FX series must cover every sale
-    date.
+    day, on every sale day.  Volume adds each sale's USD value in sale
+    order, leaving out a sale whose USD value overflows, on the sale days
+    that the FX series has; a day it lacks has no volume, and build_panel
+    drops and counts its sales.
     """
     days, day_index = np.unique(sales["day"], return_inverse=True)
     rates, covered = fx.lookup(days)
-    if not covered.all():
-        raise UncoveredDatesError("fx", days[~covered].tolist())
     buyer, seller = sales["buyer"], sales["seller"]
     n_wallets = int(max(buyer.max(), seller.max())) + 1 if len(sales) else 1
     # Distinct (day, wallet) keys by sort and neighbour inequality: a plain
@@ -329,7 +317,7 @@ def daily_aggregates(sales: Sales, fx: DailySeries) -> tuple[DailySeries, DailyS
         usd = sales["price_eth"] * rates[day_index]
     usd[np.isinf(usd)] = 0.0            # build_panel drops such a sale too
     volume = np.bincount(day_index, weights=usd, minlength=len(days))
-    return DailySeries(days, active), DailySeries(days, volume)
+    return DailySeries(days, active), DailySeries(days[covered], volume[covered])
 
 
 def rarity_score(sales: Sales) -> np.ndarray:

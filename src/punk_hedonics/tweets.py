@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import datetime as dt
 import re
-from collections import defaultdict
+from array import array
 from itertools import permutations
+
+import numpy as np
 
 from .ingest import IngestReport, csv_records, utc_day
 from .sentiment import SentimentLexicon, compound_only
-from .series import EPOCH_ORDINAL, DailySeries
+from .series import EPOCH_ORDINAL, DailySeries, Table
 
 STUDY_WINDOW_START = dt.date(2017, 6, 23)
 STUDY_WINDOW_END = dt.date(2022, 10, 31)
@@ -23,6 +25,13 @@ DEFAULT_KEYWORDS = ("female", "male", "dark", "light", "medium",
 # U+0345, the one character outside \w that re.IGNORECASE matches to a
 # \w character (the Greek iotas), over all of Unicode.
 _NON_WORD_CASES = "\u0345"
+
+
+class Tweets(Table):
+    """Accepted tweets in file order, one row each: ``day`` (datetime64[D]),
+    the tweet's UTC day, and ``text`` (object), its text."""
+
+    DTYPES = {"day": "datetime64[D]", "text": object}
 
 
 class KeywordFilter:
@@ -60,20 +69,21 @@ class KeywordFilter:
 def ingest_tweets(source, language_filter: str = "en",
                   window_start: dt.date = STUDY_WINDOW_START,
                   window_end: dt.date = STUDY_WINDOW_END,
-                  ) -> tuple[list[tuple[dt.date, str]], IngestReport]:
-    """Read the tweet CSV (``id,timestamp,text,lang``) as (UTC day, text) pairs.
+                  ) -> tuple[Tweets, IngestReport]:
+    """Read the tweet CSV (``id,timestamp,text,lang``) into Tweets.
 
     Rows failing the language filter are silently counted; rows outside
     the study window are dropped with a counted warning; rows with an
     unparseable timestamp, an empty id or a duplicate id, checked in that
     order, go to the rejects report and ingestion continues.  An id is
-    seen once its row is accepted.
+    seen once its row is accepted.  Each accepted row adds a day number
+    and a reference to its text, and nothing else outlives the row.
     """
     index, records = csv_records(source, TWEET_COLUMNS, "tweet")
     i_id, i_timestamp, i_text, i_lang = (index[c] for c in TWEET_COLUMNS)
     report = IngestReport()
     rejects = report.rejects
-    corpus: list[tuple[dt.date, str]] = []
+    days, texts = array("q"), []            # days since 1970-01-01, texts
     seen_ids: set[str] = set()
     for row_number, row in records:
         if (row[i_lang] or "").strip() != language_filter:
@@ -95,40 +105,43 @@ def ingest_tweets(source, language_filter: str = "en",
             report.out_of_window += 1
             continue
         seen_ids.add(tweet_id)
-        corpus.append((day, row[i_text] or ""))
-    report.accepted = len(corpus)
-    return corpus, report
+        days.append(day.toordinal() - EPOCH_ORDINAL)
+        texts.append(row[i_text] or "")
+    report.accepted = len(texts)
+    return Tweets({"day": np.array(days).view("datetime64[D]"), "text": texts}), report
 
 
-def daily_mean_sentiment(corpus: list[tuple[dt.date, str]],
-                         lexicon: SentimentLexicon) -> DailySeries:
+def daily_mean_sentiment(tweets: Tweets, lexicon: SentimentLexicon) -> DailySeries:
     """Arithmetic mean compound score per UTC day; empty days absent.
 
     Each distinct text is scored once per corpus; a repeat adds that same
-    score to its day, so every day's sum keeps the corpus order.
+    score to its day, and each day's builtin ``sum`` runs over its scores
+    in file order.
     """
     scores: dict[str, float] = {}
-    by_day: dict[dt.date, list[float]] = defaultdict(list)
-    for day, text in corpus:
+    compounds = []
+    for text in tweets["text"].tolist():
         compound = scores.get(text)
         if compound is None:
             compound = scores[text] = compound_only(lexicon, text)
-        by_day[day].append(compound)
-    return DailySeries([day.toordinal() - EPOCH_ORDINAL for day in by_day],
-                       [sum(v) / len(v) for v in by_day.values()])
+        compounds.append(compound)
+    days, day_index = np.unique(tweets["day"], return_inverse=True)
+    ordered = np.array(compounds)[np.argsort(day_index, kind="stable")]
+    ends = np.cumsum(np.bincount(day_index, minlength=len(days))).tolist()
+    return DailySeries(days, [sum(ordered[start:end].tolist()) / (end - start)
+                              for start, end in zip([0, *ends], ends)])
 
 
-def keyword_frequency(corpus: list[tuple[dt.date, str]],
-                      kw_filter: KeywordFilter) -> dict[str, int]:
+def keyword_frequency(tweets: Tweets, kw_filter: KeywordFilter) -> dict[str, int]:
     """Whole-word occurrence counts per keyword; multiple hits per tweet all count."""
     counts = [0] * (len(kw_filter.keywords) + 1)       # by group; group 0 unused
-    for _, text in corpus:
+    for text in tweets["text"].tolist():
         for match in kw_filter.pattern.finditer(text):
             counts[match.lastindex] += 1
     return dict(zip(kw_filter.keywords, counts[1:]))
 
 
-def keyword_sentiment(corpus: list[tuple[dt.date, str]], kw_filter: KeywordFilter,
+def keyword_sentiment(tweets: Tweets, kw_filter: KeywordFilter,
                       lexicon: SentimentLexicon) -> dict[str, float | None]:
     """Mean compound over tweets containing each keyword.
 
@@ -140,7 +153,7 @@ def keyword_sentiment(corpus: list[tuple[dt.date, str]], kw_filter: KeywordFilte
     scores: dict[str, float] = {}
     sums = [0.0] * (len(kw_filter.keywords) + 1)       # by group; group 0 unused
     hits = [0] * (len(kw_filter.keywords) + 1)
-    for _, text in corpus:
+    for text in tweets["text"].tolist():
         groups = {match.lastindex for match in kw_filter.pattern.finditer(text)}
         if groups:
             compound = scores.get(text)

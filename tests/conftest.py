@@ -9,6 +9,7 @@ import pytest
 from punk_hedonics.market import GENDERS, SKIN_TONES, Gender, Sales, SkinTone
 from punk_hedonics.sentiment import load_lexicon
 from punk_hedonics.series import DailySeries
+from punk_hedonics.tweets import Tweets
 
 BASIC_LEXICON_TEXT = (
     "# token<TAB>valence\n"
@@ -56,6 +57,17 @@ def make_sales(sales):
         "buyer": [wallet_ids.setdefault(s.buyer_wallet, len(wallet_ids)) for s in sales],
         "seller": [wallet_ids.setdefault(s.seller_wallet, len(wallet_ids)) for s in sales],
     })
+
+
+def make_tweets(pairs):
+    """The Tweets of a list of (date, text) pairs, in order."""
+    return Tweets({"day": np.array([day for day, _ in pairs], dtype="datetime64[D]"),
+                   "text": [text for _, text in pairs]})
+
+
+def pairs_of(tweets):
+    """The (date, text) pairs of Tweets, in order."""
+    return list(zip(tweets["day"].tolist(), tweets["text"].tolist()))
 
 
 def series_of(mapping):

@@ -5,7 +5,9 @@ Kept verbatim as the reference that the columnar ``market`` and
 ``csv.DictReader`` ingest, dict loops for the daily aggregates, rarity
 and heatmap counts, and a per-sale join with six date-keyed lookups.
 Rules added to both paths since: a rarity that is not > 0 is a reject,
-and a sale whose USD value overflows or underflows to 0 is a panel drop.  Its daily series are the dict-backed ones of series_reference,
+a sale whose USD value overflows or underflows to 0 is a panel drop, and
+a sale day that the FX series lacks has no volume, where it was an
+error.  Its daily series are the dict-backed ones of series_reference,
 so a test converts them to and from ``punk_hedonics.series`` at the
 boundary.  It decodes bytes whole into an ``io.StringIO``, as
 ``ingest.text_stream`` did before it decoded a line at a time.
@@ -21,8 +23,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 from punk_hedonics.ingest import IngestReport, SchemaError
-from punk_hedonics.market import (SALES_COLUMNS, AttributeDistribution, Gender, SkinTone,
-                                  UncoveredDatesError)
+from punk_hedonics.market import SALES_COLUMNS, AttributeDistribution, Gender, SkinTone
 from punk_hedonics.panel import DUMMY_COLUMNS, PANEL_COLUMNS, Panel, PanelError
 from series_reference import DailySeries
 
@@ -116,17 +117,15 @@ def daily_aggregates(sales: list[SaleRecord],
     """Distinct active wallets and USD sales volume per day.
 
     Active wallets are the union of buyer and seller addresses seen that
-    day.  The FX series must cover every sale date.
+    day.  Volume is summed on the days that the FX series has.
     """
-    uncovered = sorted({s.date for s in sales if s.date not in fx})
-    if uncovered:
-        raise UncoveredDatesError("fx", uncovered)
     wallets: dict[dt.date, set[str]] = defaultdict(set)
     volume: dict[dt.date, float] = defaultdict(float)
     for sale in sales:
         wallets[sale.date].add(sale.buyer_wallet)
         wallets[sale.date].add(sale.seller_wallet)
-        volume[sale.date] += sale.price_eth * fx[sale.date]
+        if sale.date in fx:
+            volume[sale.date] += sale.price_eth * fx[sale.date]
     active = DailySeries({d: float(len(w)) for d, w in wallets.items()})
     return active, DailySeries(volume)
 

@@ -679,6 +679,26 @@ class TestBadMarketValues:
         coverage = json.loads((tmp_path / "out" / "suite.json").read_text())["panel_coverage"]
         assert coverage["drop_counts"]["positive usd price"] == 1
 
+    def test_sale_day_missing_from_fx_is_a_counted_drop(self, synthetic_dataset, tmp_path):
+        """The day's sales lack fx_close, fx_pct and, since the day has no
+        volume, sales_volume_pct; every other count stays as it was."""
+        def drop_counts(run):
+            assert self.run_all(synthetic_dataset, tmp_path / run) == 0
+            doc = json.loads((tmp_path / run / "out" / "suite.json").read_text())
+            return doc["panel_coverage"]["drop_counts"]
+        before = drop_counts("before")
+        days = [row[1] for row in read_csv(synthetic_dataset.parent / "sales.csv")]
+        day, n_sales = days[-1], days.count(days[-1])
+        fx = synthetic_dataset.parent / "fx.csv"
+        fx.write_text("".join(line for line in fx.read_text(encoding="utf-8").splitlines(True)
+                              if not line.startswith(day + ",")), encoding="utf-8")
+        after = drop_counts("after")
+        dropped = ("fx_close", "fx_pct", "sales_volume_pct")
+        assert {name: after[name] - before.get(name, 0) for name in dropped} == dict.fromkeys(
+            dropped, n_sales)
+        assert {k: v for k, v in after.items() if k not in dropped} == {
+            k: v for k, v in before.items() if k not in dropped}
+
     @pytest.mark.parametrize("name, line, message", [
         ("gas.csv", "2020-09-02", "row 3: bad gwei_avg None"),
         ("gas.csv", "2020-09-02,", "row 3: bad gwei_avg ''"),
@@ -837,8 +857,8 @@ class TestAll:
         corpus, keyword_corpus = corpora
         hit = re.compile(r"\b(" + "|".join(tweets.DEFAULT_KEYWORDS) + r")\b", re.IGNORECASE)
         # Each distinct text is scored once per corpus it is scored in.
-        texts = {text for _, text in corpus}
-        keyword_hits = {text for _, text in keyword_corpus if hit.search(text)}
+        texts = set(corpus["text"].tolist())
+        keyword_hits = {text for text in keyword_corpus["text"].tolist() if hit.search(text)}
         assert calls == {"ingest_tweets": 2, "ingest_sales": 1, "load_lexicon": 1,
                          "compound_only": len(texts) + len(keyword_hits)}
         err = capsys.readouterr().err

@@ -8,9 +8,8 @@ import pytest
 from conftest import Sale, make_sales, mapping_of, series_of
 from punk_hedonics.ingest import SchemaError
 from punk_hedonics.market import (GENDERS, SKIN_TONES, Gender, Sales, SkinTone,
-                                  UncoveredDatesError, attribute_distribution,
-                                  daily_aggregates, ingest_fx, ingest_gas, ingest_sales,
-                                  rarity_score)
+                                  attribute_distribution, daily_aggregates, ingest_fx,
+                                  ingest_gas, ingest_sales, rarity_score)
 from punk_hedonics.series import pct_change
 
 HEADER = "punk_id,date,price_eth,skin_tone,gender,buyer,seller"
@@ -230,10 +229,12 @@ class TestDailyAggregates:
         active, _ = daily_aggregates(make_sales(sales), self.fx_for([day]))
         assert mapping_of(active) == {day: 3}
 
-    def test_uncovered_date_error(self):
-        day = dt.date(2021, 5, 1)
-        with pytest.raises(UncoveredDatesError, match="2021-05-01"):
-            daily_aggregates(make_sales([sale(1, day)]), series_of({}))
+    def test_sale_day_without_fx_has_wallets_but_no_volume(self):
+        day, next_day = dt.date(2021, 5, 1), dt.date(2021, 5, 2)
+        sales = [sale(1, day, price=2.0), sale(2, next_day, price=3.0, buyer="C")]
+        active, volume = daily_aggregates(make_sales(sales), self.fx_for([next_day]))
+        assert mapping_of(active) == {day: 2, next_day: 2}
+        assert mapping_of(volume) == {next_day: 300.0}
 
     def test_sale_whose_usd_value_overflows_adds_no_volume(self):
         day = dt.date(2021, 5, 1)

@@ -26,7 +26,7 @@ import row_reference as ref
 import series_reference
 from conftest import mapping_of, series_of
 from punk_hedonics import ingest, market, panel
-from punk_hedonics.market import GENDERS, SALES_COLUMNS, SKIN_TONES, UncoveredDatesError
+from punk_hedonics.market import GENDERS, SALES_COLUMNS, SKIN_TONES
 from punk_hedonics.panel import PANEL_COLUMNS, PanelError
 
 DAYS = [dt.date(2021, 5, 1) + dt.timedelta(days=i) for i in range(5)]
@@ -254,15 +254,16 @@ class TestMatchesRowReference:
         assert got_report.drop_counts == want_report.drop_counts == {
             "gas_price_gwei": 2, "positive price": 1}
 
-    def test_uncovered_fx_names_the_same_dates(self):
+    def test_sale_day_without_fx_has_no_volume_like_the_reference(self):
         text = ("punk_id,date,price_eth,skin_tone,gender,buyer,seller\n"
-                "1,2021-05-03,1,Dark,Male,a,b\n1,2021-05-01,1,Dark,Male,a,b\n")
-        fx = {DAYS[1]: 1.0}
-        with pytest.raises(UncoveredDatesError) as got:
-            market.daily_aggregates(market.ingest_sales(text)[0], series_of(fx))
-        with pytest.raises(UncoveredDatesError) as want:
-            ref.daily_aggregates(ref.ingest_sales(text)[0], series_reference.DailySeries(fx))
-        assert got.value.dates == want.value.dates == [DAYS[0], DAYS[2]]
+                "1,2021-05-03,1,Dark,Male,a,b\n1,2021-05-01,1,Dark,Male,a,b\n"
+                "2,2021-05-02,2,Dark,Male,c,b\n")
+        sales, records = market.ingest_sales(text)[0], ref.ingest_sales(text)[0]
+        fx = {DAYS[1]: 3.0}
+        (active, volume), want = aggregates_outcome(sales, records, fx)
+        assert [active, volume] == want
+        assert active == {DAYS[0]: 2.0, DAYS[1]: 2.0, DAYS[2]: 2.0}
+        assert volume == {DAYS[1]: 6.0}
 
     def test_no_covered_sale_raises_like_the_reference(self):
         text = "punk_id,date,price_eth,skin_tone,gender,buyer,seller\n1,2021-05-01,1,Dark,Male,a,b\n"

@@ -25,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tweet_reference as ref
-from conftest import make_lexicon
+from conftest import make_lexicon, make_tweets, pairs_of
 from punk_hedonics import tweets
 from punk_hedonics.tweets import TWEET_COLUMNS, KeywordFilter
 
@@ -122,7 +122,7 @@ class TestMatchesTweetReference:
         if isinstance(want[0], str):
             assert got == want                      # both raised the same error
             return
-        assert got == (as_pairs(want[0]), want[1])
+        assert (pairs_of(got[0]), got[1]) == (as_pairs(want[0]), want[1])
 
     @settings(max_examples=300, deadline=None)
     @given(keyword_lists, st.lists(texts, max_size=8))
@@ -133,7 +133,7 @@ class TestMatchesTweetReference:
             assert outcome(KeywordFilter, tuple(keywords))[0] == "ValueError"
             return
         kw_filter = KeywordFilter(tuple(keywords))
-        corpus = [(None, text) for text in corpus_texts]
+        corpus = make_tweets([(dt.date(2021, 5, 1), text) for text in corpus_texts])
         reference_corpus = [ref.Tweet(id=str(i), timestamp=None, text=text, language="en")
                             for i, text in enumerate(corpus_texts)]
         assert (tweets.keyword_frequency(corpus, kw_filter)
@@ -148,6 +148,7 @@ class TestMatchesTweetReference:
             ref.Tweet(id=str(i), text=text, language="en",
                       timestamp=dt.datetime.combine(day, dt.time(), dt.timezone.utc))
             for i, (day, text) in enumerate(corpus)]
+        corpus = make_tweets(corpus)
         series = tweets.daily_mean_sentiment(corpus, LEXICON)
         want = ref.daily_mean_sentiment(reference_corpus, LEXICON)
         assert series.days.tolist() == list(want)
@@ -176,7 +177,7 @@ class TestMatchesTweetReference:
             seen.update(reason for _, reason in report.rejects)
             seen.update(name for name in ("out_of_window", "filtered_language")
                         if getattr(report, name))
-            seen.update(["accepted"] if corpus else [])
+            seen.update(["accepted"] if len(corpus) else [])
         collect()
         assert seen == {"unparseable timestamp", "empty id", "duplicate id", "out_of_window",
                         "filtered_language", "accepted", "SchemaError"}
@@ -188,13 +189,14 @@ class TestMatchesTweetReference:
                 "7,2021-05-02T00:00:00Z,again,en\n")
         corpus, report = tweets.ingest_tweets(text)
         want_corpus, want_report = ref.ingest_tweets(text)
-        assert corpus == as_pairs(want_corpus) and report == want_report
-        assert [t for _, t in corpus] == ["later"] and report.rejects == [(4, "duplicate id")]
+        assert pairs_of(corpus) == as_pairs(want_corpus) and report == want_report
+        assert corpus["text"].tolist() == ["later"] and report.rejects == [(4, "duplicate id")]
 
     def test_look_alikes_count_for_their_keyword(self):
         kw_filter = KeywordFilter(("s", "k", "i"))
-        corpus = [(None, "ſ S s_ K K 1k ı İ I")]
-        reference_corpus = [ref.Tweet("1", None, text, "en") for _, text in corpus]
+        text = "ſ S s_ K K 1k ı İ I"
+        corpus = make_tweets([(dt.date(2021, 5, 1), text)])
+        reference_corpus = [ref.Tweet("1", None, text, "en")]
         assert (tweets.keyword_frequency(corpus, kw_filter)
                 == ref.keyword_frequency(reference_corpus, kw_filter)
                 == {"s": 2, "k": 2, "i": 3})

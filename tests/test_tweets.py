@@ -3,9 +3,10 @@ import re
 import sys
 from collections import defaultdict
 
+import numpy as np
 import pytest
 
-from conftest import make_lexicon, mapping_of
+from conftest import make_lexicon, make_tweets, mapping_of, pairs_of
 from punk_hedonics import tweets
 from punk_hedonics.ingest import SchemaError
 from punk_hedonics.sentiment import compound_only
@@ -22,7 +23,10 @@ class TestIngest:
                               "2,2021-05-01T11:00:00+00:00,world,en",
                               "3,2021-05-02T09:00:00+00:00,again,en"]) + "\n"
         corpus, report = ingest_tweets(csv_text)
-        assert len(corpus) == 3
+        first, second = dt.date(2021, 5, 1), dt.date(2021, 5, 2)
+        assert pairs_of(corpus) == [(first, "hello"), (first, "world"), (second, "again")]
+        assert (corpus["day"].dtype, corpus["text"].dtype) == (np.dtype("datetime64[D]"),
+                                                               np.dtype(object))
         assert report.accepted == 3
         assert report.rejects == []
 
@@ -58,7 +62,7 @@ class TestIngest:
         "2021-05-01T12:00:00.1", "2021-05-01T1200"])
     def test_unparseable_timestamp_rejected_on_every_python(self, timestamp):
         corpus, report = ingest_tweets(f"{HEADER}\n1,{timestamp},x,en\n")
-        assert corpus == [] and report.rejects == [(2, "unparseable timestamp")]
+        assert pairs_of(corpus) == [] and report.rejects == [(2, "unparseable timestamp")]
 
     def test_missing_column_is_schema_error(self):
         with pytest.raises(SchemaError, match="lang"):
@@ -75,7 +79,7 @@ class TestIngest:
     def test_timestamps_normalized_to_utc(self):
         csv_text = HEADER + "\n1,2021-05-01T01:00:00+05:00,x,en\n"
         corpus, _ = ingest_tweets(csv_text)
-        assert corpus == [(dt.date(2021, 4, 30), "x")]
+        assert pairs_of(corpus) == [(dt.date(2021, 4, 30), "x")]
 
     def test_z_suffix_and_naive_accepted(self):
         csv_text = "\n".join([HEADER,
@@ -89,13 +93,14 @@ class TestDailyMeanSentiment:
     def test_symmetric_mean_is_zero(self):
         lex = make_lexicon({"up": 2.0, "down": -2.0})
         day = dt.date(2021, 5, 1)
-        series = daily_mean_sentiment([(day, "up"), (day, "down")], lex)
+        series = daily_mean_sentiment(make_tweets([(day, "up"), (day, "down")]), lex)
         assert mapping_of(series) == {day: pytest.approx(0.0, abs=1e-12)}
 
     def test_single_tweet_identity(self, lexicon):
         day = dt.date(2021, 5, 1)
         c = compound_only(lexicon, "good")
-        assert mapping_of(daily_mean_sentiment([(day, "good")], lexicon)) == {day: c}
+        series = daily_mean_sentiment(make_tweets([(day, "good")]), lexicon)
+        assert mapping_of(series) == {day: c}
 
     def test_matches_group_by_oracle(self, lexicon):
         days = [dt.date(2021, 5, d) for d in (1, 2, 5)]
@@ -106,7 +111,7 @@ class TestDailyMeanSentiment:
         groups = defaultdict(list)
         for day, text in corpus:
             groups[day].append(compound_only(lexicon, text))
-        series = mapping_of(daily_mean_sentiment(corpus, lexicon))
+        series = mapping_of(daily_mean_sentiment(make_tweets(corpus), lexicon))
         assert list(series) == sorted(groups)
         for day, values in groups.items():
             assert series[day] == pytest.approx(sum(values) / len(values), abs=1e-12)
@@ -118,14 +123,14 @@ class TestDailyMeanSentiment:
         first, second = dt.date(2021, 5, 1), dt.date(2021, 5, 2)
         corpus = [(first, "good"), (second, "good"), (first, "bad day"), (first, "good"),
                   (second, "plain")]
-        series = daily_mean_sentiment(corpus, lexicon)
+        series = daily_mean_sentiment(make_tweets(corpus), lexicon)
         assert sorted(texts) == ["bad day", "good", "plain"]
         good, bad, plain = (compound_only(lexicon, t) for t in ("good", "bad day", "plain"))
         assert series.values.tolist() == [sum([good, bad, good]) / 3, sum([good, plain]) / 2]
 
     def test_values_in_range(self, lexicon):
         day = dt.date(2021, 5, 1)
-        corpus = [(day, "great great great!!!")] * 3
+        corpus = make_tweets([(day, "great great great!!!")] * 3)
         assert all(-1.0 <= v <= 1.0 for v in daily_mean_sentiment(corpus, lexicon).values)
 
 
@@ -193,35 +198,35 @@ class TestKeywordFrequency:
     def test_case_insensitive_whole_word(self):
         day = dt.date(2021, 5, 1)
         corpus = [(day, "male punk"), (day, "Male!")]
-        assert keyword_frequency(corpus, KeywordFilter(("male",)))["male"] == 2
+        assert keyword_frequency(make_tweets(corpus), KeywordFilter(("male",)))["male"] == 2
 
     def test_female_does_not_contain_male(self):
         corpus = [(dt.date(2021, 5, 1), "female")]
-        counts = keyword_frequency(corpus, KeywordFilter(("male", "female")))
+        counts = keyword_frequency(make_tweets(corpus), KeywordFilter(("male", "female")))
         assert counts == {"male": 0, "female": 1}
 
     def test_multiple_hits_in_one_tweet(self):
         corpus = [(dt.date(2021, 5, 1), "ape ape ape")]
-        assert keyword_frequency(corpus, KeywordFilter(("ape",)))["ape"] == 3
+        assert keyword_frequency(make_tweets(corpus), KeywordFilter(("ape",)))["ape"] == 3
 
     def test_additive_over_concatenation(self):
         day = dt.date(2021, 5, 1)
         a = [(day, "alien ape"), (day, "zombie")]
         b = [(day, "ape zombie zombie")]
         kw = KeywordFilter(("alien", "ape", "zombie"))
-        fa, fb, fab = (keyword_frequency(c, kw) for c in (a, b, a + b))
+        fa, fb, fab = (keyword_frequency(make_tweets(c), kw) for c in (a, b, a + b))
         assert all(fab[k] == fa[k] + fb[k] for k in kw.keywords)
 
 
 class TestKeywordSentiment:
     def test_unmatched_keyword_is_absent_marker(self, lexicon):
         corpus = [(dt.date(2021, 5, 1), "good day")]
-        result = keyword_sentiment(corpus, KeywordFilter(("zombie",)), lexicon)
+        result = keyword_sentiment(make_tweets(corpus), KeywordFilter(("zombie",)), lexicon)
         assert result["zombie"] is None
 
     def test_single_match_identity(self, lexicon):
         corpus = [(dt.date(2021, 5, 1), "the zombie looks good")]
-        result = keyword_sentiment(corpus, KeywordFilter(("zombie",)), lexicon)
+        result = keyword_sentiment(make_tweets(corpus), KeywordFilter(("zombie",)), lexicon)
         assert result["zombie"] == compound_only(lexicon, corpus[0][1])
 
     def test_matches_filter_then_mean_oracle(self, lexicon):
@@ -233,7 +238,7 @@ class TestKeywordSentiment:
             extra = " both ape and zombie" if i % 5 == 0 else ""
             corpus.append((day, f"the {kw} is {moods[i % 5]}{extra}"))
         kw_filter = KeywordFilter(("ape", "zombie"))
-        result = keyword_sentiment(corpus, kw_filter, lexicon)
+        result = keyword_sentiment(make_tweets(corpus), kw_filter, lexicon)
         for kw in kw_filter.keywords:
             matched = [compound_only(lexicon, text) for _, text in corpus
                        if f" {kw} " in f" {text} "]
@@ -246,7 +251,7 @@ class TestKeywordSentiment:
         day = dt.date(2021, 5, 1)
         corpus = [(day, t) for t in ["ape zombie good", "no hit", "ape zombie good",
                                      "bad zombie", "no hit", "bad zombie", "ape zombie good"]]
-        result = keyword_sentiment(corpus, KeywordFilter(("ape", "zombie")), lexicon)
+        result = keyword_sentiment(make_tweets(corpus), KeywordFilter(("ape", "zombie")), lexicon)
         assert sorted(texts) == ["ape zombie good", "bad zombie"]
         assert result["ape"] == compound_only(lexicon, "ape zombie good")
 
@@ -254,7 +259,7 @@ class TestKeywordSentiment:
         corpus = [(dt.date(2021, 5, 1), "zombie hour"),
                   (dt.date(2021, 5, 1), "nothing here")]
         kw = KeywordFilter(("zombie",))
-        sentiments = keyword_sentiment(corpus, kw, lexicon)
-        freq = keyword_frequency(corpus, kw)
+        sentiments = keyword_sentiment(make_tweets(corpus), kw, lexicon)
+        freq = keyword_frequency(make_tweets(corpus), kw)
         assert sentiments["zombie"] is not None
         assert freq["zombie"] >= 1

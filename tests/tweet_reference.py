@@ -1,4 +1,4 @@
-"""The tweet path as it was before tweets became (day, text) pairs.
+"""The tweet path as it was before tweets became a (day, text) row table.
 
 Kept verbatim as the reference that ``tweets.ingest_tweets``,
 ``keyword_frequency``, ``keyword_sentiment`` and ``daily_mean_sentiment``
