@@ -9,7 +9,7 @@ moves the compound score.
 Run with: python3 demos/sentiment_scoring.py
 """
 
-from punk_hedonics import load_lexicon, score_text
+from punk_hedonics import compound_only, load_lexicon
 
 # A lexicon is just token<TAB>valence lines; valences live in [-4, 4].
 lexicon = load_lexicon(
@@ -29,11 +29,9 @@ texts = [
     "the floor swept",      # no lexicon tokens: exactly neutral
 ]
 
-print(f"{'text':<22} {'compound':>9} {'pos':>6} {'neg':>6} {'neu':>6}")
+print(f"{'text':<22} {'compound':>9}")
 for text in texts:
-    s = score_text(lexicon, text)
-    print(f"{text:<22} {s.compound:>9.4f} {s.positive:>6.3f} "
-          f"{s.negative:>6.3f} {s.neutral:>6.3f}")
+    print(f"{text:<22} {compound_only(lexicon, text):>9.4f}")
 
 # The compound score is the adjusted valence sum squashed through
 # S / sqrt(S^2 + 15), so it always stays inside [-1, 1] and single-token

@@ -9,8 +9,7 @@ from .market import (AttributeDistribution, Gender, Sales, SkinTone,
                      ingest_gas, ingest_sales, rarity_score)
 from .panel import (CoverageReport, Panel, build_panel, read_panel_csv,
                     stationarity_screen, write_panel_csv)
-from .sentiment import (SentimentLexicon, SentimentScore, compound_only,
-                        load_lexicon, score_text)
+from .sentiment import SentimentLexicon, compound_only, load_lexicon
 from .series import DailySeries, pct_change
 from .study import (ModelSpec, WindowSpec, correlation_precheck, default_windows,
                     model_specs, run_suite, structural_change)

@@ -75,16 +75,6 @@ class AttributeDistribution:
     def share(self, gender: Gender, skin: SkinTone) -> float:
         return self.count(gender, skin) / self.total if self.total else 0.0
 
-    def gender_share(self, gender: Gender) -> float:
-        if not self.total:
-            return 0.0
-        return sum(c for (g, _), c in self.counts.items() if g is gender) / self.total
-
-    def skin_share(self, skin: SkinTone) -> float:
-        if not self.total:
-            return 0.0
-        return sum(c for (_, s), c in self.counts.items() if s is skin) / self.total
-
 
 class _Memo(dict):
     """``parse(raw)`` for each distinct raw field, computed on first lookup."""

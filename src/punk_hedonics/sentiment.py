@@ -103,17 +103,6 @@ class SentimentLexicon:
             raise LexiconError(f"tokens cannot be both entries and boosters: {sorted(overlap)}")
 
 
-@dataclass(frozen=True)
-class SentimentScore:
-    positive: float
-    negative: float
-    neutral: float
-    compound: float
-
-
-_EMPTY_SCORE = SentimentScore(0.0, 0.0, 0.0, 0.0)
-
-
 def load_lexicon(source) -> SentimentLexicon:
     """Parse a tab-separated ``token<TAB>valence`` stream into a lexicon.
 
@@ -169,9 +158,9 @@ def _shouting(token: str) -> bool:
     return token.isupper() and any(c.isalpha() for c in token)
 
 
-def _valences(lexicon: SentimentLexicon, text: str) -> tuple[int, list[float]]:
-    """Token count of ``text`` and, in token order, the final valence of each
-    token with a nonzero lexicon valence; every other token scores 0.
+def _valences(lexicon: SentimentLexicon, text: str) -> list[float]:
+    """In token order, the final valence of each token of ``text`` with a
+    nonzero lexicon valence; every other token scores 0.
 
     Tokens are the whitespace-split words stripped of edge punctuation,
     unless all punctuation.  Each token costs one strip, one lowercasing,
@@ -191,7 +180,7 @@ def _valences(lexicon: SentimentLexicon, text: str) -> tuple[int, list[float]]:
             hits.append((len(lowered), valence, raw))
         lowered.append(low)
     if not hits:
-        return len(lowered), []
+        return []
 
     but_at = None
     if not BUT_WORDS.isdisjoint(lowered):
@@ -218,36 +207,16 @@ def _valences(lexicon: SentimentLexicon, text: str) -> tuple[int, list[float]]:
         if but_at is not None and i != but_at:
             v *= BUT_BEFORE_FACTOR if i < but_at else BUT_AFTER_FACTOR
         valences.append(v)
-    return len(lowered), valences
+    return valences
 
 
-def _compound(total: float, text: str) -> float:
-    """Squash a valence sum pushed away from 0 by the text's ! and ? emphasis."""
+def compound_only(lexicon: SentimentLexicon, text: str) -> float:
+    """Compound score of one text in [-1, 1]: its valence sum pushed away
+    from 0 by its ! and ? emphasis, then squashed.  Pure and total: any
+    UTF-8 string is accepted."""
+    # The zero valences are left out of the sum, which keeps it exact.
+    total = sum(_valences(lexicon, text))
     if not total:
         return 0.0
     emphasis = _punctuation_emphasis(text)
     return normalize_valence_sum(total + emphasis if total > 0 else total - emphasis)
-
-
-def score_text(lexicon: SentimentLexicon, text: str) -> SentimentScore:
-    """Score one text.  Pure and total: any UTF-8 string is accepted."""
-    n_tokens, valences = _valences(lexicon, text)
-    if not n_tokens:
-        return _EMPTY_SCORE
-    pos = sum(v + 1.0 for v in valences if v > 0)
-    neg = sum(v - 1.0 for v in valences if v < 0)
-    neu = float(n_tokens - len(valences) + valences.count(0.0))
-    emphasis = _punctuation_emphasis(text)
-    if pos > abs(neg):
-        pos += emphasis
-    elif pos < abs(neg):
-        neg -= emphasis
-    mass = pos + abs(neg) + neu
-    return SentimentScore(positive=pos / mass, negative=abs(neg) / mass,
-                          neutral=neu / mass, compound=_compound(sum(valences), text))
-
-
-def compound_only(lexicon: SentimentLexicon, text: str) -> float:
-    """Compound score alone; identical to ``score_text(...).compound``."""
-    # The zero valences are left out of the sum, which keeps it exact.
-    return _compound(sum(_valences(lexicon, text)[1]), text)

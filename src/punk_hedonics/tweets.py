@@ -111,6 +111,15 @@ def ingest_tweets(source, language_filter: str = "en",
     return Tweets({"day": np.array(days).view("datetime64[D]"), "text": texts}), report
 
 
+def _compounds(lexicon: SentimentLexicon, texts: list[str]) -> list[float]:
+    """The compound score of each text in ``texts``, in order; each distinct
+    text is scored once."""
+    scores = dict.fromkeys(texts)
+    for text in scores:
+        scores[text] = compound_only(lexicon, text)
+    return [scores[text] for text in texts]
+
+
 def daily_mean_sentiment(tweets: Tweets, lexicon: SentimentLexicon) -> DailySeries:
     """Arithmetic mean compound score per UTC day; empty days absent.
 
@@ -118,13 +127,7 @@ def daily_mean_sentiment(tweets: Tweets, lexicon: SentimentLexicon) -> DailySeri
     score to its day, and each day's builtin ``sum`` runs over its scores
     in file order.
     """
-    scores: dict[str, float] = {}
-    compounds = []
-    for text in tweets["text"].tolist():
-        compound = scores.get(text)
-        if compound is None:
-            compound = scores[text] = compound_only(lexicon, text)
-        compounds.append(compound)
+    compounds = _compounds(lexicon, tweets["text"].tolist())
     days, day_index = np.unique(tweets["day"], return_inverse=True)
     ordered = np.array(compounds)[np.argsort(day_index, kind="stable")]
     ends = np.cumsum(np.bincount(day_index, minlength=len(days))).tolist()
@@ -150,17 +153,17 @@ def keyword_sentiment(tweets: Tweets, kw_filter: KeywordFilter,
     with a hit is scored once per corpus; a repeat adds that same score to
     each of its keywords, so every sum keeps the corpus order.
     """
-    scores: dict[str, float] = {}
-    sums = [0.0] * (len(kw_filter.keywords) + 1)       # by group; group 0 unused
-    hits = [0] * (len(kw_filter.keywords) + 1)
+    hit_texts, hit_groups = [], []
     for text in tweets["text"].tolist():
         groups = {match.lastindex for match in kw_filter.pattern.finditer(text)}
         if groups:
-            compound = scores.get(text)
-            if compound is None:
-                compound = scores[text] = compound_only(lexicon, text)
-            for group in groups:
-                sums[group] += compound
-                hits[group] += 1
+            hit_texts.append(text)
+            hit_groups.append(groups)
+    sums = [0.0] * (len(kw_filter.keywords) + 1)       # by group; group 0 unused
+    hits = [0] * (len(kw_filter.keywords) + 1)
+    for groups, compound in zip(hit_groups, _compounds(lexicon, hit_texts)):
+        for group in groups:
+            sums[group] += compound
+            hits[group] += 1
     return {kw: (sums[g] / hits[g] if hits[g] else None)
             for g, kw in enumerate(kw_filter.keywords, start=1)}

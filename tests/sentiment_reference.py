@@ -99,6 +99,7 @@ def _compound(total: float, text: str) -> float:
 
 
 def compound_only(lexicon: SentimentLexicon, text: str) -> float:
-    """Compound score alone; identical to ``score_text(...).compound``."""
+    """Compound score of one text: its valence sum pushed away from 0 by
+    its ! and ? emphasis, then squashed into [-1, 1]."""
     # The zero valences are left out of the sum, which keeps it exact.
     return _compound(sum(_valences(lexicon, text)[1]), text)

@@ -188,7 +188,7 @@ class TestAttributeDistribution:
     def test_empty(self):
         dist = attribute_distribution(make_sales([]))
         assert dist.total == 0
-        assert dist.gender_share(Gender.MALE) == 0.0
+        assert dist.share(Gender.MALE, SkinTone.DARK) == 0.0
 
     def test_counts_and_shares(self):
         day = dt.date(2021, 5, 1)
@@ -200,8 +200,6 @@ class TestAttributeDistribution:
         assert dist.total == len(sales)
         assert dist.count(Gender.MALE, SkinTone.DARK) == 2
         assert dist.share(Gender.FEMALE, SkinTone.ALBINO) == 0.25
-        assert dist.gender_share(Gender.MALE) == 0.75
-        assert dist.skin_share(SkinTone.APE) == 0.25
 
     def test_cells_sum_to_total(self):
         day = dt.date(2021, 5, 1)

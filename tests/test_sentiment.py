@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import string
 
@@ -14,8 +13,7 @@ from punk_hedonics.sentiment import (BOOSTER_DISTANCE_SCALE, BOOSTER_SCOPE,
                                      CAPS_INCREMENT, EXCLAIM_INCREMENT, MAX_EXCLAIM,
                                      NEGATION_FACTOR, NEGATION_SCOPE, NEGATIONS,
                                      QUESTION_CAP, QUESTION_INCREMENT, LexiconError,
-                                     SentimentScore, compound_only, load_lexicon,
-                                     normalize_valence_sum, score_text)
+                                     compound_only, load_lexicon, normalize_valence_sum)
 
 ALPHA = 15.0
 
@@ -80,8 +78,7 @@ class TestLoadLexicon:
 
 class TestCompound:
     def test_empty_text(self, lexicon):
-        score = score_text(lexicon, "")
-        assert score == type(score)(0.0, 0.0, 0.0, 0.0)
+        assert compound_only(lexicon, "") == 0.0
 
     def test_single_token_formula(self):
         lex = make_lexicon({"tok": 2.0})
@@ -96,10 +93,6 @@ class TestCompound:
         pos = make_lexicon({"tok": 2.0})
         neg = make_lexicon({"tok": -2.0})
         assert compound_only(pos, "tok") == -compound_only(neg, "tok")
-
-    def test_compound_only_equals_score_text(self, lexicon):
-        for text in ["good", "so bad!", "not great", "GOOD day but ugly night"]:
-            assert compound_only(lexicon, text) == score_text(lexicon, text).compound
 
     def test_neutral_closure(self, lexicon):
         assert compound_only(lexicon, "the punk sold on chain") == 0.0
@@ -160,22 +153,6 @@ class TestRules:
         assert compound_only(lexicon, "!!! ... ???") == 0.0
 
 
-class TestProportions:
-    def test_sum_to_one_when_tokens_present(self, lexicon):
-        for text in ["good bad neutral words here", "love hate", "nothing matches"]:
-            s = score_text(lexicon, text)
-            assert s.positive + s.negative + s.neutral == pytest.approx(1.0, abs=1e-9)
-
-    def test_all_neutral_text(self, lexicon):
-        s = score_text(lexicon, "plain words only")
-        assert (s.positive, s.negative, s.neutral) == (0.0, 0.0, 1.0)
-
-    def test_ranges(self, lexicon):
-        s = score_text(lexicon, "good good bad!")
-        for value in (s.positive, s.negative, s.neutral):
-            assert 0.0 <= value <= 1.0
-
-
 class TestNormalization:
     @pytest.mark.parametrize("x", [0.0, 0.1, 1.0, 3.7, 10.0, 100.0])
     def test_odd_symmetry(self, x):
@@ -195,12 +172,10 @@ class TestNormalization:
 @given(st.text(max_size=120))
 def test_fuzzed_invariants(text):
     lex = make_lexicon({"good": 2.0, "bad": -2.0, "great": 3.0, "awful": -3.0})
-    s = score_text(lex, text)
-    assert -1.0 <= s.compound <= 1.0
-    for value in (s.positive, s.negative, s.neutral):
-        assert 0.0 <= value <= 1.0
+    compound = compound_only(lex, text)
+    assert -1.0 <= compound <= 1.0
     # Determinism: identical input, bit-identical output.
-    assert score_text(lex, text) == s
+    assert same_float(compound_only(lex, text), compound)
 
 
 def test_booster_table_signs():
@@ -208,10 +183,10 @@ def test_booster_table_signs():
 
 
 # Reference scorer: the rule-by-rule implementation the one-pass scorer
-# replaced, kept verbatim.  It builds the token, lowered and shouting lists,
-# then the valence list, then rebuilds that list for "but".
+# replaced, kept verbatim but for the proportions it also returned.  It
+# builds the token, lowered and shouting lists, then the valence list, then
+# rebuilds that list for "but".
 _STRIP_CHARS = string.punctuation + "¡¿‘’“”…"
-_EMPTY_SCORE = SentimentScore(0.0, 0.0, 0.0, 0.0)
 
 
 def _tokenize(text: str) -> list[str]:
@@ -239,11 +214,11 @@ def _punctuation_emphasis(text: str) -> float:
     return ep + qm
 
 
-def reference_score_text(lexicon, text: str) -> SentimentScore:
-    """Score one text.  Pure and total: any UTF-8 string is accepted."""
+def reference_compound(lexicon, text: str) -> float:
+    """Compound score of one text.  Pure and total: any UTF-8 string is accepted."""
     tokens = _tokenize(text)
     if not tokens:
-        return _EMPTY_SCORE
+        return 0.0
     lowered = [t.lower() for t in tokens]
 
     # Caps emphasis applies only when the text mixes cased styles.
@@ -288,20 +263,7 @@ def reference_score_text(lexicon, text: str) -> SentimentScore:
         total += emphasis
     elif total < 0:
         total -= emphasis
-    compound = normalize_valence_sum(total)
-
-    pos = sum(v + 1.0 for v in valences if v > 0)
-    neg = sum(v - 1.0 for v in valences if v < 0)
-    neu = float(sum(1 for v in valences if v == 0))
-    if pos > abs(neg):
-        pos += emphasis
-    elif pos < abs(neg):
-        neg -= emphasis
-    mass = pos + abs(neg) + neu
-    if mass == 0:
-        return _EMPTY_SCORE
-    return SentimentScore(positive=pos / mass, negative=abs(neg) / mass,
-                          neutral=neu / mass, compound=compound)
+    return normalize_valence_sum(total)
 
 
 def same_float(a: float, b: float) -> bool:
@@ -343,16 +305,8 @@ texts = st.one_of(mixed_texts, mixed_texts.map(str.upper))
 class TestMatchesReference:
     @settings(max_examples=600, deadline=None)
     @given(lexicons, texts)
-    def test_score_text(self, lexicon, text):
-        got, want = score_text(lexicon, text), reference_score_text(lexicon, text)
-        for field in dataclasses.fields(SentimentScore):
-            assert same_float(getattr(got, field.name), getattr(want, field.name)), field.name
-
-    @settings(max_examples=600, deadline=None)
-    @given(lexicons, texts)
     def test_compound_only(self, lexicon, text):
-        assert same_float(compound_only(lexicon, text),
-                          reference_score_text(lexicon, text).compound)
+        assert same_float(compound_only(lexicon, text), reference_compound(lexicon, text))
 
     @pytest.mark.parametrize("text", [
         "tiny slightly tiny",               # 0.293 - 0.293 == 0: a neutral token
@@ -369,8 +323,7 @@ class TestMatchesReference:
     def test_fixed_cases(self, text):
         lexicon = make_lexicon({"good": 1.9, "bad": -2.5, "tiny": 0.293,
                                 "no": -1.2, "but": 0.5, "ⓐ": 1.1})
-        assert score_text(lexicon, text) == reference_score_text(lexicon, text)
-        assert compound_only(lexicon, text) == reference_score_text(lexicon, text).compound
+        assert same_float(compound_only(lexicon, text), reference_compound(lexicon, text))
 
 
 class TestMatchesPerTextReference:
@@ -380,9 +333,8 @@ class TestMatchesPerTextReference:
     @settings(max_examples=600, deadline=None)
     @given(lexicons, texts)
     def test_valences(self, lexicon, text):
-        n_tokens, got = sentiment._valences(lexicon, text)
-        want_tokens, want = sentiment_reference._valences(lexicon, text)
-        assert n_tokens == want_tokens
+        got = sentiment._valences(lexicon, text)
+        _, want = sentiment_reference._valences(lexicon, text)
         assert len(got) == len(want)
         assert all(map(same_float, got, want))
 
