@@ -1,9 +1,13 @@
 """Least-squares estimation and time-series testing primitives.
 
-OLS runs through a QR decomposition (stable on near-collinear dummy
-designs); the unit-root test is an augmented Dickey-Fuller regression
-with a constant, lag order picked by AIC, and response-surface critical
-values for the constant-only case.
+OLS runs through a Householder QR that reflects the response alongside
+the design and never forms Q (stable on near-collinear dummy designs);
+the unit-root test is an augmented Dickey-Fuller regression with a
+constant, lag order picked by AIC, and response-surface critical values
+for the constant-only case.  Every fit and correlation sums its n-vectors
+with elementwise numpy and ``np.add.reduce``, never with BLAS, so no such
+sum depends on the BLAS thread count; only the ADF lag search's rank test
+and truncated solves on its small triangular factor call LAPACK.
 
 Student-t p-values come from the regularized incomplete beta function,
 computed here without scipy: the continued fraction of DiDonato & Morris
@@ -270,11 +274,14 @@ def student_t_two_sided_p(t: float, df: int) -> float:
     Uses the regularized incomplete beta identity
     2*SF(|t|) = I(df/2, 1/2; df/(df + t^2)), with both df/(df + t^2) and
     t^2/(df + t^2) formed to about 2^-100, so that the p-value is not
-    limited by the rounding of its argument.
+    limited by the rounding of its argument.  An infinite t has p = 0;
+    a NaN t is a ValueError.
     """
     if df <= 0:
         raise ValueError("degrees of freedom must be positive")
-    if not math.isfinite(t):
+    if math.isnan(t):
+        raise ValueError("t-statistic is NaN")
+    if math.isinf(t):
         return 0.0
     if t == 0.0:
         return 1.0
@@ -293,28 +300,81 @@ def student_t_two_sided_p(t: float, df: int) -> float:
     return _incomplete_beta(0.5 * df, 0.5, _divide((df, 0.0), den), _divide(t2, den))
 
 
+def _unit_scale(v: np.ndarray) -> float:
+    """The power of 2, at most 2^1023, that brings the largest magnitude in
+    v into [0.5, 1), or 1 for v = 0.  A product with it is exact wherever
+    it stays a normal double, and no sum of squares of v times it
+    overflows."""
+    exponent = math.frexp(np.maximum.reduce(np.abs(v), initial=0.0))[1]
+    return math.ldexp(1.0, min(-exponent, 1023))
+
+
+def _householder(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(R, Qᵀb)`` of the Householder QR of the Fortran-ordered n × k
+    design A (n >= k), which this overwrites, as it does the response b.
+    Q is never formed (Golub & Van Loan, *Matrix Computations*, §5.2).
+
+    Step j reflects the remainder x = A[j:, j] onto α e₁, α = −sign(x₀)‖x‖,
+    by H = I − v vᵀ / (−α v₀) with v = x − α e₁, and applies H to rows j..
+    of each later column and of b: one ``np.add.reduce`` dot product and
+    one n-vector update each, so no n × k temporary is made.  A column
+    whose remainder is exactly 0 is not reflected and keeps its R row.
+    Only elementwise operations and ``np.add.reduce`` touch n-vectors, so
+    no BLAS, and no BLAS thread count, enters a bit of the result.
+
+    Each column is first scaled by a power of 2 to a largest magnitude
+    below 1, and R scaled back, both exactly: the bits are those of the
+    unscaled reflections wherever those neither overflow nor underflow,
+    and a column of magnitude 1e200 squares without overflow.
+    """
+    k = A.shape[1]
+    scales = np.array([_unit_scale(A[:, j]) for j in range(k)])
+    A *= scales
+    for j in range(k):
+        x = A[j:, j]
+        norm = math.sqrt(np.add.reduce(x * x))
+        if norm == 0.0:
+            continue
+        alpha = -norm if x[0] >= 0.0 else norm
+        v = x.copy()
+        v[0] -= alpha
+        half_vtv = -alpha * v[0]
+        for column in (*A[j:, j + 1:].T, b[j:]):
+            column -= v * (np.add.reduce(v * column) / half_vtv)
+        x[0] = alpha
+    return np.triu(A[:k]) / scales, b
+
+
 def _fit(X: np.ndarray, y: np.ndarray, names: tuple[str, ...]):
     """The classical fit of a checked float design with n > k, one name per
     column: ``(beta, se, t_stats, rss)``, a t-ratio ±inf or 0 where its
-    standard error is 0.  A column the QR factor finds dependent is a
-    SingularDesignError."""
+    standard error is 0.  A column whose diagonal entry of R is within
+    rounding of 0 is a SingularDesignError.
+
+    R and Qᵀy come from _householder; β and R⁻¹ from one back-substitution
+    of R [β | R⁻¹] = [Qᵀy | I]; the residuals y − Xβ are built one column
+    at a time, and the RSS and the standard errors sqrt(s² Σ R⁻¹ᵢⱼ²) are
+    ``np.add.reduce`` sums.  No step calls BLAS.
+    """
     n, k = X.shape
-    Q, R = np.linalg.qr(X)
+    R, qty = _householder(np.array(X, order="F"), y.copy())
     diag = np.abs(np.diag(R))
     tol = max(n, k) * np.finfo(float).eps * (diag.max() if diag.size else 0.0)
     bad = [names[i] for i in range(k) if diag[i] <= tol]
     if bad:
         raise SingularDesignError(bad)
 
-    qty = Q.T @ y
-    beta = np.linalg.solve(R, qty)
-    residuals = y - X @ beta
-    rss = float(residuals @ residuals)
+    solved = np.column_stack([qty[:k], np.eye(k)])
+    for i in range(k - 1, -1, -1):
+        solved[i] -= np.add.reduce(R[i, i + 1:, None] * solved[i + 1:], axis=0)
+        solved[i] /= R[i, i]
+    beta, r_inv = solved[:, 0], solved[:, 1:]
+    residuals = y.copy()
+    for j in range(k):
+        residuals -= X[:, j] * beta[j]
+    rss = float(np.add.reduce(residuals * residuals))
     s2 = rss / (n - k)
-
-    r_inv = np.linalg.inv(R)
-    xtx_inv_diag = np.einsum("ij,ij->i", r_inv, r_inv)
-    se = np.sqrt(s2 * xtx_inv_diag)
+    se = np.sqrt(s2 * np.add.reduce(r_inv * r_inv, axis=1))
 
     with np.errstate(divide="ignore", invalid="ignore"):
         t_stats = np.where(se > 0, beta / np.where(se > 0, se, 1.0),
@@ -327,7 +387,8 @@ def ols_fit(design: np.ndarray, response: np.ndarray,
     """Classical OLS with homoskedastic standard errors.
 
     `design` must already carry its intercept column.  p-values are
-    two-sided Student-t with n - k degrees of freedom.
+    two-sided Student-t with n - k degrees of freedom.  A non-finite value
+    in the design or the response is a ValueError.
     """
     X = np.asarray(design, dtype=float)
     y = np.asarray(response, dtype=float).ravel()
@@ -343,6 +404,10 @@ def ols_fit(design: np.ndarray, response: np.ndarray,
         raise ValueError("names length must match design columns")
     if n <= k:
         raise InsufficientDataError(f"need n > k, got n={n}, k={k}")
+    if not np.isfinite(X).all():
+        raise ValueError("design has non-finite values")
+    if not np.isfinite(y).all():
+        raise ValueError("response has non-finite values")
 
     beta, se, t_stats, rss = _fit(X, y, names)
     df = n - k
@@ -370,38 +435,38 @@ def default_adf_max_lag(n: int) -> int:
 
 def _adf_design(y: np.ndarray, lag: int):
     """Regression pieces for the DF equation with `lag` lagged differences,
-    columns ``[level, Δy_{t-1..lag}, const]``, on the longest sample."""
+    columns ``[level, Δy_{t-1..lag}, const]`` in a Fortran-ordered design,
+    on the longest sample."""
     dy = np.diff(y)
     m = dy.shape[0]
     cols = [y[lag:m]]  # level term y_{t-1}
     for i in range(1, lag + 1):
         cols.append(dy[lag - i : m - i])
     cols.append(np.ones(m - lag))
-    return np.column_stack(cols), dy[lag:m]
+    return np.vstack(cols).T, dy[lag:m]
 
 
 def _aic_lag(y: np.ndarray, max_lag: int) -> int:
     """The lag in 0..max_lag whose DF regression has the least AIC, the
     smallest on a tie, all fitted on the sample the widest one allows.
 
-    The widest design is factored once with its columns ordered
-    ``[level, const, Δy_{t-1..max_lag}]``, so the model of each lag is a
-    column prefix and the fitted values of every prefix are cumulative
-    sums over the columns of Q.  A prefix that an SVD fit would truncate
-    as rank deficient adds the residual of that truncated least-squares
-    solve on its triangular block, so its projection is the one an SVD
-    fit of the prefix makes.
+    The widest design is reflected once by _householder with its columns
+    ordered ``[level, const, Δy_{t-1..max_lag}]``, so the model of each
+    lag is a column prefix, and the RSS of the prefix of k columns is the
+    tail sum of the squared reflected target from row k on.  A prefix
+    that an SVD fit would truncate as rank deficient adds the residual of
+    that truncated least-squares solve on its triangular block of R, so
+    its projection is the one an SVD fit of the prefix makes.
     """
     dy = np.diff(y)
     m = dy.shape[0]
-    X = np.column_stack([y[max_lag:m], np.ones(m - max_lag),
-                         *(dy[max_lag - i : m - i] for i in range(1, max_lag + 1))])
     target = dy[max_lag:]
+    X = np.vstack([y[max_lag:m], np.ones(m - max_lag),
+                   *(dy[max_lag - i : m - i] for i in range(1, max_lag + 1))]).T
     rows, width = X.shape
-    Q, R = np.linalg.qr(X)
-    qty = Q.T @ target
-    fitted = np.cumsum(Q * qty, axis=1)[:, 1:]      # prefixes of 2.. columns: lags 0..
-    rss = ((target[:, None] - fitted) ** 2).sum(axis=0)
+    R, qty = _householder(X, target.copy())
+    squares = qty * qty
+    rss = np.array([np.add.reduce(squares[k:]) for k in range(2, width + 1)])  # lags 0..
     # No column prefix is worse conditioned than the whole design, so only
     # a design an SVD fit would truncate needs the triangular solves.
     singular = np.linalg.svd(R, compute_uv=False)
@@ -410,12 +475,12 @@ def _aic_lag(y: np.ndarray, max_lag: int) -> int:
         for k in range(2, width + 1):
             z, _, rank, _ = np.linalg.lstsq(R[:k, :k], qty[:k], rcond=cutoff)
             if rank < k:
-                r = qty[:k] - R[:k, :k] @ z
-                rss[k - 2] += r @ r
+                r = qty[:k] - np.add.reduce(R[:k, :k] * z, axis=1)
+                rss[k - 2] += np.add.reduce(r * r)
 
     # Floor the RSS at numerical-noise level so a (near-)perfect fit
     # resolves deterministically to the smallest lag via the 2k penalty.
-    floor = 1e-12 * max(float(target @ target), 1e-12)
+    floor = 1e-12 * max(float(np.add.reduce(target * target)), 1e-12)
     best_lag, best_aic = 0, np.inf
     for lag, lag_rss in enumerate(rss.tolist()):
         aic = rows * math.log(max(lag_rss, floor) / rows) + 2 * (lag + 2)
@@ -458,7 +523,13 @@ def adf_test(series, max_lag: int | None = None) -> AdfResult:
 
 
 def pearson_matrix(columns: list[tuple[str, np.ndarray]]) -> tuple[tuple[str, ...], np.ndarray]:
-    """Correlation matrix over named, equal-length, non-constant columns."""
+    """Correlation matrix over named, equal-length, finite, non-constant
+    columns: each pair's ``np.add.reduce`` sum of products of the centred
+    columns over the root of each one's sum of squares, clipped to
+    [-1, 1], with a unit diagonal.  Each centred column is scaled by a
+    power of 2 to a largest magnitude below 1, which changes no bit of a
+    correlation that does not overflow.  A non-finite column is a
+    ValueError."""
     if not columns:
         raise ValueError("no columns given")
     names = tuple(name for name, _ in columns)
@@ -469,11 +540,17 @@ def pearson_matrix(columns: list[tuple[str, np.ndarray]]) -> tuple[tuple[str, ..
     for name, arr in zip(names, arrays):
         if arr.shape[0] != length:
             raise ValueError(f"column {name!r} length {arr.shape[0]} != {length}")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"column {name!r} has non-finite values")
         if np.ptp(arr) == 0:
             raise ConstantColumnError(name)
-    matrix = np.corrcoef(np.vstack(arrays))
-    matrix = np.clip(matrix, -1.0, 1.0)
-    np.fill_diagonal(matrix, 1.0)
+    centred = [c * _unit_scale(c) for c in (arr - arr.mean() for arr in arrays)]
+    roots = [math.sqrt(np.add.reduce(c * c)) for c in centred]
+    matrix = np.eye(len(centred))
+    for i, (a, root_a) in enumerate(zip(centred, roots)):
+        for j in range(i):
+            r = np.add.reduce(a * centred[j]) / root_a / roots[j]
+            matrix[i, j] = matrix[j, i] = min(max(r, -1.0), 1.0)
     return names, matrix
 
 

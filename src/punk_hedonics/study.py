@@ -86,9 +86,10 @@ def default_windows(study_start: dt.date = STUDY_WINDOW_START,
 
 
 def design_for(panel: Panel, model: ModelSpec) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
-    """Design matrix (intercept first), response, and column names."""
+    """Design matrix (intercept first, Fortran-ordered, so that each column
+    a fit reads is contiguous), response, and column names."""
     names = (INTERCEPT,) + model.regressors
-    X = np.column_stack([np.ones(len(panel)), *(panel[reg] for reg in model.regressors)])
+    X = np.vstack([np.ones(len(panel)), *(panel[reg] for reg in model.regressors)]).T
     return X, panel["log_usd_price"], names
 
 

@@ -86,11 +86,12 @@ def make_lexicon(valences):
 
 
 def write_synthetic_dataset(root, seed=0, n_days=240,
-                            first_day=dt.date(2020, 9, 1)):
+                            first_day=dt.date(2020, 9, 1), sales_per_day=(2, 7)):
     """Write a small self-consistent CSV dataset + config under `root`.
 
-    Spans the 2021-01-01 split so all three study windows have data.
-    Returns the config file path.
+    Spans the 2021-01-01 split so all three study windows have data.  Each
+    day has ``rng.integers(*sales_per_day)`` sales.  Returns the config
+    file path.
     """
     rng = np.random.default_rng(seed)
     days = [first_day + dt.timedelta(days=i) for i in range(n_days)]
@@ -136,7 +137,7 @@ def write_synthetic_dataset(root, seed=0, n_days=240,
                                "Male" if rng.random() < 0.65 else "Female")
     sale_rows = ["punk_id,date,price_eth,skin_tone,gender,buyer,seller"]
     for day in days:
-        for _ in range(int(rng.integers(2, 7))):
+        for _ in range(int(rng.integers(*sales_per_day))):
             punk_id = int(rng.integers(0, 300))
             skin, gender = punk_attrs[punk_id]
             price = float(np.exp(rng.normal(1.5, 0.8)))

@@ -75,6 +75,19 @@ class TestOls:
         with pytest.raises(InsufficientDataError):
             ols_fit(np.ones((3, 3)), np.zeros(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_design_or_response_is_an_error(self, bad):
+        """Not NaN coefficients whose NaN t-ratios read as three stars."""
+        rng = np.random.default_rng(7)
+        X = np.column_stack([np.ones(40), rng.normal(size=40)])
+        y = rng.normal(size=40)
+        X[17, 1] = bad
+        with pytest.raises(ValueError, match="design has non-finite values"):
+            ols_fit(X, y)
+        X[17, 1], y[3] = 0.5, bad
+        with pytest.raises(ValueError, match="response has non-finite values"):
+            ols_fit(X, y)
+
     def test_t_stats_consistent(self):
         rng = np.random.default_rng(3)
         X = np.column_stack([np.ones(50), rng.normal(size=(50, 2))])
@@ -128,6 +141,132 @@ class TestOls:
         fit = ols_fit(X, rng.normal(size=60))
         assert fit.adj_r2 <= fit.r2
         assert 0.0 <= fit.r2 <= 1.0
+
+
+def lstsq_reference(X, y):
+    """β, standard errors and RSS of the classical fit, from np.linalg.lstsq
+    alone: (X'X)⁻¹ is X⁺X⁺' with X⁺ the least-squares solve of X Z = I."""
+    n, k = X.shape
+    beta = np.linalg.lstsq(X, y, rcond=None)[0]
+    residuals = y - X @ beta
+    rss = residuals @ residuals
+    pinv = np.linalg.lstsq(X, np.eye(n), rcond=None)[0]
+    return beta, np.sqrt(rss / (n - k) * (pinv ** 2).sum(axis=1)), rss
+
+
+@st.composite
+def well_conditioned_fits(draw):
+    """An intercept and normal columns of scale 0.2-5, and a response with
+    coefficients of magnitude 0.5-2 and a little noise."""
+    k = draw(st.integers(1, 12))
+    n = draw(st.integers(2 * k + 10, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = np.column_stack([np.ones(n),
+                         rng.normal(size=(n, k - 1)) * rng.uniform(0.2, 5.0, size=k - 1)])
+    beta = rng.uniform(0.5, 2.0, size=k) * rng.choice([-1.0, 1.0], size=k)
+    return X, X @ beta + rng.normal(scale=draw(st.floats(0.01, 0.05)), size=n)
+
+
+@st.composite
+def ill_conditioned_fits(draw):
+    """As well_conditioned_fits, but one column is another plus 1e-9 to
+    1e-4 of noise, and the response lies within 1e-12 to 1e-6 of the
+    design's range, so its fitted values are well determined."""
+    k = draw(st.integers(2, 12))
+    n = draw(st.integers(2 * k + 10, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = np.column_stack([np.ones(n),
+                         rng.normal(size=(n, k - 1)) * rng.uniform(0.2, 5.0, size=k - 1)])
+    near, base = draw(st.permutations(range(k)))[:2]
+    X[:, near] = X[:, base] + 10 ** draw(st.floats(-9, -4)) * rng.normal(size=n)
+    beta = rng.uniform(0.5, 2.0, size=k) * rng.choice([-1.0, 1.0], size=k)
+    return X, X @ beta + 10 ** draw(st.floats(-12, -6)) * rng.normal(size=n)
+
+
+@st.composite
+def reduced_before(draw):
+    """A design whose columns before j are already zero below their
+    nonzero diagonal and whose column j is zero from row j down, and j."""
+    k = draw(st.integers(1, 8))
+    n = draw(st.integers(k + 1, 40))
+    j = draw(st.integers(0, k - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n, k))
+    for c in range(j):
+        X[c + 1:, c] = 0.0
+        X[c, c] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+    X[j:, j] = 0.0
+    return X, rng.normal(size=n), j
+
+
+def kernel(X, y):
+    return econometrics._householder(np.array(X, order="F"), y.copy())
+
+
+class TestHouseholderKernel:
+    """The Householder kernel behind every fit, against numpy's LAPACK."""
+
+    @given(well_conditioned_fits())
+    @settings(max_examples=100, deadline=None)
+    def test_fit_matches_lstsq(self, case):
+        X, y = case
+        beta, se, _, rss = econometrics._fit(X, y, tuple(f"x{i}" for i in range(X.shape[1])))
+        ref_beta, ref_se, ref_rss = lstsq_reference(X, y)
+        np.testing.assert_allclose(beta, ref_beta, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(se, ref_se, rtol=1e-10, atol=0)
+        assert rss == pytest.approx(ref_rss, rel=1e-10)
+        fit = ols_fit(X, y)
+        assert np.array_equal(fit.coefficients, beta) and np.array_equal(fit.standard_errors, se)
+
+    @given(ill_conditioned_fits())
+    @settings(max_examples=100, deadline=None)
+    def test_ill_conditioned_fitted_values_match_lstsq(self, case):
+        X, y = case
+        fit = ols_fit(X, y)
+        fitted = sum(X[:, j] * b for j, b in enumerate(fit.coefficients))
+        expected = X @ np.linalg.lstsq(X, y, rcond=None)[0]
+        assert np.linalg.norm(fitted - expected) <= 1e-10 * np.linalg.norm(expected)
+
+    @given(well_conditioned_fits())
+    @settings(max_examples=100, deadline=None)
+    def test_diagonal_of_r_matches_numpy_qr(self, case):
+        X, y = case
+        R, qty = kernel(X, y)
+        np.testing.assert_allclose(np.abs(np.diag(R)), np.abs(np.diag(np.linalg.qr(X)[1])),
+                                   rtol=1e-12, atol=0)
+        assert np.array_equal(R, np.triu(R))
+        # Q is orthogonal: Qᵀy keeps the length of y.
+        assert np.linalg.norm(qty) == pytest.approx(np.linalg.norm(y), rel=1e-13)
+
+    @given(well_conditioned_fits(), st.integers(-600, 600))
+    @settings(max_examples=50, deadline=None)
+    def test_power_of_two_column_scale_passes_through_exactly(self, case, power):
+        """Scaling a column by 2^power scales its column of R by exactly
+        that and changes no other bit, also where its squares overflow."""
+        X, y = case
+        R, qty = kernel(X, y)
+        scaled = X.copy()
+        scaled[:, -1] = np.ldexp(X[:, -1], power)
+        scaled_r, scaled_qty = kernel(scaled, y)
+        assert np.array_equal(scaled_qty, qty)
+        assert np.array_equal(scaled_r[:, :-1], R[:, :-1])
+        assert np.array_equal(scaled_r[:, -1], np.ldexp(R[:, -1], power))
+
+    @given(reduced_before())
+    @settings(max_examples=100, deadline=None)
+    def test_column_with_zero_remainder_keeps_its_row(self, case):
+        """Steps before j reflect only their own row, step j reflects
+        nothing and later steps only later rows, so row j of R and of Qᵀy
+        is row j of the design and of y, bit for bit."""
+        X, y, j = case
+        R, qty = kernel(X, y)
+        assert np.isfinite(R).all() and np.isfinite(qty).all()
+        assert np.array_equal(R[j, j:], X[j, j:])
+        assert qty[j] == y[j]
+        names = tuple(f"x{i}" for i in range(X.shape[1]))
+        with pytest.raises(SingularDesignError) as exc:
+            ols_fit(X, y, names=names)
+        assert names[j] in exc.value.columns
 
 
 class TestAdf:
@@ -254,6 +393,23 @@ class TestPearson:
         with pytest.raises(ConstantColumnError, match="flat"):
             pearson_matrix([("ok", np.arange(5.0)), ("flat", np.ones(5))])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_column_named(self, bad):
+        """Not a NaN matrix, which correlation_precheck would read as weak."""
+        column = np.arange(6.0)
+        column[2] = bad
+        with pytest.raises(ValueError, match="column 'gap' has non-finite values"):
+            pearson_matrix([("ok", np.arange(6.0)), ("gap", column)])
+
+    @pytest.mark.parametrize("power", [-600, 600])
+    def test_power_of_two_scale_changes_no_bit(self, power):
+        """Also where the column's squares would overflow or underflow."""
+        rng = np.random.default_rng(24)
+        x, y, z = rng.normal(size=(3, 100))
+        _, m1 = pearson_matrix([("x", x), ("y", y), ("z", z)])
+        _, m2 = pearson_matrix([("x", x), ("y", np.ldexp(y, power)), ("z", z)])
+        assert np.array_equal(m1, m2)
+
     def test_positive_affine_invariance(self):
         rng = np.random.default_rng(23)
         x, y = rng.normal(size=100), rng.normal(size=100)
@@ -287,6 +443,10 @@ class TestStudentT:
         assert student_t_two_sided_p(float("inf"), 10) == 0.0
         with pytest.raises(ValueError):
             student_t_two_sided_p(1.0, 0)
+
+    def test_nan_t_is_an_error(self):
+        with pytest.raises(ValueError, match="NaN"):
+            student_t_two_sided_p(float("nan"), 10)
 
 
 @mpmath.workdps(50)
