@@ -27,9 +27,9 @@ walk = np.cumsum(rng.normal(size=500))
 
 for label, series in [("AR(1), phi=0.5", ar1), ("random walk", walk)]:
     result = adf_test(series)
-    verdict = "stationary" if result.reject_at["5%"] else "unit root not rejected"
-    print(f"{label:<16} statistic={result.statistic:8.3f}  "
-          f"lags={result.lags}  5% cv={result.critical_values['5%']:.3f}  "
+    verdict = "stationary" if result["stationary_at_5pct"] else "unit root not rejected"
+    print(f"{label:<16} statistic={result['statistic']:8.3f}  "
+          f"lags={result['lags']}  5% cv={result['critical_values']['5%']:.3f}  "
           f"-> {verdict}")
 
 # Rejection means the statistic falls below the critical value: the more

@@ -348,13 +348,11 @@ def _lollipop_rows(results: dict[str, dict],
 def cmd_heatmap(inputs: RunInputs) -> None:
     """Gender x skin-tone counts and shares over the accepted sales."""
     inputs.config.require("sales")
-    distribution = market.attribute_distribution(inputs.sales)
-    rows = []
-    for gender in (market.Gender.MALE, market.Gender.FEMALE):
-        for skin in market.SkinTone:
-            count = distribution.count(gender, skin)
-            share = distribution.share(gender, skin)
-            rows.append([gender.value, skin.value, str(count), f"{100 * share:.1f}"])
+    counts = market.attribute_distribution(inputs.sales).tolist()
+    total = len(inputs.sales)
+    rows = [[gender.value, skin.value, str(n), f"{100 * (n / total if total else 0.0):.1f}"]
+            for gender, row in zip(market.GENDERS, counts)
+            for skin, n in zip(market.SKIN_TONES, row)]
     _write_csv(inputs.config.output_dir / "heatmap.csv",
                ["gender", "skin_tone", "count", "share_pct"], rows)
 

@@ -19,7 +19,6 @@ prefix x^a (1−x)^b / B(a, b) taken in logs carried past double precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,28 +65,6 @@ class ConstantColumnError(ValueError):
     def __init__(self, name: str):
         self.name = name
         super().__init__(f"column {name!r} is constant")
-
-
-@dataclass(frozen=True)
-class OlsFit:
-    names: tuple[str, ...]
-    coefficients: np.ndarray
-    standard_errors: np.ndarray
-    t_stats: np.ndarray
-    p_values: np.ndarray
-    r2: float
-    adj_r2: float
-    n_obs: int
-    n_params: int
-
-
-@dataclass(frozen=True)
-class AdfResult:
-    statistic: float
-    lags: int
-    n_obs: int
-    critical_values: dict[str, float]
-    reject_at: dict[str, bool]
 
 
 def _two_sum(a: float, b: float) -> tuple[float, float]:
@@ -383,12 +360,18 @@ def _fit(X: np.ndarray, y: np.ndarray, names: tuple[str, ...]):
 
 
 def ols_fit(design: np.ndarray, response: np.ndarray,
-            names: tuple[str, ...] | None = None) -> OlsFit:
+            names: tuple[str, ...] | None = None) -> dict:
     """Classical OLS with homoskedastic standard errors.
 
     `design` must already carry its intercept column.  p-values are
     two-sided Student-t with n - k degrees of freedom.  A non-finite value
     in the design or the response is a ValueError.
+
+    Returns the fit as the plain-JSON ``results`` entry of ``suite.json``,
+    in this key order: ``names``, then one list per column each of
+    ``coefficients``, ``standard_errors``, ``t_stats``, ``p_values`` and
+    ``stars`` (significance_stars of the p-value), then ``r2``,
+    ``adj_r2``, ``n_obs`` and ``n_params``.
     """
     X = np.asarray(design, dtype=float)
     y = np.asarray(response, dtype=float).ravel()
@@ -410,16 +393,16 @@ def ols_fit(design: np.ndarray, response: np.ndarray,
         raise ValueError("response has non-finite values")
 
     beta, se, t_stats, rss = _fit(X, y, names)
-    df = n - k
-    p_values = np.array([student_t_two_sided_p(float(t), df) for t in t_stats])
+    t_stats = t_stats.tolist()
+    p_values = [student_t_two_sided_p(t, n - k) for t in t_stats]
 
     tss = float(((y - y.mean()) ** 2).sum())
     r2 = 1.0 - rss / tss if tss > 0 else 0.0
     r2 = min(max(r2, 0.0), 1.0)
-    adj_r2 = 1.0 - (1.0 - r2) * (n - 1) / (n - k)
-    return OlsFit(names=names, coefficients=beta, standard_errors=se,
-                  t_stats=t_stats, p_values=p_values, r2=r2, adj_r2=adj_r2,
-                  n_obs=n, n_params=k)
+    return {"names": list(names), "coefficients": beta.tolist(),
+            "standard_errors": se.tolist(), "t_stats": t_stats, "p_values": p_values,
+            "stars": [significance_stars(p) for p in p_values], "r2": r2,
+            "adj_r2": 1.0 - (1.0 - r2) * (n - 1) / (n - k), "n_obs": n, "n_params": k}
 
 
 def adf_critical_values(n_obs: int) -> dict[str, float]:
@@ -489,13 +472,18 @@ def _aic_lag(y: np.ndarray, max_lag: int) -> int:
     return best_lag
 
 
-def adf_test(series, max_lag: int | None = None) -> AdfResult:
+def adf_test(series, max_lag: int | None = None) -> dict:
     """Augmented Dickey-Fuller unit-root test (constant, no trend).
 
     Lag order is chosen by AIC over 0..max_lag on a common sample, then
     the statistic is the t-ratio on the level term refit on the longest
     sample that lag allows.  Rejection (statistic below the critical
     value) indicates stationarity.
+
+    Returns the plain-JSON ``stationarity`` entry of ``suite.json``:
+    ``statistic``, ``lags``, ``n_obs`` (rows of that refit),
+    ``critical_values`` at ``1%``, ``5%`` and ``10%``, and
+    ``stationary_at_5pct``, whether the statistic lies below the 5 % one.
     """
     y = np.asarray(series, dtype=float).ravel()
     n = y.shape[0]
@@ -517,9 +505,8 @@ def adf_test(series, max_lag: int | None = None) -> AdfResult:
     _, _, t_stats, _ = _fit(X, dy, tuple(f"c{i}" for i in range(k)))
     statistic = float(t_stats[0])
     critical = adf_critical_values(rows)
-    reject = {level: statistic < cv for level, cv in critical.items()}
-    return AdfResult(statistic=statistic, lags=best_lag, n_obs=rows,
-                     critical_values=critical, reject_at=reject)
+    return {"statistic": statistic, "lags": best_lag, "n_obs": rows,
+            "critical_values": critical, "stationary_at_5pct": statistic < critical["5%"]}
 
 
 def pearson_matrix(columns: list[tuple[str, np.ndarray]]) -> tuple[tuple[str, ...], np.ndarray]:

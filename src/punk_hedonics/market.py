@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import datetime as dt
 import math
-from dataclasses import dataclass
 from enum import Enum
-from itertools import compress, product
+from itertools import compress
 
 import numpy as np
 
@@ -60,20 +59,6 @@ class Sales(Table):
     DTYPES = {"punk_id": np.int64, "day": "datetime64[D]", "price_eth": np.float64,
               "rarity": np.float64, "skin": np.int8, "gender": np.int8,
               "buyer": np.int64, "seller": np.int64}
-
-
-@dataclass
-class AttributeDistribution:
-    """Cell counts over the (gender, skin tone) grid."""
-
-    counts: dict[tuple[Gender, SkinTone], int]
-    total: int
-
-    def count(self, gender: Gender, skin: SkinTone) -> int:
-        return self.counts.get((gender, skin), 0)
-
-    def share(self, gender: Gender, skin: SkinTone) -> float:
-        return self.count(gender, skin) / self.total if self.total else 0.0
 
 
 class _Memo(dict):
@@ -277,10 +262,12 @@ def _last_occurrences(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return distinct, len(keys) - 1 - first_from_end
 
 
-def attribute_distribution(sales: Sales) -> AttributeDistribution:
+def attribute_distribution(sales: Sales) -> np.ndarray:
+    """The number of sales in each (gender, skin tone) cell, as an integer
+    array of shape ``(len(GENDERS), len(SKIN_TONES))`` indexed by the
+    sales' ``gender`` and ``skin`` codes."""
     cells = np.bincount(_combinations(sales), minlength=len(GENDERS) * len(SKIN_TONES))
-    counts = {cell: n for cell, n in zip(product(GENDERS, SKIN_TONES), cells.tolist()) if n}
-    return AttributeDistribution(counts=counts, total=len(sales))
+    return cells.reshape(len(GENDERS), len(SKIN_TONES))
 
 
 def daily_aggregates(sales: Sales, fx: DailySeries) -> tuple[DailySeries, DailySeries]:

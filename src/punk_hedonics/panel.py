@@ -132,11 +132,11 @@ def stationarity_screen(panel: Panel, max_lag: int | None = None) -> dict[str, d
     """ADF screen over daily-collapsed log price and every daily control.
 
     Each variable in SCREEN_VARIABLES maps to its ``suite.json`` entry:
-    ``statistic``, ``lags``, ``n_obs``, ``critical_values`` and
-    ``stationary_at_5pct``, or ``{"skip_reason": ...}`` for a series it
-    cannot test (too short, constant, or a regression at the chosen lag
-    whose design is singular).  Skips are reported, never silently
-    dropped; the screen reports and does not gate.
+    what ``adf_test`` returns for its daily means, or
+    ``{"skip_reason": ...}`` for a series it cannot test (too short,
+    constant, or a regression at the chosen lag whose design is
+    singular).  Skips are reported, never silently dropped; the screen
+    reports and does not gate.
     """
     if not panel:
         raise PanelError("panel is empty")
@@ -149,15 +149,11 @@ def stationarity_screen(panel: Panel, max_lag: int | None = None) -> dict[str, d
                 "skip_reason": f"series too short ({len(values)} < {ADF_MIN_LENGTH})"}
             continue
         try:
-            result = adf_test(values, max_lag=max_lag)
+            report[variable] = adf_test(values, max_lag=max_lag)
         except ConstantColumnError:
             report[variable] = {"skip_reason": "zero variance"}
         except (InsufficientDataError, SingularDesignError) as exc:
             report[variable] = {"skip_reason": str(exc)}
-        else:
-            report[variable] = {"statistic": result.statistic, "lags": result.lags,
-                                "n_obs": result.n_obs, "critical_values": result.critical_values,
-                                "stationary_at_5pct": result.reject_at["5%"]}
     return report
 
 

@@ -66,12 +66,14 @@ class DailySeries:
 def pct_change(series: DailySeries) -> tuple[DailySeries, np.ndarray]:
     """Period-over-period relative change over consecutive observed dates.
 
-    The first date is dropped.  A zero denominator does not produce an
-    infinity: the observation is dropped and its date returned as a gap.
+    The first date is dropped.  A change is never an infinity or a NaN:
+    where the denominator is zero or the change overflows, the
+    observation is dropped and its date returned as a gap.
     """
     if len(series) < 2:
         raise ValueError("pct_change needs at least 2 observations")
     previous, current, days = series.values[:-1], series.values[1:], series.days[1:]
-    kept = previous != 0.0
-    return (DailySeries(days[kept], (current[kept] - previous[kept]) / previous[kept]),
-            days[~kept])
+    with np.errstate(all="ignore"):         # a non-finite change is a gap, counted here
+        change = (current - previous) / previous
+    kept = np.isfinite(change)
+    return DailySeries(days[kept], change[kept]), days[~kept]

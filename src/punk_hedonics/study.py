@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .econometrics import (ConstantColumnError, InsufficientDataError, OlsFit,
-                           SingularDesignError, ols_fit, pearson_matrix, significance_stars)
+from .econometrics import (ConstantColumnError, InsufficientDataError, SingularDesignError,
+                           ols_fit, pearson_matrix)
 from .panel import DUMMY_COLUMNS, Panel
 from .tweets import STUDY_WINDOW_END, STUDY_WINDOW_START
 
@@ -99,7 +99,7 @@ def run_suite(panel: Panel, windows: tuple[WindowSpec, ...]) -> dict:
 
     Returns the fits' part of ``suite.json``: ``schema_version``,
     ``windows``, ``skipped_windows``, ``results`` (``<window>.<model>`` →
-    ``fit_to_dict``, sorted by window label and model id) and
+    what ``ols_fit`` returns, sorted by window label and model id) and
     ``structural_change``, which compares model 4 of the first two windows
     (pre-split and post-split) or gives the ``skip_reason``.
     """
@@ -117,7 +117,7 @@ def run_suite(panel: Panel, windows: tuple[WindowSpec, ...]) -> dict:
         try:
             for spec in specs:
                 X, y, names = design_for(in_window, spec)
-                fits[(window.label, spec.id)] = fit_to_dict(ols_fit(X, y, names=names))
+                fits[(window.label, spec.id)] = ols_fit(X, y, names=names)
         except (InsufficientDataError, ConstantColumnError, SingularDesignError) as exc:
             skipped[window.label] = str(exc)
             fits = {k: v for k, v in fits.items() if k[0] != window.label}
@@ -175,17 +175,3 @@ def structural_change(before: dict, after: dict) -> dict[str, dict]:
                          "significance_lost": stars_before > 0 and stars_after == 0}
     return changes
 
-
-def fit_to_dict(fit: OlsFit) -> dict:
-    return {
-        "names": list(fit.names),
-        "coefficients": [float(c) for c in fit.coefficients],
-        "standard_errors": [float(s) for s in fit.standard_errors],
-        "t_stats": [float(t) for t in fit.t_stats],
-        "p_values": [float(p) for p in fit.p_values],
-        "stars": [significance_stars(float(p)) for p in fit.p_values],
-        "r2": fit.r2,
-        "adj_r2": fit.adj_r2,
-        "n_obs": fit.n_obs,
-        "n_params": fit.n_params,
-    }

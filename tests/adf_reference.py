@@ -4,7 +4,8 @@ Kept as the reference that ``punk_hedonics.econometrics.adf_test`` must
 match, its lag loop verbatim, only moved into ``aic_lag``: one SVD
 least-squares fit per candidate lag, each on its own design
 ``[level, Δy_{t-1..lag}, const]`` over the common sample.  The statistic
-is refit with the package's ``ols_fit`` at the chosen lag.
+is refit with the package's ``ols_fit`` at the chosen lag, and the
+result has the keys of the package's ``adf_test``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 
 import numpy as np
 
-from punk_hedonics.econometrics import (ADF_MIN_LENGTH, AdfResult, ConstantColumnError,
+from punk_hedonics.econometrics import (ADF_MIN_LENGTH, ConstantColumnError,
                                         InsufficientDataError, adf_critical_values,
                                         default_adf_max_lag, ols_fit)
 
@@ -58,7 +59,7 @@ def selection_max_lag(n: int, max_lag: int | None) -> int:
     return max(0, min(max_lag, (n - 1) // 2 - 2))
 
 
-def adf_test(series, max_lag: int | None = None) -> AdfResult:
+def adf_test(series, max_lag: int | None = None) -> dict:
     """Augmented Dickey-Fuller unit-root test (constant, no trend).
 
     Lag order is chosen by AIC over 0..max_lag on a common sample, then
@@ -77,8 +78,7 @@ def adf_test(series, max_lag: int | None = None) -> AdfResult:
     X, dy = _adf_design(y, best_lag, start=best_lag)
     rows, k = X.shape
     fit = ols_fit(X, dy, names=tuple(f"c{i}" for i in range(k)))
-    statistic = float(fit.t_stats[0])
+    statistic = fit["t_stats"][0]
     critical = adf_critical_values(rows)
-    reject = {level: statistic < cv for level, cv in critical.items()}
-    return AdfResult(statistic=statistic, lags=best_lag, n_obs=rows,
-                     critical_values=critical, reject_at=reject)
+    return {"statistic": statistic, "lags": best_lag, "n_obs": rows,
+            "critical_values": critical, "stationary_at_5pct": statistic < critical["5%"]}

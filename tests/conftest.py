@@ -26,6 +26,16 @@ BASIC_LEXICON_TEXT = (
 )
 
 
+def builtin_only(value):
+    """Whether ``value`` is made of dicts with str keys, lists, str, int,
+    float and bool alone: no numpy scalar, array or tuple."""
+    if type(value) is dict:
+        return all(type(k) is str and builtin_only(v) for k, v in value.items())
+    if type(value) is list:
+        return all(builtin_only(v) for v in value)
+    return type(value) in (str, int, float, bool)
+
+
 @pytest.fixture(scope="session")
 def lexicon():
     return load_lexicon(BASIC_LEXICON_TEXT)

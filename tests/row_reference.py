@@ -23,7 +23,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 from punk_hedonics.ingest import IngestReport, SchemaError
-from punk_hedonics.market import SALES_COLUMNS, AttributeDistribution, Gender, SkinTone
+from punk_hedonics.market import GENDERS, SALES_COLUMNS, SKIN_TONES, Gender, SkinTone
 from punk_hedonics.panel import DUMMY_COLUMNS, PANEL_COLUMNS, Panel, PanelError
 from series_reference import DailySeries
 
@@ -105,11 +105,13 @@ def ingest_sales(source) -> tuple[list[SaleRecord], IngestReport]:
     return sales, report
 
 
-def attribute_distribution(sales: list[SaleRecord]) -> AttributeDistribution:
+def attribute_distribution(sales: list[SaleRecord]) -> list[list[int]]:
+    """Rows of counts in GENDERS order, each over SKIN_TONES, as the
+    package's ``attribute_distribution`` array's ``tolist()``."""
     counts: dict[tuple[Gender, SkinTone], int] = defaultdict(int)
     for sale in sales:
         counts[(sale.gender, sale.skin_tone)] += 1
-    return AttributeDistribution(counts=dict(counts), total=len(sales))
+    return [[counts[(gender, skin)] for skin in SKIN_TONES] for gender in GENDERS]
 
 
 def daily_aggregates(sales: list[SaleRecord],

@@ -2,12 +2,15 @@
 
 Kept verbatim as the reference that ``punk_hedonics.series`` must match:
 an immutable date -> float map, and ``pct_change`` as a loop over
-consecutive pairs.  ``row_reference`` builds its series with this class.
+consecutive pairs.  Rule added to both since: a change that is not
+finite (it overflows, or a value is not finite) is a gap, as a zero
+denominator was.  ``row_reference`` builds its series with this class.
 """
 
 from __future__ import annotations
 
 import datetime as dt
+import math
 from collections.abc import Iterable, Mapping
 
 
@@ -61,8 +64,9 @@ class DailySeries:
 def pct_change(series: DailySeries) -> tuple[DailySeries, list[dt.date]]:
     """Period-over-period relative change over consecutive observed dates.
 
-    The first date is dropped.  A zero denominator does not produce an
-    infinity: the observation is dropped and its date returned as a gap.
+    The first date is dropped.  A change is never an infinity or a NaN:
+    where the denominator is zero or the change is not finite, the
+    observation is dropped and its date returned as a gap.
     """
     if len(series) < 2:
         raise ValueError("pct_change needs at least 2 observations")
@@ -70,8 +74,9 @@ def pct_change(series: DailySeries) -> tuple[DailySeries, list[dt.date]]:
     gaps = []
     items = list(series.items())
     for (d_prev, v_prev), (d_cur, v_cur) in zip(items, items[1:]):
-        if v_prev == 0.0:
+        change = (v_cur - v_prev) / v_prev if v_prev != 0.0 else math.inf
+        if not math.isfinite(change):
             gaps.append(d_cur)
             continue
-        out.append((d_cur, (v_cur - v_prev) / v_prev))
+        out.append((d_cur, change))
     return DailySeries(out), gaps

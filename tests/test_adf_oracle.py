@@ -39,9 +39,9 @@ def test_random_walk_quantiles_match_response_surface():
     replications = 4000
     walks = np.cumsum(rng.normal(size=(replications, N_OBS)), axis=1)
     results = [adf_test(walk, max_lag=0) for walk in walks]
-    statistics = np.sort([r.statistic for r in results])
+    statistics = np.sort([r["statistic"] for r in results])
     critical = adf_critical_values(N_OBS - 1)
-    assert {r.n_obs for r in results} == {N_OBS - 1}
+    assert {r["n_obs"] for r in results} == {N_OBS - 1}
     for level, p in LEVELS.items():
         rank = p * replications
         spread = 4 * math.sqrt(replications * p * (1 - p))
@@ -55,7 +55,7 @@ def test_size_at_5pct_with_lag_search():
     rng = np.random.default_rng(1979)
     replications = 2000
     series = np.cumsum(ar1_paths(rng, 0.5, replications), axis=1)
-    rate = np.mean([adf_test(y).reject_at["5%"] for y in series])
+    rate = np.mean([adf_test(y)["stationary_at_5pct"] for y in series])
     low, high = rejection_band(0.05, replications)
     assert low <= rate <= high
 
@@ -65,5 +65,6 @@ def test_power_against_stationary_ar1():
     often than the 5 % size: about 94 % of the time in this simulation."""
     rng = np.random.default_rng(1981)
     replications = 1000
-    rate = np.mean([adf_test(y).reject_at["5%"] for y in ar1_paths(rng, 0.9, replications)])
+    rate = np.mean([adf_test(y)["stationary_at_5pct"]
+                    for y in ar1_paths(rng, 0.9, replications)])
     assert rate >= 0.85

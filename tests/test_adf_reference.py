@@ -88,7 +88,7 @@ def outcome(test, series, max_lag):
         result = test(series, max_lag=max_lag)
     except ValueError as exc:
         return type(exc).__name__, str(exc)
-    return result.lags, result.n_obs, result.statistic.hex()
+    return result["lags"], result["n_obs"], result["statistic"].hex()
 
 
 def exact_fit(X, y):

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import write_synthetic_dataset
+from conftest import builtin_only, write_synthetic_dataset
 from punk_hedonics import cli, market, panel, study, tweets
 from punk_hedonics.cli import (ConfigError, main, parse_config_file)
 
@@ -343,7 +343,8 @@ class TestHeatmap:
         assert main(["--config", str(config), "--output-dir", str(out),
                      "heatmap"]) == 0
         rows = read_csv(out / "heatmap.csv")
-        assert all(r[2] == "0" for r in rows[1:])
+        assert len(rows) == 1 + 14
+        assert all(r[2:] == ["0", "0.0"] for r in rows[1:])
 
 
 def table_stars(text):
@@ -421,10 +422,10 @@ class TestRegress:
         assert len(fits) == len(keys) == len(results)
         for key, fit in zip(keys, fits):
             doc = results[key]
-            for name, value in (("r2", fit.r2), ("adj_r2", fit.adj_r2)):
-                assert f'"{name}": {float(value)!r},' in text
-                assert doc[name] == value
-            assert doc["coefficients"] == fit.coefficients.tolist()
+            for name in ("r2", "adj_r2"):
+                assert f'"{name}": {float(fit[name])!r},' in text
+                assert doc[name] == fit[name]
+            assert doc["coefficients"] == fit["coefficients"]
 
     def test_panel_csv_round_trips(self, synthetic_dataset, tmp_path):
         out = tmp_path / "out"
@@ -528,16 +529,6 @@ class TestRegress:
         assert capsys.readouterr().err == (
             "error: active_wallets: pct_change needs at least 2 observations\n")
         assert not (out / "suite.json").exists()
-
-
-def builtin_only(value):
-    """Whether ``value`` is made of dicts with str keys, lists, str, int,
-    float and bool alone: no numpy scalar, array or tuple."""
-    if type(value) is dict:
-        return all(type(k) is str and builtin_only(v) for k, v in value.items())
-    if type(value) is list:
-        return all(builtin_only(v) for v in value)
-    return type(value) in (str, int, float, bool)
 
 
 def structural_change_of(sale_panel):
@@ -678,6 +669,24 @@ class TestBadMarketValues:
         assert self.run_all(synthetic_dataset, tmp_path) == 0
         coverage = json.loads((tmp_path / "out" / "suite.json").read_text())["panel_coverage"]
         assert coverage["drop_counts"]["positive usd price"] == 1
+
+    def test_fx_close_whose_change_overflows_is_a_counted_gap(self, synthetic_dataset,
+                                                              tmp_path, capsys):
+        """A close of 1e-307, which ingest accepts: the next day's FX change,
+        from 1e-307 to about 1,000 USD, overflows, and so does its USD
+        volume change.  Each is a pct_change gap, not an infinity in the
+        panel, and the run ends with exit 0 and no numpy warning."""
+        fx = synthetic_dataset.parent / "fx.csv"
+        day = fx.read_text(encoding="utf-8").splitlines()[100].split(",")[0]
+        replace_line(fx, 101, f"{day},1e-307")
+        assert self.run_all(synthetic_dataset, tmp_path) == 0
+        assert capsys.readouterr().err == ""
+        doc = json.loads((tmp_path / "out" / "suite.json").read_text())
+        assert doc["panel_coverage"]["pct_change_gaps"] == {
+            "active_wallets": 0, "sales_volume": 1, "fx": 1}
+        assert doc["skipped_windows"] == {}
+        assert all("statistic" in entry for entry in doc["stationarity"].values())
+        assert "inf" not in (tmp_path / "out" / "panel.csv").read_text()
 
     def test_sale_day_missing_from_fx_is_a_counted_drop(self, synthetic_dataset, tmp_path):
         """The day's sales lack fx_close, fx_pct and, since the day has no

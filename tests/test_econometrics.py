@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import sys
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from conftest import builtin_only
 from punk_hedonics import econometrics
 from punk_hedonics.econometrics import (ConstantColumnError, InsufficientDataError,
                                         SingularDesignError, adf_critical_values,
@@ -39,15 +41,15 @@ class TestOls:
         x = np.arange(5.0)
         X = np.column_stack([np.ones(5), x])
         fit = ols_fit(X, 3.0 + 2.0 * x, names=("intercept", "x"))
-        assert fit.coefficients == pytest.approx([3.0, 2.0], abs=1e-10)
-        assert fit.r2 == pytest.approx(1.0, abs=1e-12)
-        assert fit.standard_errors == pytest.approx([0.0, 0.0], abs=1e-10)
+        assert fit["coefficients"] == pytest.approx([3.0, 2.0], abs=1e-10)
+        assert fit["r2"] == pytest.approx(1.0, abs=1e-12)
+        assert fit["standard_errors"] == pytest.approx([0.0, 0.0], abs=1e-10)
 
     def test_intercept_only_null_model(self):
         y = np.array([1.0, 2.0, 6.0, 3.0])
         fit = ols_fit(np.ones((4, 1)), y)
-        assert fit.coefficients[0] == pytest.approx(y.mean())
-        assert fit.r2 == pytest.approx(0.0, abs=1e-12)
+        assert fit["coefficients"][0] == pytest.approx(y.mean())
+        assert fit["r2"] == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_normal_equations_oracle(self):
         rng = np.random.default_rng(42)
@@ -57,11 +59,12 @@ class TestOls:
         y = X @ beta_true + rng.normal(size=n)
         fit = ols_fit(X, y)
         beta, se, r2 = normal_equations_oracle(X, y)
-        assert fit.coefficients == pytest.approx(beta, rel=1e-8)
-        assert fit.standard_errors == pytest.approx(se, rel=1e-8)
-        assert fit.r2 == pytest.approx(r2, rel=1e-8)
+        assert fit["coefficients"] == pytest.approx(beta, rel=1e-8)
+        assert fit["standard_errors"] == pytest.approx(se, rel=1e-8)
+        assert fit["r2"] == pytest.approx(r2, rel=1e-8)
         # And the truth is recovered within 3 SE.
-        assert np.all(np.abs(fit.coefficients - beta_true) <= 3 * fit.standard_errors)
+        assert np.all(np.abs(np.array(fit["coefficients"]) - beta_true)
+                      <= 3 * np.array(fit["standard_errors"]))
 
     def test_rank_deficiency_names_columns(self):
         n = 30
@@ -92,24 +95,25 @@ class TestOls:
         rng = np.random.default_rng(3)
         X = np.column_stack([np.ones(50), rng.normal(size=(50, 2))])
         fit = ols_fit(X, rng.normal(size=50))
-        mask = fit.standard_errors > 0
-        assert fit.t_stats[mask] == pytest.approx(
-            fit.coefficients[mask] / fit.standard_errors[mask], abs=1e-9)
+        beta, se, t_stats = (np.array(fit[key])
+                             for key in ("coefficients", "standard_errors", "t_stats"))
+        mask = se > 0
+        assert t_stats[mask] == pytest.approx(beta[mask] / se[mask], abs=1e-9)
 
     def test_p_values_match_scipy_t(self):
         rng = np.random.default_rng(4)
         n, k = 80, 4
         X = np.column_stack([np.ones(n), rng.normal(size=(n, k - 1))])
         fit = ols_fit(X, rng.normal(size=n))
-        expected = 2 * stats.t.sf(np.abs(fit.t_stats), n - k)
-        assert fit.p_values == pytest.approx(expected, abs=1e-10)
+        expected = 2 * stats.t.sf(np.abs(fit["t_stats"]), n - k)
+        assert fit["p_values"] == pytest.approx(expected, abs=1e-10)
 
     def test_residuals_orthogonal_to_design(self):
         rng = np.random.default_rng(5)
         X = np.column_stack([np.ones(120), rng.normal(size=(120, 4))])
         y = rng.normal(size=120)
         fit = ols_fit(X, y)
-        resid = y - X @ fit.coefficients
+        resid = y - X @ fit["coefficients"]
         scale = np.abs(X).sum(axis=0).max() * np.abs(resid).max()
         assert np.all(np.abs(X.T @ resid) <= 1e-8 * max(scale, 1.0))
 
@@ -120,7 +124,7 @@ class TestOls:
         y = rng.normal(size=n)
         small = ols_fit(X[:, :3], y)
         big = ols_fit(X, y)
-        assert big.r2 >= small.r2 - 1e-12
+        assert big["r2"] >= small["r2"] - 1e-12
 
     def test_affine_reparameterization_invariance(self):
         rng = np.random.default_rng(8)
@@ -131,16 +135,17 @@ class TestOls:
         shifted = X.copy()
         shifted[:, 2] += 10.0  # constant shift to one regressor
         fit2 = ols_fit(shifted, y)
-        assert shifted @ fit2.coefficients == pytest.approx(X @ fit.coefficients, abs=1e-9)
+        assert shifted @ fit2["coefficients"] == pytest.approx(X @ fit["coefficients"],
+                                                              abs=1e-9)
         # Slope coefficients unchanged; only the intercept absorbs the shift.
-        assert fit2.coefficients[1:] == pytest.approx(fit.coefficients[1:], abs=1e-9)
+        assert fit2["coefficients"][1:] == pytest.approx(fit["coefficients"][1:], abs=1e-9)
 
     def test_adj_r2_below_r2(self):
         rng = np.random.default_rng(9)
         X = np.column_stack([np.ones(60), rng.normal(size=(60, 4))])
         fit = ols_fit(X, rng.normal(size=60))
-        assert fit.adj_r2 <= fit.r2
-        assert 0.0 <= fit.r2 <= 1.0
+        assert fit["adj_r2"] <= fit["r2"]
+        assert 0.0 <= fit["r2"] <= 1.0
 
 
 def lstsq_reference(X, y):
@@ -216,14 +221,15 @@ class TestHouseholderKernel:
         np.testing.assert_allclose(se, ref_se, rtol=1e-10, atol=0)
         assert rss == pytest.approx(ref_rss, rel=1e-10)
         fit = ols_fit(X, y)
-        assert np.array_equal(fit.coefficients, beta) and np.array_equal(fit.standard_errors, se)
+        assert np.array_equal(fit["coefficients"], beta)
+        assert np.array_equal(fit["standard_errors"], se)
 
     @given(ill_conditioned_fits())
     @settings(max_examples=100, deadline=None)
     def test_ill_conditioned_fitted_values_match_lstsq(self, case):
         X, y = case
         fit = ols_fit(X, y)
-        fitted = sum(X[:, j] * b for j, b in enumerate(fit.coefficients))
+        fitted = sum(X[:, j] * b for j, b in enumerate(fit["coefficients"]))
         expected = X @ np.linalg.lstsq(X, y, rcond=None)[0]
         assert np.linalg.norm(fitted - expected) <= 1e-10 * np.linalg.norm(expected)
 
@@ -274,20 +280,20 @@ class TestAdf:
         rng = np.random.default_rng(100)
         result = adf_test(rng.normal(size=500))
         # Large-sample 5% critical value is about -2.86; white noise sits far below.
-        assert result.statistic < -2.86
-        assert result.reject_at["5%"]
+        assert result["statistic"] < -2.86
+        assert result["stationary_at_5pct"]
 
     def test_random_walk_fails_to_reject(self):
         rng = np.random.default_rng(100)
         walk = np.cumsum(rng.normal(size=500))
         result = adf_test(walk)
-        assert not result.reject_at["5%"]
+        assert not result["stationary_at_5pct"]
 
     def test_linear_ramp_deterministic(self):
         ramp = np.arange(200.0)
         a = adf_test(ramp)
         b = adf_test(ramp)
-        assert (a.statistic, a.lags, a.n_obs) == (b.statistic, b.lags, b.n_obs)
+        assert (a["statistic"], a["lags"], a["n_obs"]) == (b["statistic"], b["lags"], b["n_obs"])
 
     def test_constant_series_error(self):
         with pytest.raises(ConstantColumnError):
@@ -318,21 +324,26 @@ class TestAdf:
         results = [adf_test(y) for y in series]
         assert not calls
         for y, result in zip(series, results):
-            assert result.statistic == _fixed_lag_statistic(y, result.lags)
+            assert result["statistic"] == _fixed_lag_statistic(y, result["lags"])
 
     def test_affine_invariance(self):
         rng = np.random.default_rng(12)
         y = np.cumsum(rng.normal(size=300))
         base = adf_test(y)
         scaled = adf_test(5.0 * y - 37.0)
-        assert scaled.statistic == pytest.approx(base.statistic, abs=1e-8)
-        assert scaled.lags == base.lags
+        assert scaled["statistic"] == pytest.approx(base["statistic"], abs=1e-8)
+        assert scaled["lags"] == base["lags"]
 
     def test_reject_map_consistent_with_critical_values(self):
+        """The verdict is the statistic against the 5 % critical value, and
+        all three levels are given, so a caller can compare with the others."""
         rng = np.random.default_rng(13)
-        result = adf_test(rng.normal(size=200))
-        for level, cv in result.critical_values.items():
-            assert result.reject_at[level] == (result.statistic < cv)
+        for y in (rng.normal(size=200), np.cumsum(rng.normal(size=200))):
+            result = adf_test(y)
+            critical = result["critical_values"]
+            assert list(critical) == ["1%", "5%", "10%"]
+            assert critical == adf_critical_values(result["n_obs"])
+            assert result["stationary_at_5pct"] == (result["statistic"] < critical["5%"])
 
     def test_statistic_matches_statsmodels_fixed_lag(self):
         sm = pytest.importorskip("statsmodels.tsa.stattools")
@@ -355,11 +366,50 @@ class TestAdf:
             assert ours[level] == pytest.approx(out[4][level], abs=1e-3)
 
 
+class TestPlainJson:
+    """ols_fit and adf_test return the entries suite.json holds: every
+    leaf a builtin, not a numpy scalar, and a JSON round trip changes
+    nothing."""
+
+    def assert_plain_json(self, value):
+        assert builtin_only(value)
+        assert json.loads(json.dumps(value)) == value
+
+    def test_ols_fit(self):
+        rng = np.random.default_rng(18)
+        X = np.column_stack([np.ones(60), rng.normal(size=(60, 3))])
+        fit = ols_fit(X, rng.normal(size=60), names=("intercept", "a", "b", "c"))
+        assert list(fit) == ["names", "coefficients", "standard_errors", "t_stats",
+                             "p_values", "stars", "r2", "adj_r2", "n_obs", "n_params"]
+        assert (fit["n_obs"], fit["n_params"]) == (60, 4)
+        self.assert_plain_json(fit)
+
+    def test_ols_fit_with_infinite_t_ratios(self):
+        """A perfect fit: zero standard errors, t-ratios ±inf, p-values 0."""
+        X = np.column_stack([np.ones(4), [0.0, 0.0, 1.0, 1.0]])
+        fit = ols_fit(X, np.array([2.0, 2.0, -1.0, -1.0]))
+        assert fit["coefficients"] == [2.0, -3.0]
+        assert fit["standard_errors"] == [0.0, 0.0]
+        assert fit["t_stats"] == [math.inf, -math.inf]
+        assert fit["p_values"] == [0.0, 0.0] and fit["stars"] == [3, 3]
+        self.assert_plain_json(fit)
+
+    def test_adf_test(self):
+        rng = np.random.default_rng(19)
+        verdicts = []
+        for y in (rng.normal(size=200), np.cumsum(rng.normal(size=200))):
+            result = adf_test(y)
+            assert list(result) == ["statistic", "lags", "n_obs", "critical_values",
+                                    "stationary_at_5pct"]
+            self.assert_plain_json(result)
+            verdicts.append(result["stationary_at_5pct"])
+        assert verdicts == [True, False]
+
+
 def _fixed_lag_statistic(series, lag):
     from punk_hedonics.econometrics import _adf_design, ols_fit as fit_fn
     X, dy = _adf_design(np.asarray(series, float), lag)
-    fit = fit_fn(X, dy)
-    return float(fit.t_stats[0])
+    return fit_fn(X, dy)["t_stats"][0]
 
 
 class TestPearson:

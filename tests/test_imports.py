@@ -96,11 +96,11 @@ def test_unused_import_guard_finds_each_form():
     source = ("from __future__ import annotations\n"
               "import os.path\n"
               "import datetime as dt\n"
-              "from .econometrics import AdfResult, adf_test\n"
+              "from .econometrics import ConstantColumnError, adf_test\n"
               "from . import market as m, panel\n"
               "def f(x: dt.date) -> None:\n"
               "    return adf_test(panel)\n")
-    assert unused_imports(source) == [(2, "os"), (4, "AdfResult"), (5, "m")]
+    assert unused_imports(source) == [(2, "os"), (4, "ConstantColumnError"), (5, "m")]
 
 
 def text_format_calls(source):

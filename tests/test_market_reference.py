@@ -194,7 +194,8 @@ class TestMatchesRowReference:
         assert_sales_equal(sales, records)
 
         distribution = market.attribute_distribution(sales)
-        assert distribution == ref.attribute_distribution(records)
+        assert distribution.dtype.kind == "i"
+        assert distribution.tolist() == ref.attribute_distribution(records)
 
         rarity = ref.rarity_score(records)
         assert market.rarity_score(sales).tolist() == [
@@ -214,9 +215,11 @@ class TestMatchesRowReference:
             want_report.total_sales, want_report.rows_emitted, want_report.drop_counts)
 
     def test_generated_csvs_reach_every_reject_reason(self):
+        """Over a fixed draw of examples, so that the set reached does not
+        change from run to run."""
         reasons = set()
 
-        @settings(max_examples=250, deadline=None, database=None)
+        @settings(max_examples=250, deadline=None, database=None, derandomize=True)
         @given(sales_csvs())
         def collect(text):
             reasons.update(reason.split(" '")[0].split(" None")[0]
