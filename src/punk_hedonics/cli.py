@@ -211,10 +211,10 @@ def cmd_keywords(inputs: RunInputs) -> None:
     config.require("keyword_corpus", "lexicon")
     out = config.output_dir
     corpus = inputs.read_tweets("keyword_corpus", "keyword_rejects.csv")
-    freq = tweets.keyword_frequency(corpus, config.keywords)
+    freq, hits = tweets.keyword_frequency(corpus, config.keywords)
     _write_csv(out / "keyword_frequency.csv", ["keyword", "count"],
                [[kw, str(freq[kw])] for kw in config.keywords.keywords])
-    sentiments = tweets.keyword_sentiment(corpus, config.keywords, inputs.lexicon)
+    sentiments = tweets.keyword_sentiment(hits, config.keywords, inputs.lexicon)
     _write_csv(out / "keyword_sentiment.csv", ["keyword", "mean_compound"],
                [[kw, "" if sentiments[kw] is None else _fmt(sentiments[kw])]
                 for kw in config.keywords.keywords])

@@ -325,19 +325,19 @@ def _householder(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _fit(X: np.ndarray, y: np.ndarray, names: tuple[str, ...]):
     """The classical fit of a checked float design with n > k, one name per
     column: ``(beta, se, t_stats, rss)``, a t-ratio ±inf or 0 where its
-    standard error is 0.  A column whose diagonal entry of R is within
-    rounding of 0 is a SingularDesignError.
+    standard error is 0.  Column j is a SingularDesignError when |R_jj| is
+    within rounding of 0 against its column's largest |R_ij|: units decide no rank.
 
     R and Qᵀy come from _householder; β and R⁻¹ from one back-substitution
     of R [β | R⁻¹] = [Qᵀy | I]; the residuals y − Xβ are built one column
     at a time, and the RSS and the standard errors sqrt(s² Σ R⁻¹ᵢⱼ²) are
-    ``np.add.reduce`` sums.  No step calls BLAS.
+    ``np.add.reduce`` sums, each row of R⁻¹ scaled by a power of 2 before
+    it is squared, so no square overflows.  No step calls BLAS.
     """
     n, k = X.shape
     R, qty = _householder(np.array(X, order="F"), y.copy())
-    diag = np.abs(np.diag(R))
-    tol = max(n, k) * np.finfo(float).eps * (diag.max() if diag.size else 0.0)
-    bad = [names[i] for i in range(k) if diag[i] <= tol]
+    tol = max(n, k) * np.finfo(float).eps * np.maximum.reduce(np.abs(R), initial=0.0)
+    bad = [names[j] for j in range(k) if abs(R[j, j]) <= tol[j]]
     if bad:
         raise SingularDesignError(bad)
 
@@ -351,7 +351,9 @@ def _fit(X: np.ndarray, y: np.ndarray, names: tuple[str, ...]):
         residuals -= X[:, j] * beta[j]
     rss = float(np.add.reduce(residuals * residuals))
     s2 = rss / (n - k)
-    se = np.sqrt(s2 * np.add.reduce(r_inv * r_inv, axis=1))
+    row_scales = np.array([_unit_scale(row) for row in r_inv])
+    scaled = r_inv * row_scales[:, None]
+    se = np.sqrt(s2 * np.add.reduce(scaled * scaled, axis=1)) / row_scales
 
     with np.errstate(divide="ignore", invalid="ignore"):
         t_stats = np.where(se > 0, beta / np.where(se > 0, se, 1.0),
@@ -406,10 +408,8 @@ def ols_fit(design: np.ndarray, response: np.ndarray,
 
 
 def adf_critical_values(n_obs: int) -> dict[str, float]:
-    out = {}
-    for level, (b0, b1, b2, b3) in _ADF_CRITICAL_SURFACE.items():
-        out[level] = b0 + b1 / n_obs + b2 / n_obs**2 + b3 / n_obs**3
-    return out
+    return {level: b0 + b1 / n_obs + b2 / n_obs**2 + b3 / n_obs**3
+            for level, (b0, b1, b2, b3) in _ADF_CRITICAL_SURFACE.items()}
 
 
 def default_adf_max_lag(n: int) -> int:
@@ -500,9 +500,10 @@ def adf_test(series, max_lag: int | None = None) -> dict:
     best_lag = _aic_lag(y, max_lag)
 
     X, dy = _adf_design(y, best_lag)
-    rows, k = X.shape
+    rows = X.shape[0]
     # The t-ratio alone: the screen reads no p-value of this fit.
-    _, _, t_stats, _ = _fit(X, dy, tuple(f"c{i}" for i in range(k)))
+    names = ("level", *(f"lag_{i}" for i in range(1, best_lag + 1)), "const")
+    _, _, t_stats, _ = _fit(X, dy, names)
     statistic = float(t_stats[0])
     critical = adf_critical_values(rows)
     return {"statistic": statistic, "lags": best_lag, "n_obs": rows,

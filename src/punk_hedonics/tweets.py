@@ -135,35 +135,34 @@ def daily_mean_sentiment(tweets: Tweets, lexicon: SentimentLexicon) -> DailySeri
                               for start, end in zip([0, *ends], ends)])
 
 
-def keyword_frequency(tweets: Tweets, kw_filter: KeywordFilter) -> dict[str, int]:
-    """Whole-word occurrence counts per keyword; multiple hits per tweet all count."""
-    counts = [0] * (len(kw_filter.keywords) + 1)       # by group; group 0 unused
+def keyword_frequency(tweets: Tweets, kw_filter: KeywordFilter
+                      ) -> tuple[dict[str, int], list[tuple[str, set[str]]]]:
+    """The corpus's one keyword scan: whole-word hit counts per keyword, every
+    hit counting, and each tweet with a hit, in file order, as (text, keywords)."""
+    counts = dict.fromkeys(kw_filter.keywords, 0)
+    hits = []
     for text in tweets["text"].tolist():
-        for match in kw_filter.pattern.finditer(text):
-            counts[match.lastindex] += 1
-    return dict(zip(kw_filter.keywords, counts[1:]))
+        found = [kw_filter.keywords[m.lastindex - 1] for m in kw_filter.pattern.finditer(text)]
+        if found:
+            for kw in found:
+                counts[kw] += 1
+            hits.append((text, set(found)))
+    return counts, hits
 
 
-def keyword_sentiment(tweets: Tweets, kw_filter: KeywordFilter,
+def keyword_sentiment(hits: list[tuple[str, set[str]]], kw_filter: KeywordFilter,
                       lexicon: SentimentLexicon) -> dict[str, float | None]:
-    """Mean compound over tweets containing each keyword.
+    """Mean compound over the hits of ``keyword_frequency`` holding each keyword.
 
     A keyword matched by no tweet maps to None, never to 0: a zero would
     read as "neutral" where there is no data at all.  Each distinct text
     with a hit is scored once per corpus; a repeat adds that same score to
     each of its keywords, so every sum keeps the corpus order.
     """
-    hit_texts, hit_groups = [], []
-    for text in tweets["text"].tolist():
-        groups = {match.lastindex for match in kw_filter.pattern.finditer(text)}
-        if groups:
-            hit_texts.append(text)
-            hit_groups.append(groups)
-    sums = [0.0] * (len(kw_filter.keywords) + 1)       # by group; group 0 unused
-    hits = [0] * (len(kw_filter.keywords) + 1)
-    for groups, compound in zip(hit_groups, _compounds(lexicon, hit_texts)):
-        for group in groups:
-            sums[group] += compound
-            hits[group] += 1
-    return {kw: (sums[g] / hits[g] if hits[g] else None)
-            for g, kw in enumerate(kw_filter.keywords, start=1)}
+    sums = dict.fromkeys(kw_filter.keywords, 0.0)
+    counts = dict.fromkeys(kw_filter.keywords, 0)
+    for (_, found), compound in zip(hits, _compounds(lexicon, [text for text, _ in hits])):
+        for kw in found:
+            sums[kw] += compound
+            counts[kw] += 1
+    return {kw: sums[kw] / counts[kw] if counts[kw] else None for kw in kw_filter.keywords}

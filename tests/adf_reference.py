@@ -4,8 +4,9 @@ Kept as the reference that ``punk_hedonics.econometrics.adf_test`` must
 match, its lag loop verbatim, only moved into ``aic_lag``: one SVD
 least-squares fit per candidate lag, each on its own design
 ``[level, Δy_{t-1..lag}, const]`` over the common sample.  The statistic
-is refit with the package's ``ols_fit`` at the chosen lag, and the
-result has the keys of the package's ``adf_test``.
+is refit with the package's ``ols_fit`` at the chosen lag, its columns
+named as the package names them (``level``, ``lag_1`` … ``lag_p``,
+``const``), and the result has the keys of the package's ``adf_test``.
 """
 
 from __future__ import annotations
@@ -76,8 +77,9 @@ def adf_test(series, max_lag: int | None = None) -> dict:
     best_lag = aic_lag(y, selection_max_lag(n, max_lag))
 
     X, dy = _adf_design(y, best_lag, start=best_lag)
-    rows, k = X.shape
-    fit = ols_fit(X, dy, names=tuple(f"c{i}" for i in range(k)))
+    rows = X.shape[0]
+    names = ("level", *(f"lag_{i}" for i in range(1, best_lag + 1)), "const")
+    fit = ols_fit(X, dy, names=names)
     statistic = fit["t_stats"][0]
     critical = adf_critical_values(rows)
     return {"statistic": statistic, "lags": best_lag, "n_obs": rows,

@@ -502,6 +502,23 @@ class TestRegress:
         for name in ("tables.txt", "lollipop.csv", "heatmap.csv"):
             assert (out / name).is_file(), name
 
+    def test_gas_units_skip_no_window(self, synthetic_dataset, tmp_path, capsys):
+        """Gas in units 1e12 times larger: no window and no ADF is rank
+        deficient, and nothing warns, as a column's units decide no rank."""
+        gas = synthetic_dataset.parent / "gas.csv"
+        header, *rows = gas.read_text(encoding="utf-8").splitlines()
+        gas.write_text("\n".join([header, *(f"{d},{float(v) * 1e12!r}" for d, v in
+                                            (row.split(",") for row in rows))]) + "\n",
+                       encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["--config", str(synthetic_dataset), "--output-dir", str(out),
+                     "all"]) == 0
+        doc = json.loads((out / "suite.json").read_text())
+        assert doc["skipped_windows"] == {}
+        assert len(doc["results"]) == 12
+        assert all("statistic" in entry for entry in doc["stationarity"].values())
+        assert capsys.readouterr().err == ""
+
     def test_one_row_panel_skips_precheck_and_exits_zero(self, synthetic_dataset, tmp_path,
                                                          capsys):
         """One sale on each of the first two days: pct_change drops the first

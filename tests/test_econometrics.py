@@ -74,6 +74,34 @@ class TestOls:
             ols_fit(X, x, names=("intercept", "a", "a_doubled"))
         assert "a_doubled" in exc.value.columns
 
+    @pytest.mark.parametrize("power", [40, -1000])
+    def test_a_columns_units_decide_no_rank(self, power):
+        """One column times 2**power: at 2**40, n eps 2**40 > 1, so its
+        entries of R dwarf the others' rounding; at 2**-1000 its row of
+        R⁻¹ squares past the largest double.  Either way the same t, p and
+        stars, and its coefficient and standard error times 2**-power
+        exactly."""
+        n = 5000
+        rng = np.random.default_rng(3)
+        X = np.column_stack([np.ones(n), rng.normal(size=(n, 2))])
+        y = X @ [1.0, 0.05, -0.02] + rng.normal(size=n)
+        scaled = X.copy()
+        scaled[:, 2] *= 2.0 ** power
+        fit, scaled_fit = ols_fit(X, y), ols_fit(scaled, y)
+        for key in ("t_stats", "p_values", "stars"):
+            assert scaled_fit[key] == fit[key]
+        for key in ("coefficients", "standard_errors"):
+            assert scaled_fit[key] == [*fit[key][:2], math.ldexp(fit[key][2], -power)]
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0 ** 40, 1e-200])
+    def test_duplicated_column_is_rank_deficient_at_any_scale(self, scale):
+        n = 60
+        x = np.random.default_rng(4).normal(size=n) * scale
+        X = np.column_stack([np.ones(n), x, x])
+        with pytest.raises(SingularDesignError) as exc:
+            ols_fit(X, np.arange(n, dtype=float), names=("intercept", "a", "a_again"))
+        assert exc.value.columns == ["a_again"]
+
     def test_insufficient_data(self):
         with pytest.raises(InsufficientDataError):
             ols_fit(np.ones((3, 3)), np.zeros(3))

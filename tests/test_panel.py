@@ -260,7 +260,7 @@ class TestStationarityScreen:
     def test_singular_design_at_chosen_lag_skipped_with_reason(self):
         report = stationarity_screen(panel_from_series([50.0] * 239 + [60.0]))
         assert report["log_usd_price"] == {
-            "skip_reason": "design matrix is rank deficient in columns: c1"}
+            "skip_reason": "design matrix is rank deficient in columns: const"}
 
     def test_empty_panel_errors(self):
         with pytest.raises(PanelError):

@@ -136,9 +136,10 @@ class TestMatchesTweetReference:
         corpus = make_tweets([(dt.date(2021, 5, 1), text) for text in corpus_texts])
         reference_corpus = [ref.Tweet(id=str(i), timestamp=None, text=text, language="en")
                             for i, text in enumerate(corpus_texts)]
-        assert (tweets.keyword_frequency(corpus, kw_filter)
-                == ref.keyword_frequency(reference_corpus, kw_filter))
-        assert (tweets.keyword_sentiment(corpus, kw_filter, LEXICON)
+        counts, hits = tweets.keyword_frequency(corpus, kw_filter)
+        assert counts == ref.keyword_frequency(reference_corpus, kw_filter)
+        assert hits == ref.keyword_hits(reference_corpus, kw_filter)
+        assert (tweets.keyword_sentiment(hits, kw_filter, LEXICON)
                 == ref.keyword_sentiment(reference_corpus, kw_filter, LEXICON))
 
     @settings(max_examples=300, deadline=None)
@@ -157,16 +158,17 @@ class TestMatchesTweetReference:
             kw_filter = KeywordFilter(tuple(keywords))
         except ValueError:                          # two keywords match each other
             return
-        assert (tweets.keyword_frequency(corpus, kw_filter)
-                == ref.keyword_frequency(reference_corpus, kw_filter))
-        got = tweets.keyword_sentiment(corpus, kw_filter, LEXICON)
+        counts, hits = tweets.keyword_frequency(corpus, kw_filter)
+        assert counts == ref.keyword_frequency(reference_corpus, kw_filter)
+        assert hits == ref.keyword_hits(reference_corpus, kw_filter)
+        got = tweets.keyword_sentiment(hits, kw_filter, LEXICON)
         want = ref.keyword_sentiment(reference_corpus, kw_filter, LEXICON)
         assert {kw: bits(v) for kw, v in got.items()} == {kw: bits(v) for kw, v in want.items()}
 
     def test_generated_csvs_reach_every_outcome(self):
         seen = set()
 
-        @settings(max_examples=150, deadline=None, database=None)
+        @settings(max_examples=150, deadline=None, database=None, derandomize=True)
         @given(tweet_csvs())
         def collect(text):
             result = outcome(tweets.ingest_tweets, text)
@@ -198,5 +200,6 @@ class TestMatchesTweetReference:
         corpus = make_tweets([(dt.date(2021, 5, 1), text)])
         reference_corpus = [ref.Tweet("1", None, text, "en")]
         assert (tweets.keyword_frequency(corpus, kw_filter)
-                == ref.keyword_frequency(reference_corpus, kw_filter)
-                == {"s": 2, "k": 2, "i": 3})
+                == (ref.keyword_frequency(reference_corpus, kw_filter),
+                    ref.keyword_hits(reference_corpus, kw_filter))
+                == ({"s": 2, "k": 2, "i": 3}, [(text, {"s", "k", "i"})]))

@@ -198,35 +198,77 @@ class TestKeywordFrequency:
     def test_case_insensitive_whole_word(self):
         day = dt.date(2021, 5, 1)
         corpus = [(day, "male punk"), (day, "Male!")]
-        assert keyword_frequency(make_tweets(corpus), KeywordFilter(("male",)))["male"] == 2
+        assert keyword_frequency(make_tweets(corpus), KeywordFilter(("male",)))[0]["male"] == 2
 
     def test_female_does_not_contain_male(self):
         corpus = [(dt.date(2021, 5, 1), "female")]
-        counts = keyword_frequency(make_tweets(corpus), KeywordFilter(("male", "female")))
+        counts, hits = keyword_frequency(make_tweets(corpus), KeywordFilter(("male", "female")))
         assert counts == {"male": 0, "female": 1}
+        assert hits == [("female", {"female"})]
 
     def test_multiple_hits_in_one_tweet(self):
         corpus = [(dt.date(2021, 5, 1), "ape ape ape")]
-        assert keyword_frequency(make_tweets(corpus), KeywordFilter(("ape",)))["ape"] == 3
+        counts, hits = keyword_frequency(make_tweets(corpus), KeywordFilter(("ape",)))
+        assert counts["ape"] == 3 and hits == [("ape ape ape", {"ape"})]
 
     def test_additive_over_concatenation(self):
         day = dt.date(2021, 5, 1)
         a = [(day, "alien ape"), (day, "zombie")]
         b = [(day, "ape zombie zombie")]
         kw = KeywordFilter(("alien", "ape", "zombie"))
-        fa, fb, fab = (keyword_frequency(make_tweets(c), kw) for c in (a, b, a + b))
+        (fa, ha), (fb, hb), (fab, hab) = (keyword_frequency(make_tweets(c), kw)
+                                          for c in (a, b, a + b))
         assert all(fab[k] == fa[k] + fb[k] for k in kw.keywords)
+        assert hab == ha + hb
+
+    def test_hits_hold_each_text_with_a_hit_in_file_order(self):
+        day = dt.date(2021, 5, 1)
+        corpus = [(day, "Ape and zombie ape"), (day, "nothing"), (day, "alien"),
+                  (day, "Ape and zombie ape")]
+        _, hits = keyword_frequency(make_tweets(corpus), KeywordFilter(("alien", "ape", "zombie")))
+        assert hits == [("Ape and zombie ape", {"ape", "zombie"}), ("alien", {"alien"}),
+                        ("Ape and zombie ape", {"ape", "zombie"})]
+
+    def test_one_scan_of_the_corpus(self, lexicon):
+        """keyword_frequency then keyword_sentiment: the pattern is run
+        once per text, in file order, and the sentiment step runs it on
+        no text."""
+        class CountingPattern:
+            def __init__(self, pattern):
+                self.pattern, self.texts = pattern, []
+
+            def finditer(self, text):
+                self.texts.append(text)
+                return self.pattern.finditer(text)
+
+        kw = KeywordFilter(("ape", "zombie"))
+        kw.pattern = counting = CountingPattern(kw.pattern)
+        texts = ["ape zombie good", "no hit", "ape zombie good", "bad zombie", "no hit"]
+        counts, hits = keyword_frequency(make_tweets([(dt.date(2021, 5, 1), t) for t in texts]),
+                                         kw)
+        assert counting.texts == texts
+        result = keyword_sentiment(hits, kw, lexicon)
+        assert counting.texts == texts
+        assert counts == {"ape": 2, "zombie": 3}
+        assert result["zombie"] == pytest.approx(
+            (2 * compound_only(lexicon, texts[0]) + compound_only(lexicon, texts[3])) / 3)
+
+
+def sentiment_of(corpus, kw_filter, lexicon):
+    """keyword_sentiment over the hits keyword_frequency finds in ``corpus``."""
+    return keyword_sentiment(keyword_frequency(make_tweets(corpus), kw_filter)[1], kw_filter,
+                             lexicon)
 
 
 class TestKeywordSentiment:
     def test_unmatched_keyword_is_absent_marker(self, lexicon):
         corpus = [(dt.date(2021, 5, 1), "good day")]
-        result = keyword_sentiment(make_tweets(corpus), KeywordFilter(("zombie",)), lexicon)
+        result = sentiment_of(corpus, KeywordFilter(("zombie",)), lexicon)
         assert result["zombie"] is None
 
     def test_single_match_identity(self, lexicon):
         corpus = [(dt.date(2021, 5, 1), "the zombie looks good")]
-        result = keyword_sentiment(make_tweets(corpus), KeywordFilter(("zombie",)), lexicon)
+        result = sentiment_of(corpus, KeywordFilter(("zombie",)), lexicon)
         assert result["zombie"] == compound_only(lexicon, corpus[0][1])
 
     def test_matches_filter_then_mean_oracle(self, lexicon):
@@ -238,7 +280,7 @@ class TestKeywordSentiment:
             extra = " both ape and zombie" if i % 5 == 0 else ""
             corpus.append((day, f"the {kw} is {moods[i % 5]}{extra}"))
         kw_filter = KeywordFilter(("ape", "zombie"))
-        result = keyword_sentiment(make_tweets(corpus), kw_filter, lexicon)
+        result = sentiment_of(corpus, kw_filter, lexicon)
         for kw in kw_filter.keywords:
             matched = [compound_only(lexicon, text) for _, text in corpus
                        if f" {kw} " in f" {text} "]
@@ -251,7 +293,7 @@ class TestKeywordSentiment:
         day = dt.date(2021, 5, 1)
         corpus = [(day, t) for t in ["ape zombie good", "no hit", "ape zombie good",
                                      "bad zombie", "no hit", "bad zombie", "ape zombie good"]]
-        result = keyword_sentiment(make_tweets(corpus), KeywordFilter(("ape", "zombie")), lexicon)
+        result = sentiment_of(corpus, KeywordFilter(("ape", "zombie")), lexicon)
         assert sorted(texts) == ["ape zombie good", "bad zombie"]
         assert result["ape"] == compound_only(lexicon, "ape zombie good")
 
@@ -259,7 +301,7 @@ class TestKeywordSentiment:
         corpus = [(dt.date(2021, 5, 1), "zombie hour"),
                   (dt.date(2021, 5, 1), "nothing here")]
         kw = KeywordFilter(("zombie",))
-        sentiments = keyword_sentiment(make_tweets(corpus), kw, lexicon)
-        freq = keyword_frequency(make_tweets(corpus), kw)
+        sentiments = sentiment_of(corpus, kw, lexicon)
+        freq, _ = keyword_frequency(make_tweets(corpus), kw)
         assert sentiments["zombie"] is not None
         assert freq["zombie"] >= 1

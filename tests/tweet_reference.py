@@ -7,6 +7,9 @@ Tweet per accepted row, one regex per keyword, each run over every tweet,
 and one scorer call per tweet, a repeated text's included.
 ``daily_mean_sentiment`` returns its ``{day: mean}`` in day order, where
 that path wrapped the same dict in its dict-backed series.
+``keyword_hits``, each tweet with a hit and the keywords it holds, is
+built from the same per-keyword regexes, as the oracle of the hits that
+``keyword_frequency`` returns beside its counts.
 One rule was added to both paths since: a timestamp whose UTC day leaves
 ``date``'s range (an OverflowError) is an unparseable timestamp.  It
 decodes bytes whole into an ``io.StringIO``, as ``ingest.text_stream``
@@ -102,6 +105,15 @@ def keyword_frequency(corpus: list[Tweet], kw_filter: KeywordFilter) -> dict[str
         for kw, pat in patterns.items():
             counts[kw] += len(pat.findall(tweet.text))
     return counts
+
+
+def keyword_hits(corpus: list[Tweet], kw_filter: KeywordFilter) -> list[tuple[str, set[str]]]:
+    """Each tweet with a keyword hit, in corpus order: its text and the set
+    of keywords whose regex finds it."""
+    patterns = {kw: _keyword_pattern(kw) for kw in kw_filter.keywords}
+    found = [(tweet.text, {kw for kw, pat in patterns.items() if pat.search(tweet.text)})
+             for tweet in corpus]
+    return [(text, keywords) for text, keywords in found if keywords]
 
 
 def keyword_sentiment(corpus: list[Tweet], kw_filter: KeywordFilter,
