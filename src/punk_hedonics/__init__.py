@@ -5,8 +5,7 @@ numerics, and the nested-model study grid."""
 from .econometrics import adf_test, ols_fit, pearson_matrix, significance_stars
 from .market import (Gender, Sales, SkinTone, attribute_distribution, daily_aggregates,
                      ingest_fx, ingest_gas, ingest_sales, rarity_score)
-from .panel import (CoverageReport, Panel, build_panel, read_panel_csv,
-                    stationarity_screen, write_panel_csv)
+from .panel import CoverageReport, Panel, build_panel, stationarity_screen, write_panel_csv
 from .sentiment import SentimentLexicon, compound_only, load_lexicon
 from .series import DailySeries, pct_change
 from .study import (ModelSpec, WindowSpec, correlation_precheck, default_windows,

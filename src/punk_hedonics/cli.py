@@ -103,23 +103,25 @@ def parse_config_file(path: Path, data_dir: Path | None = None) -> RunConfig:
         env = os.environ.get(DATA_DIR_ENV)
         data_dir = Path(env) if env else path.parent
     config = RunConfig()
-    for lineno, raw in numbered_lines(
-            path.read_bytes(), lambda number, reason: ConfigError(f"{path}:{number}: {reason}")):
-        raw = raw.rstrip("\n\r")
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key = value, got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        setting = _SETTINGS.get(key)
-        if setting is None:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        try:
-            parsed = setting.metadata["parse"](value)
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: {exc}") from None
-        setattr(config, key, data_dir / parsed if setting.metadata["input_path"] else parsed)
+    with open(path, "rb") as fh:
+        for lineno, raw in numbered_lines(
+                fh, lambda number, reason: ConfigError(f"{path}:{number}: {reason}")):
+            raw = raw.rstrip("\n\r")
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path}:{lineno}: expected key = value, got {raw!r}")
+            key, value = (part.strip() for part in line.split("=", 1))
+            setting = _SETTINGS.get(key)
+            if setting is None:
+                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            try:
+                parsed = setting.metadata["parse"](value)
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}") from None
+            setattr(config, key,
+                    data_dir / parsed if setting.metadata["input_path"] else parsed)
     return config
 
 
@@ -148,14 +150,15 @@ class RunInputs:
         self.warnings: list[str] = []
 
     def read(self, key: str, reader, **options):
-        """``reader(data, **options)`` on the bytes of the file at config key
-        ``key``; a ValueError it raises is prefixed with the file's path."""
+        """``reader(file, **options)`` on the file at config key ``key``,
+        opened as a buffered binary file that the reader streams and
+        consumes; a ValueError it raises is prefixed with the file's path."""
         path = getattr(self.config, key)
-        data = path.read_bytes()
-        try:
-            return reader(data, **options)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+        with open(path, "rb") as fh:
+            try:
+                return reader(fh, **options)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
 
     def read_tweets(self, which: str, rejects_name: str) -> tweets.Tweets:
         """The corpus at config key ``which``; its rejects go to ``rejects_name``."""

@@ -6,8 +6,9 @@ the unit-root test is an augmented Dickey-Fuller regression with a
 constant, lag order picked by AIC, and response-surface critical values
 for the constant-only case.  Every fit and correlation sums its n-vectors
 with elementwise numpy and ``np.add.reduce``, never with BLAS, so no such
-sum depends on the BLAS thread count; only the ADF lag search's rank test
-and truncated solves on its small triangular factor call LAPACK.
+sum depends on the BLAS thread count.  Only a near-singular ADF design
+calls LAPACK: the lag search's SVD rank test and its truncated solves on
+the small triangular factor.
 
 Student-t p-values come from the regularized incomplete beta function,
 computed here without scipy: the continued fraction of DiDonato & Morris
@@ -59,6 +60,12 @@ class SingularDesignError(ValueError):
     def __init__(self, columns: list[str]):
         self.columns = columns
         super().__init__(f"design matrix is rank deficient in columns: {', '.join(columns)}")
+
+
+class NonFiniteFitError(ValueError):
+    def __init__(self, columns: list[str]):
+        self.columns = columns
+        super().__init__(f"non-finite fit in columns: {', '.join(columns)}")
 
 
 class ConstantColumnError(ValueError):
@@ -279,11 +286,31 @@ def student_t_two_sided_p(t: float, df: int) -> float:
 
 def _unit_scale(v: np.ndarray) -> float:
     """The power of 2, at most 2^1023, that brings the largest magnitude in
-    v into [0.5, 1), or 1 for v = 0.  A product with it is exact wherever
-    it stays a normal double, and no sum of squares of v times it
+    the array v into [0.5, 1), or 1 for v = 0.  A product with it is exact
+    wherever it stays a normal double, and no sum of squares of v times it
     overflows."""
-    exponent = math.frexp(np.maximum.reduce(np.abs(v), initial=0.0))[1]
+    exponent = math.frexp(np.maximum.reduce(np.abs(v), axis=None, initial=0.0))[1]
     return math.ldexp(1.0, min(-exponent, 1023))
+
+
+def _sum_of_squares(v: np.ndarray) -> float:
+    """The ``np.add.reduce`` sum of the squares of v, taken on v scaled by
+    _unit_scale and scaled back: the bits of the unscaled sum wherever no
+    square overflows or underflows, and inf, with no numpy warning, where
+    the sum itself leaves the double range."""
+    scale = _unit_scale(v)
+    scaled = v * scale
+    return float(np.add.reduce(scaled * scaled)) / scale / scale
+
+
+def _back_substitute(R: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """R⁻¹ rhs for the upper triangular R, by back-substitution in place
+    of rhs: each row one ``np.add.reduce`` dot product with the rows
+    below it, so no BLAS."""
+    for i in range(R.shape[0] - 1, -1, -1):
+        rhs[i] -= np.add.reduce(R[i, i + 1:, None] * rhs[i + 1:], axis=0)
+        rhs[i] /= R[i, i]
+    return rhs
 
 
 def _householder(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -327,12 +354,15 @@ def _fit(X: np.ndarray, y: np.ndarray, names: tuple[str, ...]):
     column: ``(beta, se, t_stats, rss)``, a t-ratio ±inf or 0 where its
     standard error is 0.  Column j is a SingularDesignError when |R_jj| is
     within rounding of 0 against its column's largest |R_ij|: units decide no rank.
+    The columns whose β or standard error is not finite, every column
+    where the RSS is not, are a NonFiniteFitError.
 
     R and Qᵀy come from _householder; β and R⁻¹ from one back-substitution
     of R [β | R⁻¹] = [Qᵀy | I]; the residuals y − Xβ are built one column
     at a time, and the RSS and the standard errors sqrt(s² Σ R⁻¹ᵢⱼ²) are
-    ``np.add.reduce`` sums, each row of R⁻¹ scaled by a power of 2 before
-    it is squared, so no square overflows.  No step calls BLAS.
+    ``np.add.reduce`` sums, the residuals and each row of R⁻¹ scaled by a
+    power of 2 before they are squared, so no square overflows.  No step
+    calls BLAS, and none raises a numpy warning.
     """
     n, k = X.shape
     R, qty = _householder(np.array(X, order="F"), y.copy())
@@ -341,19 +371,20 @@ def _fit(X: np.ndarray, y: np.ndarray, names: tuple[str, ...]):
     if bad:
         raise SingularDesignError(bad)
 
-    solved = np.column_stack([qty[:k], np.eye(k)])
-    for i in range(k - 1, -1, -1):
-        solved[i] -= np.add.reduce(R[i, i + 1:, None] * solved[i + 1:], axis=0)
-        solved[i] /= R[i, i]
-    beta, r_inv = solved[:, 0], solved[:, 1:]
-    residuals = y.copy()
-    for j in range(k):
-        residuals -= X[:, j] * beta[j]
-    rss = float(np.add.reduce(residuals * residuals))
-    s2 = rss / (n - k)
-    row_scales = np.array([_unit_scale(row) for row in r_inv])
-    scaled = r_inv * row_scales[:, None]
-    se = np.sqrt(s2 * np.add.reduce(scaled * scaled, axis=1)) / row_scales
+    with np.errstate(over="ignore", invalid="ignore"):
+        solved = _back_substitute(R, np.column_stack([qty[:k], np.eye(k)]))
+        beta, r_inv = solved[:, 0], solved[:, 1:]
+        residuals = y.copy()
+        for j in range(k):
+            residuals -= X[:, j] * beta[j]
+        rss = _sum_of_squares(residuals)
+        s2 = rss / (n - k)
+        row_scales = np.array([_unit_scale(row) for row in r_inv])
+        scaled = r_inv * row_scales[:, None]
+        se = np.sqrt(s2 * np.add.reduce(scaled * scaled, axis=1)) / row_scales
+    finite = np.isfinite(beta) & np.isfinite(se) & math.isfinite(rss)
+    if not finite.all():
+        raise NonFiniteFitError([names[j] for j in np.flatnonzero(~finite)])
 
     with np.errstate(divide="ignore", invalid="ignore"):
         t_stats = np.where(se > 0, beta / np.where(se > 0, se, 1.0),
@@ -398,7 +429,7 @@ def ols_fit(design: np.ndarray, response: np.ndarray,
     t_stats = t_stats.tolist()
     p_values = [student_t_two_sided_p(t, n - k) for t in t_stats]
 
-    tss = float(((y - y.mean()) ** 2).sum())
+    tss = _sum_of_squares(y - y.mean())
     r2 = 1.0 - rss / tss if tss > 0 else 0.0
     r2 = min(max(r2, 0.0), 1.0)
     return {"names": list(names), "coefficients": beta.tolist(),
@@ -429,6 +460,24 @@ def _adf_design(y: np.ndarray, lag: int):
     return np.vstack(cols).T, dy[lag:m]
 
 
+def _condition_bound(R: np.ndarray) -> float:
+    """1/(‖R‖_F ‖R⁻¹‖_F), a lower bound on σ_min/σ_max of the upper
+    triangular R, with R⁻¹ from _back_substitute on R scaled by a power
+    of 2 (_unit_scale), which leaves the bound as it is; 0 where R has a 0
+    on its diagonal or R⁻¹ is not finite.  Raises no numpy warning."""
+    S = R * _unit_scale(R)
+    if not np.diagonal(S).all():
+        return 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        inverse = _back_substitute(S, np.eye(S.shape[0]))
+    if not np.isfinite(inverse).all():
+        return 0.0
+    scale = _unit_scale(inverse)
+    scaled = inverse * scale
+    return scale / math.sqrt(np.add.reduce(S * S, axis=None)) / math.sqrt(
+        np.add.reduce(scaled * scaled, axis=None))
+
+
 def _aic_lag(y: np.ndarray, max_lag: int) -> int:
     """The lag in 0..max_lag whose DF regression has the least AIC, the
     smallest on a tie, all fitted on the sample the widest one allows.
@@ -436,10 +485,24 @@ def _aic_lag(y: np.ndarray, max_lag: int) -> int:
     The widest design is reflected once by _householder with its columns
     ordered ``[level, const, Δy_{t-1..max_lag}]``, so the model of each
     lag is a column prefix, and the RSS of the prefix of k columns is the
-    tail sum of the squared reflected target from row k on.  A prefix
-    that an SVD fit would truncate as rank deficient adds the residual of
-    that truncated least-squares solve on its triangular block of R, so
-    its projection is the one an SVD fit of the prefix makes.
+    tail sum of the squared reflected target from row k on, squared after
+    _unit_scale as in _sum_of_squares.  A prefix that an SVD fit would
+    truncate as rank deficient, where σ_min ≤ cutoff · σ_max with
+    cutoff = rows · ε, adds the residual of that truncated least-squares
+    solve on its triangular block of R, so its projection is the one an
+    SVD fit of the prefix makes.  No column prefix is worse conditioned
+    than the whole design, so only the whole R needs the test.
+
+    The SVD runs only where _condition_bound(R) fails to exceed
+    4 · width · cutoff.  Above that factor the SVD rule decides "full
+    rank" too.  Each column of the computed R⁻¹ solves a perturbation of R
+    within γ_width |R| (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, Thm 8.5), which keeps the true σ_min/σ_max at least
+    1 − 1/(8 · rows) times the bound.  Since rows ≥ width + 2, the ratio of
+    the SVD's computed singular values then exceeds cutoff unless each is
+    off by more than 3 · width² · ε · σ_max, where LAPACK bounds that error
+    by a modestly growing p(width) · ε · σ_max.  So every lag picked is
+    the SVD rule's, and a well-conditioned series calls no LAPACK.
     """
     dy = np.diff(y)
     m = dy.shape[0]
@@ -448,24 +511,26 @@ def _aic_lag(y: np.ndarray, max_lag: int) -> int:
                    *(dy[max_lag - i : m - i] for i in range(1, max_lag + 1))]).T
     rows, width = X.shape
     R, qty = _householder(X, target.copy())
-    squares = qty * qty
-    rss = np.array([np.add.reduce(squares[k:]) for k in range(2, width + 1)])  # lags 0..
-    # No column prefix is worse conditioned than the whole design, so only
-    # a design an SVD fit would truncate needs the triangular solves.
-    singular = np.linalg.svd(R, compute_uv=False)
+    scale = _unit_scale(qty)
+    scaled = qty * scale
+    squares = scaled * scaled
+    rss = [float(np.add.reduce(squares[k:])) / scale / scale        # lags 0..
+           for k in range(2, width + 1)]
     cutoff = rows * np.finfo(float).eps
-    if singular[-1] <= cutoff * singular[0]:
-        for k in range(2, width + 1):
-            z, _, rank, _ = np.linalg.lstsq(R[:k, :k], qty[:k], rcond=cutoff)
-            if rank < k:
-                r = qty[:k] - np.add.reduce(R[:k, :k] * z, axis=1)
-                rss[k - 2] += np.add.reduce(r * r)
+    if _condition_bound(R) <= 4 * width * cutoff:
+        singular = np.linalg.svd(R, compute_uv=False)
+        if singular[-1] <= cutoff * singular[0]:
+            for k in range(2, width + 1):
+                z, _, rank, _ = np.linalg.lstsq(R[:k, :k], qty[:k], rcond=cutoff)
+                if rank < k:
+                    rss[k - 2] += _sum_of_squares(
+                        qty[:k] - np.add.reduce(R[:k, :k] * z, axis=1))
 
     # Floor the RSS at numerical-noise level so a (near-)perfect fit
     # resolves deterministically to the smallest lag via the 2k penalty.
-    floor = 1e-12 * max(float(np.add.reduce(target * target)), 1e-12)
-    best_lag, best_aic = 0, np.inf
-    for lag, lag_rss in enumerate(rss.tolist()):
+    floor = 1e-12 * max(_sum_of_squares(target), 1e-12)
+    best_lag, best_aic = 0, math.inf
+    for lag, lag_rss in enumerate(rss):
         aic = rows * math.log(max(lag_rss, floor) / rows) + 2 * (lag + 2)
         if aic < best_aic:
             best_aic, best_lag = aic, lag

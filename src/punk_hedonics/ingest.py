@@ -72,18 +72,22 @@ def text_stream(source) -> Iterator[str]:
     """The lines of UTF-8 bytes, a str, or a binary or text file, split
     after each ``"\\n"`` as ``io.StringIO`` splits them.
 
-    Bytes, a binary file's included, are decoded one line at a time, so
-    the whole text is never held decoded (a reader may hold a chunk of
-    lines); a line that is not valid UTF-8 raises UnicodeDecodeError when
-    it is reached.  In UTF-8 the byte 0x0A only ever encodes ``"\\n"``, so
-    the lines and the failures are those of decoding the whole text.
+    A binary file is streamed: its lines are read and decoded one at a
+    time, so neither its whole bytes nor its whole text is ever held (a
+    reader may hold a chunk of lines).  Bytes are split the same way.  A
+    line that is not valid UTF-8 raises UnicodeDecodeError when it is
+    reached.  In UTF-8 the byte 0x0A only ever encodes ``"\\n"``, so the
+    lines and the failures are those of decoding the whole text.  A text
+    file is read whole.
     """
-    if hasattr(source, "read"):
+    if isinstance(source, io.TextIOBase):
         source = source.read()
-    if isinstance(source, bytes):
-        return (line.decode("utf-8") for line in io.BytesIO(source))
     if isinstance(source, str):
         return io.StringIO(source)
+    if isinstance(source, bytes):
+        source = io.BytesIO(source)
+    if hasattr(source, "read"):
+        return (line.decode("utf-8") for line in source)
     raise TypeError(f"unsupported source type {type(source)!r}")
 
 

@@ -8,8 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .econometrics import (ADF_MIN_LENGTH, adf_test, ConstantColumnError,
-                           InsufficientDataError, SingularDesignError)
-from .ingest import csv_records, iso_date
+                           InsufficientDataError, NonFiniteFitError, SingularDesignError)
 from .market import GENDERS, SKIN_TONES, Gender, Sales, SkinTone
 from .series import DailySeries, Table
 
@@ -152,7 +151,7 @@ def stationarity_screen(panel: Panel, max_lag: int | None = None) -> dict[str, d
             report[variable] = adf_test(values, max_lag=max_lag)
         except ConstantColumnError:
             report[variable] = {"skip_reason": "zero variance"}
-        except (InsufficientDataError, SingularDesignError) as exc:
+        except (InsufficientDataError, SingularDesignError, NonFiniteFitError) as exc:
             report[variable] = {"skip_reason": str(exc)}
     return report
 
@@ -180,18 +179,3 @@ def write_panel_csv(panel: Panel, stream) -> None:
         cells = [text[index[start:start + _WRITE_ROWS]].tolist() for text, index in columns]
         stream.write("".join([",".join(row) + "\n" for row in zip(*cells)]))
 
-
-def read_panel_csv(source) -> Panel:
-    """Parse a panel CSV written by write_panel_csv.  A record ``csv``
-    cannot read is a ValueError naming its row, as for every input CSV."""
-    index, records = csv_records(source, (), "panel")
-    if index != {name: i for i, name in enumerate(PANEL_COLUMNS)}:
-        raise PanelError(f"panel CSV header must be exactly {','.join(PANEL_COLUMNS)}")
-    rows = []
-    for row_number, row in records:
-        if len(row) != len(PANEL_COLUMNS) or row[-1] is None:   # None pads a short row
-            raise PanelError(f"panel CSV row {row_number} must have {len(PANEL_COLUMNS)} fields")
-        rows.append(row)
-    columns = {name: [row[i] for row in rows] for i, name in enumerate(PANEL_COLUMNS)}
-    columns["date"] = [iso_date(d) for d in columns["date"]]   # numpy truncates a time
-    return Panel(columns)

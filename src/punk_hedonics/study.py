@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .econometrics import (ConstantColumnError, InsufficientDataError, SingularDesignError,
-                           ols_fit, pearson_matrix)
+from .econometrics import (ConstantColumnError, InsufficientDataError, NonFiniteFitError,
+                           SingularDesignError, ols_fit, pearson_matrix)
 from .panel import DUMMY_COLUMNS, Panel
 from .tweets import STUDY_WINDOW_END, STUDY_WINDOW_START
 
@@ -118,7 +118,8 @@ def run_suite(panel: Panel, windows: tuple[WindowSpec, ...]) -> dict:
             for spec in specs:
                 X, y, names = design_for(in_window, spec)
                 fits[(window.label, spec.id)] = ols_fit(X, y, names=names)
-        except (InsufficientDataError, ConstantColumnError, SingularDesignError) as exc:
+        except (InsufficientDataError, ConstantColumnError, SingularDesignError,
+                NonFiniteFitError) as exc:
             skipped[window.label] = str(exc)
             fits = {k: v for k, v in fits.items() if k[0] != window.label}
     results = {f"{label}.{model_id}": fit for (label, model_id), fit in sorted(fits.items())}

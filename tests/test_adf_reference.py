@@ -21,10 +21,12 @@ from fractions import Fraction
 from operator import mul
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import adf_reference as ref
+from punk_hedonics import econometrics
 from punk_hedonics.econometrics import adf_test, default_adf_max_lag
 
 VALUES = st.floats(-1e3, 1e3, allow_nan=False) | st.integers(-3, 3).map(float)
@@ -144,3 +146,22 @@ def test_lag_search_matches_reference(case):
         if not rank_misjudged:
             assert isinstance(got[0], int) and got[0] == exact, (got, want, exact)
             assert ref.aic_lag(series, max_lag) != exact
+
+
+@pytest.mark.parametrize("series", [
+    np.array([1.0] * 16 + [0.0] * 4),                   # lags 4-7 are columns of 0
+    np.array([0.0, 3.0, 1.0, 4.0, 1.0, 5.0, 9.0] * 9),  # lags 1-7 of a period-7 series
+])                                                      # sum to 0
+def test_collinear_widest_design_takes_the_svd_branch(series, monkeypatch):
+    """An exactly collinear widest design fails the condition bound, so
+    the SVD rank test and the truncated solves run, and the lag is the
+    reference's."""
+    calls, svd, lstsq = [], np.linalg.svd, np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append("svd") or svd(*a, **k))
+    monkeypatch.setattr(np.linalg, "lstsq",
+                        lambda *a, **k: calls.append("lstsq") or lstsq(*a, **k))
+    max_lag = ref.selection_max_lag(len(series), None)
+    lag = econometrics._aic_lag(series, max_lag)
+    assert calls == ["svd"] + ["lstsq"] * (max_lag + 1)
+    monkeypatch.undo()
+    assert lag == ref.aic_lag(series, max_lag)

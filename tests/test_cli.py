@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from collections import Counter
 from dataclasses import fields
 from pathlib import Path
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import builtin_only, write_synthetic_dataset
+from panel_csv import read_panel_csv
 from punk_hedonics import cli, market, panel, study, tweets
 from punk_hedonics.cli import (ConfigError, main, parse_config_file)
 
@@ -431,7 +433,6 @@ class TestRegress:
         out = tmp_path / "out"
         main(["--config", str(synthetic_dataset), "--output-dir", str(out),
               "regress"])
-        from punk_hedonics.panel import read_panel_csv
         rows = read_panel_csv((out / "panel.csv").read_text())
         doc = json.loads((out / "suite.json").read_text())
         assert len(rows) == doc["panel_coverage"]["rows_emitted"]
@@ -519,6 +520,27 @@ class TestRegress:
         assert all("statistic" in entry for entry in doc["stationarity"].values())
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_gas_value_whose_adf_fit_overflows_is_a_stationarity_skip(
+            self, synthetic_dataset, tmp_path, capsys):
+        """One gas day at 1e200: the ADF refit's RSS leaves the double range,
+        a stated skip and a warning, not a statistic from an infinite RSS,
+        and no numpy RuntimeWarning, which this test turns into an error."""
+        gas = synthetic_dataset.parent / "gas.csv"
+        text, edits = re.subn(r"(?m)^2020-09-05,.*$", "2020-09-05,1e200",
+                              gas.read_text(encoding="utf-8"))
+        assert edits == 1
+        gas.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["--config", str(synthetic_dataset), "--output-dir", str(out),
+                     "all"]) == 0
+        doc = json.loads((out / "suite.json").read_text())
+        reason = doc["stationarity"]["gas_price_gwei"]["skip_reason"]
+        assert reason.startswith("non-finite fit in columns: level")
+        assert capsys.readouterr().err == (
+            f"warning: stationarity screen of gas_price_gwei skipped: {reason}\n")
+        assert doc["skipped_windows"] == {}
+
     def test_one_row_panel_skips_precheck_and_exits_zero(self, synthetic_dataset, tmp_path,
                                                          capsys):
         """One sale on each of the first two days: pct_change drops the first
@@ -568,14 +590,14 @@ class TestSuiteBlocks:
 
     @pytest.mark.parametrize("block", SUITE_BLOCKS)
     def test_block_is_its_producers_result(self, regress_out, block):
-        sale_panel = panel.read_panel_csv((regress_out / "panel.csv").read_text())
+        sale_panel = read_panel_csv((regress_out / "panel.csv").read_text())
         result = SUITE_BLOCKS[block](sale_panel)
         assert result == json.loads((regress_out / "suite.json").read_text())[block]
         assert builtin_only(result)
         json.dumps(result, allow_nan=False)
 
     def test_fits_are_run_suites_result(self, regress_out):
-        sale_panel = panel.read_panel_csv((regress_out / "panel.csv").read_text())
+        sale_panel = read_panel_csv((regress_out / "panel.csv").read_text())
         result = study.run_suite(sale_panel, study.default_windows())
         doc = json.loads((regress_out / "suite.json").read_text())
         assert list(result) == ["schema_version", "windows", "skipped_windows", "results",
@@ -847,6 +869,25 @@ class TestAll:
         for rel in files_a:
             assert (out_a / rel).read_bytes() == (out_b / rel).read_bytes(), rel
 
+    def test_well_conditioned_run_calls_no_lapack(self, synthetic_dataset, tmp_path,
+                                                  monkeypatch):
+        """Every ADF design clears the condition bound, so with the SVD
+        and lstsq refused the outputs are byte for byte the same."""
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        assert main(["--config", str(synthetic_dataset), "--output-dir", str(out_a),
+                     "all"]) == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("LAPACK called")
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        assert main(["--config", str(synthetic_dataset), "--output-dir", str(out_b),
+                     "all"]) == 0
+        names = sorted(p.name for p in out_a.iterdir())
+        assert names == sorted(p.name for p in out_b.iterdir())
+        for name in names:
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
     def test_warnings_gathered_before_an_error_follow_it(self, synthetic_dataset, tmp_path,
                                                          capsys):
         with open(synthetic_dataset, "a", encoding="utf-8") as fh:
@@ -889,3 +930,31 @@ class TestAll:
                          "compound_only": len(texts) + len(keyword_hits)}
         err = capsys.readouterr().err
         assert err.count(f"{tweet_csv}: 1 rows outside the study window dropped") == 1
+
+
+class TestStreamedInputs:
+    def test_no_file_is_read_whole(self, synthetic_dataset, tmp_path, monkeypatch):
+        def refuse(path):
+            raise AssertionError(f"{path} read whole")
+        monkeypatch.setattr(Path, "read_bytes", refuse)
+        assert main(["--config", str(synthetic_dataset), "--output-dir",
+                     str(tmp_path / "out"), "all"]) == 0
+
+    def test_reading_a_file_holds_neither_its_bytes_nor_its_text(self, tmp_path):
+        """RunInputs.read on a ~2 MB tweet CSV whose rows are all filtered
+        allocates far less than the file: its lines are read one at a time."""
+        path = tmp_path / "tweets.csv"
+        row = "{},2021-05-01T12:00:00+00:00,\"the ape looks good, très bien\",fr\n"
+        path.write_text("id,timestamp,text,lang\n"
+                        + "".join(row.format(i) for i in range(40_000)), encoding="utf-8")
+        size = path.stat().st_size
+        assert size > 2_000_000
+        inputs = cli.RunInputs(cli.RunConfig(tweet_corpus=path))
+        tracemalloc.start()
+        try:
+            corpus, report = inputs.read("tweet_corpus", tweets.ingest_tweets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(corpus) == 0 and report.filtered_language == 40_000
+        assert peak < size / 4

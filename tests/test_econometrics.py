@@ -13,7 +13,8 @@ from scipy import stats
 from conftest import builtin_only
 from punk_hedonics import econometrics
 from punk_hedonics.econometrics import (ConstantColumnError, InsufficientDataError,
-                                        SingularDesignError, adf_critical_values,
+                                        NonFiniteFitError, SingularDesignError,
+                                        _condition_bound, adf_critical_values,
                                         adf_test, ols_fit, pearson_matrix,
                                         regularized_incomplete_beta, significance_stars,
                                         student_t_two_sided_p)
@@ -105,6 +106,15 @@ class TestOls:
     def test_insufficient_data(self):
         with pytest.raises(InsufficientDataError):
             ols_fit(np.ones((3, 3)), np.zeros(3))
+
+    def test_rss_past_the_double_range_is_a_non_finite_fit(self):
+        """Residuals of 1e200 square past the largest double: every
+        standard error is infinite, a stated error and no numpy warning."""
+        X = np.column_stack([np.ones(4), np.arange(4.0)])
+        with pytest.raises(NonFiniteFitError) as exc:
+            ols_fit(X, np.array([1e200, -1e200, 1e200, -1e200]), names=("const", "x"))
+        assert str(exc.value) == "non-finite fit in columns: const, x"
+        assert exc.value.columns == ["const", "x"]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_design_or_response_is_an_error(self, bad):
@@ -338,6 +348,14 @@ class TestAdf:
         with pytest.raises(InsufficientDataError):
             adf_test(np.arange(10.0))
 
+    def test_series_whose_refit_overflows_is_a_non_finite_fit(self):
+        """One value of 1e200: the lag search squares its reflected target
+        without overflow, and the refit's infinite RSS is a stated error."""
+        y = np.cumsum(np.random.default_rng(11).normal(size=100))
+        y[50] = 1e200
+        with pytest.raises(NonFiniteFitError, match="^non-finite fit in columns: level"):
+            adf_test(y)
+
     def test_computes_no_p_value(self, monkeypatch):
         """The screen reads the level term's t-ratio alone; it is the t-ratio
         ols_fit gives on the same design, bit for bit."""
@@ -392,6 +410,54 @@ class TestAdf:
         ours = adf_critical_values(out[3])
         for level in ("1%", "5%", "10%"):
             assert ours[level] == pytest.approx(out[4][level], abs=1e-3)
+
+
+def triangular_with_singular_values(rng, singular, rows):
+    """The k × k R of a QR of a rows × k matrix with the given singular values."""
+    k = len(singular)
+    u, _ = np.linalg.qr(rng.normal(size=(rows, k)))
+    v, _ = np.linalg.qr(rng.normal(size=(k, k)))
+    return np.linalg.qr((u * singular) @ v.T, mode="r")
+
+
+class TestConditionBound:
+    """The lower bound on σ_min/σ_max by which the ADF lag search skips
+    its SVD rank test."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(width=st.integers(2, 30), extra_rows=st.integers(2, 2000),
+           seed=st.integers(0, 2**32 - 1), decades=st.floats(-2.0, 4.0),
+           scale=st.sampled_from([1.0, 2.0 ** -990, 1e-300, 1e150]))
+    def test_never_reports_full_rank_where_the_svd_truncates(self, width, extra_rows, seed,
+                                                             decades, scale):
+        """R swept across the SVD's cutoff: from 1/100 of cutoff to
+        10⁴ times it, past where the bound clears 4 · width · cutoff."""
+        rows = width + extra_rows
+        cutoff = rows * np.finfo(float).eps
+        rng = np.random.default_rng(seed)
+        singular = np.geomspace(1.0, cutoff * 10.0 ** decades, width)
+        R = triangular_with_singular_values(rng, rng.permutation(singular), rows) * scale
+        computed = np.linalg.svd(R, compute_uv=False)
+        if _condition_bound(R) > 4 * width * cutoff:
+            assert computed[-1] > cutoff * computed[0]
+
+    def test_is_the_frobenius_bound(self):
+        R = np.array([[2.0, 1.0], [0.0, 0.5]])
+        inverse = np.linalg.inv(R)
+        assert _condition_bound(R) == pytest.approx(
+            1 / np.linalg.norm(R) / np.linalg.norm(inverse), rel=1e-15)
+
+    @pytest.mark.parametrize("power", [-1000, -990, 990])
+    def test_a_power_of_two_scale_changes_no_bit(self, power):
+        R = np.triu(np.random.default_rng(5).normal(size=(6, 6))) + 3 * np.eye(6)
+        assert _condition_bound(R * 2.0 ** power) == _condition_bound(R)
+
+    @pytest.mark.parametrize("R", [
+        np.array([[1.0, 2.0], [0.0, 0.0]]),                         # a 0 on the diagonal
+        np.array([[2.0 ** -1000, 1.0, 1.0], [0.0, 2.0 ** -1000, 1.0],
+                  [0.0, 0.0, 2.0 ** -1000]])])                      # R⁻¹ overflows
+    def test_is_zero_where_no_inverse_is_finite(self, R):
+        assert _condition_bound(R) == 0.0
 
 
 class TestPlainJson:

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from punk_hedonics import ingest, market, tweets
 from punk_hedonics.ingest import csv_columns, csv_records, iso_date, text_stream, utc_day
+from punk_hedonics.sentiment import load_lexicon
 
 LONG = "x" * 140_000            # over csv's default field size limit of 131,072
 
@@ -178,6 +179,32 @@ class TestCsvColumns:
             with pytest.raises(ValueError) as info:
                 list(csv_columns(source, (), "t")[1])
             assert str(info.value) == message
+
+
+STREAM_READERS = {"text_stream": text_stream, "csv_records": record_rows,
+                  "csv_columns": column_rows,
+                  "load_lexicon": lambda source: load_lexicon(source).entries.items()}
+
+
+@pytest.mark.parametrize("reader", STREAM_READERS)
+@pytest.mark.parametrize("data", [
+    b"a,b\n1,2\n\n3,4\r\n5\n",
+    b'a,b\n1,"x\ny"\n5,6\n7,8',
+    b"a,b\n1,2\n3,\xc3\n5,6\n",                                   # bad byte on line 3
+    b"a,b\n1,2\n3," + LONG.encode() + b"\n5,6\n",                # over-long field on line 3
+    b"good\t1.9\n# c\n\nbad\t-2.5\nok\t1.0\xc3\n",                 # bad byte on line 5
+    b"good\t1.9\n" + LONG.encode() + b"\t1.0\n\xff\n",
+], ids=["plain", "quoted", "utf8-3", "long-3", "lexicon-utf8-5", "lexicon-long"])
+def test_an_open_binary_file_reads_as_its_bytes(tmp_path, monkeypatch, reader, data):
+    """The same lines, rows, row numbers and errors from an open binary
+    file, streamed, as from its bytes; csv_columns in chunks of 2 lines."""
+    monkeypatch.setattr(ingest, "CHUNK_LINES", 2)
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    read = STREAM_READERS[reader]
+    with open(path, "rb") as fh:
+        got = outcome(read, fh)
+    assert got == outcome(read, data)
 
 
 class TestIsoDate:

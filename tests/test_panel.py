@@ -11,12 +11,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import Sale, make_sales, series_of
+from panel_csv import read_panel_csv
 from punk_hedonics.market import Gender, SkinTone
 from punk_hedonics.econometrics import adf_test
 from punk_hedonics.panel import (_WRITE_ROWS, DUMMY_COLUMNS, PANEL_COLUMNS,
                                  SCREEN_VARIABLES, Panel, PanelError, _daily_means,
-                                 build_panel, read_panel_csv, stationarity_screen,
-                                 write_panel_csv)
+                                 build_panel, stationarity_screen, write_panel_csv)
 from punk_hedonics.study import design_for, model_specs
 
 DAY0 = dt.date(2021, 5, 1)
