@@ -313,9 +313,11 @@ def _back_substitute(R: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return rhs
 
 
-def _householder(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _householder(A: np.ndarray, b: np.ndarray,
+                 names: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
     """``(R, Qᵀb)`` of the Householder QR of the Fortran-ordered n × k
-    design A (n >= k), which this overwrites, as it does the response b.
+    design A (n >= k), whose columns ``names`` names, which this
+    overwrites, as it does the response b.
     Q is never formed (Golub & Van Loan, *Matrix Computations*, §5.2).
 
     Step j reflects the remainder x = A[j:, j] onto α e₁, α = −sign(x₀)‖x‖,
@@ -326,14 +328,18 @@ def _householder(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Only elementwise operations and ``np.add.reduce`` touch n-vectors, so
     no BLAS, and no BLAS thread count, enters a bit of the result.
 
-    Each column is first scaled by a power of 2 to a largest magnitude
-    below 1, and R scaled back, both exactly: the bits are those of the
-    unscaled reflections wherever those neither overflow nor underflow,
-    and a column of magnitude 1e200 squares without overflow.
+    Each column and b are first scaled by a power of 2 to a largest
+    magnitude below 1, and R and Qᵀb scaled back, all exactly: the bits are
+    those of the unscaled reflections wherever those neither overflow nor
+    underflow, and a column of magnitude 1e200 squares without overflow.
+    The columns of R that leave the double range when scaled back are a
+    NonFiniteFitError, and such a Qᵀb is infinite, with no numpy warning.
     """
     k = A.shape[1]
     scales = np.array([_unit_scale(A[:, j]) for j in range(k)])
+    b_scale = _unit_scale(b)
     A *= scales
+    b *= b_scale
     for j in range(k):
         x = A[j:, j]
         norm = math.sqrt(np.add.reduce(x * x))
@@ -346,7 +352,13 @@ def _householder(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         for column in (*A[j:, j + 1:].T, b[j:]):
             column -= v * (np.add.reduce(v * column) / half_vtv)
         x[0] = alpha
-    return np.triu(A[:k]) / scales, b
+    with np.errstate(over="ignore"):
+        R = np.triu(A[:k]) / scales
+        b /= b_scale
+    overflowed = [names[j] for j in range(k) if not np.isfinite(R[:, j]).all()]
+    if overflowed:
+        raise NonFiniteFitError(overflowed)
+    return R, b
 
 
 def _fit(X: np.ndarray, y: np.ndarray, names: tuple[str, ...]):
@@ -354,8 +366,8 @@ def _fit(X: np.ndarray, y: np.ndarray, names: tuple[str, ...]):
     column: ``(beta, se, t_stats, rss)``, a t-ratio ±inf or 0 where its
     standard error is 0.  Column j is a SingularDesignError when |R_jj| is
     within rounding of 0 against its column's largest |R_ij|: units decide no rank.
-    The columns whose β or standard error is not finite, every column
-    where the RSS is not, are a NonFiniteFitError.
+    The columns whose R (see _householder), β or standard error is not
+    finite, every column where the RSS is not, are a NonFiniteFitError.
 
     R and Qᵀy come from _householder; β and R⁻¹ from one back-substitution
     of R [β | R⁻¹] = [Qᵀy | I]; the residuals y − Xβ are built one column
@@ -365,7 +377,7 @@ def _fit(X: np.ndarray, y: np.ndarray, names: tuple[str, ...]):
     calls BLAS, and none raises a numpy warning.
     """
     n, k = X.shape
-    R, qty = _householder(np.array(X, order="F"), y.copy())
+    R, qty = _householder(np.array(X, order="F"), y.copy(), names)
     tol = max(n, k) * np.finfo(float).eps * np.maximum.reduce(np.abs(R), initial=0.0)
     bad = [names[j] for j in range(k) if abs(R[j, j]) <= tol[j]]
     if bad:
@@ -510,7 +522,8 @@ def _aic_lag(y: np.ndarray, max_lag: int) -> int:
     X = np.vstack([y[max_lag:m], np.ones(m - max_lag),
                    *(dy[max_lag - i : m - i] for i in range(1, max_lag + 1))]).T
     rows, width = X.shape
-    R, qty = _householder(X, target.copy())
+    R, qty = _householder(X, target.copy(),
+                          ("level", "const", *(f"lag_{i}" for i in range(1, max_lag + 1))))
     scale = _unit_scale(qty)
     scaled = qty * scale
     squares = scaled * scaled
@@ -579,10 +592,10 @@ def pearson_matrix(columns: list[tuple[str, np.ndarray]]) -> tuple[tuple[str, ..
     """Correlation matrix over named, equal-length, finite, non-constant
     columns: each pair's ``np.add.reduce`` sum of products of the centred
     columns over the root of each one's sum of squares, clipped to
-    [-1, 1], with a unit diagonal.  Each centred column is scaled by a
-    power of 2 to a largest magnitude below 1, which changes no bit of a
-    correlation that does not overflow.  A non-finite column is a
-    ValueError."""
+    [-1, 1], with a unit diagonal.  Each column is scaled by a power of 2
+    to a largest magnitude below 1 before it is centred, so no mean or
+    square overflows, and no bit of a correlation changes where none would
+    have.  A non-finite column is a ValueError."""
     if not columns:
         raise ValueError("no columns given")
     names = tuple(name for name, _ in columns)
@@ -597,7 +610,7 @@ def pearson_matrix(columns: list[tuple[str, np.ndarray]]) -> tuple[tuple[str, ..
             raise ValueError(f"column {name!r} has non-finite values")
         if np.ptp(arr) == 0:
             raise ConstantColumnError(name)
-    centred = [c * _unit_scale(c) for c in (arr - arr.mean() for arr in arrays)]
+    centred = [c - c.mean() for c in (arr * _unit_scale(arr) for arr in arrays)]
     roots = [math.sqrt(np.add.reduce(c * c)) for c in centred]
     matrix = np.eye(len(centred))
     for i, (a, root_a) in enumerate(zip(centred, roots)):

@@ -10,7 +10,7 @@ import numpy as np
 from .econometrics import (ADF_MIN_LENGTH, adf_test, ConstantColumnError,
                            InsufficientDataError, NonFiniteFitError, SingularDesignError)
 from .market import GENDERS, SKIN_TONES, Gender, Sales, SkinTone
-from .series import DailySeries, Table
+from .series import DailySeries, Table, daily_means
 
 # Integer columns: the one-hot encoding of a sale's skin tone and gender
 # against the Female + Albino base case; Alien, Ape and Zombie all set
@@ -121,31 +121,29 @@ def build_panel(sales: Sales,
     return panel, report
 
 
-def _daily_means(day_index: np.ndarray, column: np.ndarray) -> list[float]:
-    """Mean of ``column`` per day of ``day_index``, each day summed in row
-    order as a Python running sum would, so numpy's order does not matter."""
-    return (np.bincount(day_index, weights=column) / np.bincount(day_index)).tolist()
-
-
 def stationarity_screen(panel: Panel, max_lag: int | None = None) -> dict[str, dict]:
     """ADF screen over daily-collapsed log price and every daily control.
 
     Each variable in SCREEN_VARIABLES maps to its ``suite.json`` entry:
     what ``adf_test`` returns for its daily means, or
-    ``{"skip_reason": ...}`` for a series it cannot test (too short,
-    constant, or a regression at the chosen lag whose design is
-    singular).  Skips are reported, never silently dropped; the screen
-    reports and does not gate.
+    ``{"skip_reason": ...}`` for a series it cannot test (too short, a
+    day whose sum overflows, constant, or a regression at the chosen lag
+    whose design is singular or whose fit is not finite).  Skips are
+    reported, never silently dropped; the screen reports and does not gate.
     """
     if not panel:
         raise PanelError("panel is empty")
-    _, day_index = np.unique(panel["date"], return_inverse=True)    # once for every variable
+    days, day_index = np.unique(panel["date"], return_inverse=True)    # once for every variable
     report: dict[str, dict] = {}
     for variable in SCREEN_VARIABLES:
-        values = _daily_means(day_index, panel[variable])
+        values = daily_means(day_index, panel[variable])
         if len(values) < ADF_MIN_LENGTH:
             report[variable] = {
                 "skip_reason": f"series too short ({len(values)} < {ADF_MIN_LENGTH})"}
+            continue
+        overflowed = days[~np.isfinite(values)]
+        if len(overflowed):
+            report[variable] = {"skip_reason": f"daily sum overflows on {overflowed[0]}"}
             continue
         try:
             report[variable] = adf_test(values, max_lag=max_lag)

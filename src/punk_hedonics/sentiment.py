@@ -214,8 +214,9 @@ def compound_only(lexicon: SentimentLexicon, text: str) -> float:
     """Compound score of one text in [-1, 1]: its valence sum pushed away
     from 0 by its ! and ? emphasis, then squashed.  Pure and total: any
     UTF-8 string is accepted."""
-    # The zero valences are left out of the sum, which keeps it exact.
-    total = sum(_valences(lexicon, text))
+    total = 0.0     # a running sum in token order; zero valences are left out
+    for v in _valences(lexicon, text):
+        total += v
     if not total:
         return 0.0
     emphasis = _punctuation_emphasis(text)

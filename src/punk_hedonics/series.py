@@ -63,6 +63,13 @@ class DailySeries:
         return len(self.days)
 
 
+def daily_means(day_index: np.ndarray, values) -> np.ndarray:
+    """Mean of ``values`` per day of ``day_index`` (``np.unique``'s inverse),
+    each day's total a running sum in row order, so that neither the
+    Python version nor numpy's reduction order decides a bit."""
+    return np.bincount(day_index, weights=values) / np.bincount(day_index)
+
+
 def pct_change(series: DailySeries) -> tuple[DailySeries, np.ndarray]:
     """Period-over-period relative change over consecutive observed dates.
 

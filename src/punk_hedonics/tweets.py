@@ -11,7 +11,7 @@ import numpy as np
 
 from .ingest import IngestReport, csv_records, utc_day
 from .sentiment import SentimentLexicon, compound_only
-from .series import EPOCH_ORDINAL, DailySeries, Table
+from .series import EPOCH_ORDINAL, DailySeries, Table, daily_means
 
 STUDY_WINDOW_START = dt.date(2017, 6, 23)
 STUDY_WINDOW_END = dt.date(2022, 10, 31)
@@ -124,15 +124,12 @@ def daily_mean_sentiment(tweets: Tweets, lexicon: SentimentLexicon) -> DailySeri
     """Arithmetic mean compound score per UTC day; empty days absent.
 
     Each distinct text is scored once per corpus; a repeat adds that same
-    score to its day, and each day's builtin ``sum`` runs over its scores
-    in file order.
+    score to its day, and each day's sum runs over its scores in file order
+    (``series.daily_means``).
     """
     compounds = _compounds(lexicon, tweets["text"].tolist())
     days, day_index = np.unique(tweets["day"], return_inverse=True)
-    ordered = np.array(compounds)[np.argsort(day_index, kind="stable")]
-    ends = np.cumsum(np.bincount(day_index, minlength=len(days))).tolist()
-    return DailySeries(days, [sum(ordered[start:end].tolist()) / (end - start)
-                              for start, end in zip([0, *ends], ends)])
+    return DailySeries(days, daily_means(day_index, compounds))
 
 
 def keyword_frequency(tweets: Tweets, kw_filter: KeywordFilter

@@ -7,6 +7,8 @@ tests it for "but" and looks it up; then each lexicon hit takes two
 look-back slices, one for boosters and one for negation.
 ``_punctuation_emphasis`` and ``_compound`` are copied with it, so the
 reference depends on the package for its constants alone.
+One rule was changed since: the valences are totalled by a running sum
+in token order, not by builtin ``sum``, which Python 3.12 compensates.
 """
 
 from __future__ import annotations
@@ -102,4 +104,7 @@ def compound_only(lexicon: SentimentLexicon, text: str) -> float:
     """Compound score of one text: its valence sum pushed away from 0 by
     its ! and ? emphasis, then squashed into [-1, 1]."""
     # The zero valences are left out of the sum, which keeps it exact.
-    return _compound(sum(_valences(lexicon, text)[1]), text)
+    total = 0.0
+    for v in _valences(lexicon, text)[1]:
+        total += v
+    return _compound(total, text)

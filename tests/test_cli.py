@@ -541,6 +541,57 @@ class TestRegress:
             f"warning: stationarity screen of gas_price_gwei skipped: {reason}\n")
         assert doc["skipped_windows"] == {}
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_gas_day_whose_daily_sum_overflows_is_a_stationarity_skip(
+            self, synthetic_dataset, tmp_path, capsys):
+        """One gas day at 1e308, a day of four sales: the screen's sum of
+        that day leaves the double range, a stated skip naming the day, and
+        the two windows holding it, whose gas column of R overflows, are
+        skipped; no numpy RuntimeWarning, and no NaN in suite.json."""
+        sales = (synthetic_dataset.parent / "sales.csv").read_text(encoding="utf-8")
+        assert sales.count(",2020-09-05,") == 4
+        gas = synthetic_dataset.parent / "gas.csv"
+        text, edits = re.subn(r"(?m)^2020-09-05,.*$", "2020-09-05,1e308",
+                              gas.read_text(encoding="utf-8"))
+        assert edits == 1
+        gas.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["--config", str(synthetic_dataset), "--output-dir", str(out),
+                     "all"]) == 0
+        suite = (out / "suite.json").read_text()
+        assert "NaN" not in suite and "Infinity" not in suite
+        doc = json.loads(suite)
+        reason = "daily sum overflows on 2020-09-05"
+        assert doc["stationarity"]["gas_price_gwei"] == {"skip_reason": reason}
+        skipped = "non-finite fit in columns: gas_price_gwei"
+        assert doc["skipped_windows"] == {"2017-2021": skipped, "2017-2022": skipped}
+        assert capsys.readouterr().err == (
+            f"warning: stationarity screen of gas_price_gwei skipped: {reason}\n"
+            f"warning: window 2017-2021 skipped: {skipped}\n"
+            f"warning: window 2017-2022 skipped: {skipped}\n")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rarity_whose_factor_overflows_skips_its_windows(
+            self, synthetic_dataset, tmp_path, capsys):
+        """A precomputed rarity of 1e308 on two sales: rarity's column of R
+        leaves the double range, a non-finite fit and not a rank deficiency,
+        and the correlation precheck stays finite."""
+        sales = synthetic_dataset.parent / "sales.csv"
+        header, *rows = sales.read_text(encoding="utf-8").splitlines()
+        rows = [row + (",1e308" if i in (5, 6) else ",") for i, row in enumerate(rows)]
+        sales.write_text("\n".join([header + ",rarity", *rows]) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["--config", str(synthetic_dataset), "--output-dir", str(out),
+                     "all"]) == 0
+        suite = (out / "suite.json").read_text()
+        assert "NaN" not in suite and "Infinity" not in suite
+        doc = json.loads(suite)
+        skipped = "non-finite fit in columns: rarity"
+        assert doc["skipped_windows"] == {"2017-2021": skipped, "2017-2022": skipped}
+        assert np.isfinite(doc["correlation_precheck"]["matrix"]).all()
+        assert capsys.readouterr().err == (f"warning: window 2017-2021 skipped: {skipped}\n"
+                                           f"warning: window 2017-2022 skipped: {skipped}\n")
+
     def test_one_row_panel_skips_precheck_and_exits_zero(self, synthetic_dataset, tmp_path,
                                                          capsys):
         """One sale on each of the first two days: pct_change drops the first

@@ -116,6 +116,18 @@ class TestOls:
         assert str(exc.value) == "non-finite fit in columns: const, x"
         assert exc.value.columns == ["const", "x"]
 
+    def test_column_whose_r_overflows_is_a_non_finite_fit(self):
+        """Four values of 1e308: the column's norm, and so its column of R,
+        leaves the double range.  A non-finite fit naming it, not a rank
+        deficiency, and no numpy warning."""
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=40)
+        x[[3, 9, 15, 21]] = 1e308
+        X = np.column_stack([np.ones(40), rng.normal(size=40), x])
+        with pytest.raises(NonFiniteFitError) as exc:
+            ols_fit(X, rng.normal(size=40), names=("const", "a", "big"))
+        assert exc.value.columns == ["big"]
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_design_or_response_is_an_error(self, bad):
         """Not NaN coefficients whose NaN t-ratios read as three stars."""
@@ -243,7 +255,8 @@ def reduced_before(draw):
 
 
 def kernel(X, y):
-    return econometrics._householder(np.array(X, order="F"), y.copy())
+    return econometrics._householder(np.array(X, order="F"), y.copy(),
+                                     tuple(f"x{i}" for i in range(X.shape[1])))
 
 
 class TestHouseholderKernel:
@@ -295,6 +308,17 @@ class TestHouseholderKernel:
         assert np.array_equal(scaled_qty, qty)
         assert np.array_equal(scaled_r[:, :-1], R[:, :-1])
         assert np.array_equal(scaled_r[:, -1], np.ldexp(R[:, -1], power))
+
+    @given(well_conditioned_fits(), st.integers(-600, 600))
+    @settings(max_examples=50, deadline=None)
+    def test_power_of_two_response_scale_passes_through_exactly(self, case, power):
+        """Scaling the response by 2^power scales Qᵀb by exactly that and
+        leaves R as it is, also where its squares overflow."""
+        X, y = case
+        R, qty = kernel(X, y)
+        scaled_r, scaled_qty = kernel(X, np.ldexp(y, power))
+        assert np.array_equal(scaled_r, R)
+        assert np.array_equal(scaled_qty, np.ldexp(qty, power))
 
     @given(reduced_before())
     @settings(max_examples=100, deadline=None)
@@ -353,6 +377,15 @@ class TestAdf:
         without overflow, and the refit's infinite RSS is a stated error."""
         y = np.cumsum(np.random.default_rng(11).normal(size=100))
         y[50] = 1e200
+        with pytest.raises(NonFiniteFitError, match="^non-finite fit in columns: level"):
+            adf_test(y)
+
+    @pytest.mark.parametrize("at", [[50], [50, 51], [50, 80]])
+    def test_series_at_the_double_range_is_a_non_finite_fit(self, at):
+        """Values of 1.7e308: the reflected target and the level column
+        leave the double range, a stated error and no numpy warning."""
+        y = np.random.default_rng(12).uniform(20, 200, size=200)
+        y[at] = 1.7e308
         with pytest.raises(NonFiniteFitError, match="^non-finite fit in columns: level"):
             adf_test(y)
 
@@ -553,6 +586,34 @@ class TestPearson:
         _, m1 = pearson_matrix([("x", x), ("y", y), ("z", z)])
         _, m2 = pearson_matrix([("x", x), ("y", np.ldexp(y, power)), ("z", z)])
         assert np.array_equal(m1, m2)
+
+    @given(st.integers(0, 2**32 - 1), st.floats(-1e6, 1e6), st.integers(-30, 30))
+    @settings(max_examples=100, deadline=None)
+    def test_scaling_before_centring_changes_no_bit(self, seed, offset, power):
+        """Against centring first and scaling the centred column, as the
+        correlations were computed before: the same bits."""
+        rng = np.random.default_rng(seed)
+        cols = [("x", rng.normal(size=50)), ("y", np.ldexp(rng.normal(size=50), power) + offset),
+                ("z", rng.integers(0, 2, size=50).astype(float))]
+        if np.ptp(cols[1][1]) == 0:
+            return
+        centred = [c * econometrics._unit_scale(c) for c in (v - v.mean() for _, v in cols)]
+        roots = [math.sqrt(np.add.reduce(c * c)) for c in centred]
+        _, m = pearson_matrix(cols)
+        for i in range(3):
+            for j in range(i):
+                r = np.add.reduce(centred[i] * centred[j]) / roots[i] / roots[j]
+                assert m[i, j] == min(max(r, -1.0), 1.0)
+
+    def test_column_near_the_double_range_has_finite_correlations(self):
+        """Two values of 1e308 overflow the column's unscaled mean."""
+        rng = np.random.default_rng(25)
+        x, y = rng.normal(size=(2, 60))
+        big = y.copy()
+        big[[4, 7]] = 1e308
+        _, m = pearson_matrix([("x", x), ("y", y), ("big", big)])
+        assert np.isfinite(m).all()
+        assert m[2, 1] == m[1, 2] and abs(m[2, 1]) <= 1.0
 
     def test_positive_affine_invariance(self):
         rng = np.random.default_rng(23)

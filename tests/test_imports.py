@@ -12,6 +12,9 @@ its imports are the package's API.
 Only ``ingest.py`` reads text formats: no other module calls
 ``.fromisoformat`` or ``csv.reader``, whose grammars differ between
 Python versions or need ``ingest``'s row numbers and errors.
+
+No module uses builtin ``sum``, whose float total is compensated from
+Python 3.12 on, so that no output depends on the Python version.
 """
 
 import ast
@@ -128,3 +131,26 @@ def test_text_format_guard_finds_each_form():
               "fromisoformat(e)\n")
     assert text_format_calls(source) == [(4, "dt.datetime.fromisoformat"),
                                          (5, "date.fromisoformat"), (6, "csv.reader")]
+
+
+def builtin_sum_uses(source):
+    """(line, name) of each read of the name ``sum`` in the module source:
+    a call of builtin ``sum`` or a reference to it."""
+    return sorted((node.lineno, node.id) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Name) and node.id == "sum"
+                  and isinstance(node.ctx, ast.Load))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_uses_builtin_sum(path):
+    assert builtin_sum_uses(path.read_text(encoding="utf-8")) == []
+
+
+def test_builtin_sum_guard_finds_each_form():
+    source = ("total = sum(values)\n"
+              "totals = list(map(sum, rows))\n"
+              "mask.sum()\n"
+              "np.sum(values)\n"
+              "math.fsum(values)\n"
+              "normalize_valence_sum(total)\n")
+    assert builtin_sum_uses(source) == [(1, "sum"), (2, "sum")]

@@ -15,8 +15,9 @@ from panel_csv import read_panel_csv
 from punk_hedonics.market import Gender, SkinTone
 from punk_hedonics.econometrics import adf_test
 from punk_hedonics.panel import (_WRITE_ROWS, DUMMY_COLUMNS, PANEL_COLUMNS,
-                                 SCREEN_VARIABLES, Panel, PanelError, _daily_means,
+                                 SCREEN_VARIABLES, Panel, PanelError,
                                  build_panel, stationarity_screen, write_panel_csv)
+from punk_hedonics.series import daily_means
 from punk_hedonics.study import design_for, model_specs
 
 DAY0 = dt.date(2021, 5, 1)
@@ -427,7 +428,7 @@ class TestColumnarMatchesRowReference:
     def test_daily_means(self, panel):
         _, day_index = np.unique(panel["date"], return_inverse=True)
         for variable in ("log_usd_price", "x_male", "sentiment"):
-            assert (_daily_means(day_index, panel[variable])
+            assert (daily_means(day_index, panel[variable]).tolist()
                     == reference_daily_means(panel, variable))
 
     @settings(max_examples=40, deadline=None)

@@ -13,7 +13,9 @@ built from the same per-keyword regexes, as the oracle of the hits that
 One rule was added to both paths since: a timestamp whose UTC day leaves
 ``date``'s range (an OverflowError) is an unparseable timestamp.  It
 decodes bytes whole into an ``io.StringIO``, as ``ingest.text_stream``
-did before it decoded a line at a time.
+did before it decoded a line at a time.  And each day's scores are
+totalled by a running sum in file order, not by builtin ``sum``, which
+Python 3.12 compensates.
 """
 
 from __future__ import annotations
@@ -143,4 +145,10 @@ def daily_mean_sentiment(corpus: list[Tweet], lexicon: SentimentLexicon) -> dict
     by_day: dict[dt.date, list[float]] = defaultdict(list)
     for tweet in corpus:
         by_day[tweet.timestamp.date()].append(compound_only(lexicon, tweet.text))
-    return {day: sum(v) / len(v) for day, v in sorted(by_day.items())}
+    means = {}
+    for day, scores in sorted(by_day.items()):
+        total = 0.0
+        for score in scores:
+            total += score
+        means[day] = total / len(scores)
+    return means
