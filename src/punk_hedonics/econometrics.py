@@ -8,7 +8,8 @@ for the constant-only case.  Every fit and correlation sums its n-vectors
 with elementwise numpy and ``np.add.reduce``, never with BLAS, so no such
 sum depends on the BLAS thread count.  Only a near-singular ADF design
 calls LAPACK: the lag search's SVD rank test and its truncated solves on
-the small triangular factor.
+the small triangular factor; its RSS are then taken in exact rational
+arithmetic where that agrees with the SVD on a prefix's rank.
 
 Student-t p-values come from the regularized incomplete beta function,
 computed here without scipy: the continued fraction of DiDonato & Morris
@@ -20,6 +21,9 @@ prefix x^a (1−x)^b / B(a, b) taken in logs carried past double precision.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
+from functools import reduce
+from operator import add, mul
 
 import numpy as np
 
@@ -490,6 +494,46 @@ def _condition_bound(R: np.ndarray) -> float:
         np.add.reduce(scaled * scaled, axis=None))
 
 
+def _integers(v: np.ndarray) -> tuple[list[int], int]:
+    """The doubles of v as Python ints times 2^-shift, exactly, with the
+    least shift that makes every one an integer."""
+    ratios = [x.as_integer_ratio() for x in v.tolist()]
+    shift = max(d.bit_length() for _, d in ratios) - 1
+    return [n << (shift + 1 - d.bit_length()) for n, d in ratios], shift
+
+
+def _exact_prefix_fits(columns: list[np.ndarray], y: np.ndarray) -> list[tuple[float, int]]:
+    """``(rss, rank)`` of the least-squares fit of y on each column prefix,
+    of 1 up to all the columns, in exact rational arithmetic: the Gram
+    matrix of the columns and y, each scaled by a power of 2 to integers
+    (which moves no span), eliminated symmetrically, where a zero pivot is
+    a column the ones before it span.  Each RSS is rounded once, and is
+    inf past the double range."""
+    cols = [_integers(c)[0] for c in columns]
+    ys, shift = _integers(y)
+    k = len(cols)
+    rows = [[Fraction(reduce(add, map(mul, a, b), 0)) for b in (*cols, ys)] for a in cols]
+    left, rank, fits = Fraction(reduce(add, map(mul, ys, ys), 0)), 0, []
+    for j in range(k):
+        pivot = rows[j][j]
+        if pivot:
+            rank += 1
+            left -= rows[j][k] ** 2 / pivot
+            for i in range(j + 1, k):
+                factor = rows[i][j] / pivot
+                if factor:
+                    rows[i] = [a - factor * b for a, b in zip(rows[i], rows[j])]
+        # left / 2^e lies in [1/2, 2) and rounds once; the power of 2 then
+        # moves it exactly unless it leaves the normal range
+        e = left.numerator.bit_length() - left.denominator.bit_length()
+        try:
+            rss = math.ldexp(float(left / Fraction(2) ** e), e - 2 * shift) if left else 0.0
+        except OverflowError:
+            rss = math.inf
+        fits.append((rss, rank))
+    return fits
+
+
 def _aic_lag(y: np.ndarray, max_lag: int) -> int:
     """The lag in 0..max_lag whose DF regression has the least AIC, the
     smallest on a tie, all fitted on the sample the widest one allows.
@@ -513,14 +557,22 @@ def _aic_lag(y: np.ndarray, max_lag: int) -> int:
     1 − 1/(8 · rows) times the bound.  Since rows ≥ width + 2, the ratio of
     the SVD's computed singular values then exceeds cutoff unless each is
     off by more than 3 · width² · ε · σ_max, where LAPACK bounds that error
-    by a modestly growing p(width) · ε · σ_max.  So every lag picked is
+    by a modestly growing p(width) · ε · σ_max.  So every rank decided is
     the SVD rule's, and a well-conditioned series calls no LAPACK.
+
+    A design that fails the bound is near enough to rank deficient that
+    no double-precision fit need get a prefix's RSS right: a lag-4 prefix
+    of condition 2.4e13 has the exact RSS 0.981, its reflections give 1.37
+    and an SVD fit 4.9.  There every prefix whose rank the SVD rule and
+    exact arithmetic agree on takes the RSS of _exact_prefix_fits, and the
+    others keep the one above.
     """
     dy = np.diff(y)
     m = dy.shape[0]
     target = dy[max_lag:]
-    X = np.vstack([y[max_lag:m], np.ones(m - max_lag),
-                   *(dy[max_lag - i : m - i] for i in range(1, max_lag + 1))]).T
+    columns = [y[max_lag:m], np.ones(m - max_lag),
+               *(dy[max_lag - i : m - i] for i in range(1, max_lag + 1))]
+    X = np.vstack(columns).T
     rows, width = X.shape
     R, qty = _householder(X, target.copy(),
                           ("level", "const", *(f"lag_{i}" for i in range(1, max_lag + 1))))
@@ -531,13 +583,18 @@ def _aic_lag(y: np.ndarray, max_lag: int) -> int:
            for k in range(2, width + 1)]
     cutoff = rows * np.finfo(float).eps
     if _condition_bound(R) <= 4 * width * cutoff:
+        exact = _exact_prefix_fits(columns, target)
         singular = np.linalg.svd(R, compute_uv=False)
-        if singular[-1] <= cutoff * singular[0]:
-            for k in range(2, width + 1):
+        truncates = singular[-1] <= cutoff * singular[0]
+        for k in range(2, width + 1):
+            rank = k
+            if truncates:
                 z, _, rank, _ = np.linalg.lstsq(R[:k, :k], qty[:k], rcond=cutoff)
-                if rank < k:
-                    rss[k - 2] += _sum_of_squares(
-                        qty[:k] - np.add.reduce(R[:k, :k] * z, axis=1))
+            if rank == exact[k - 1][1]:
+                rss[k - 2] = exact[k - 1][0]
+            elif rank < k:
+                rss[k - 2] += _sum_of_squares(
+                    qty[:k] - np.add.reduce(R[:k, :k] * z, axis=1))
 
     # Floor the RSS at numerical-noise level so a (near-)perfect fit
     # resolves deterministically to the smallest lag via the 2k penalty.

@@ -137,6 +137,9 @@ def exact_selection(y, max_lag):
 @example((np.array([0.0] * 16 + [1.0, 0.0, 0.0, 0.0]), None))     # found without the
 @example((np.array([1.0] * 16 + [0.0] * 4), None))                # triangular solves
 @example((zeros_then_normal_tail(14321), None))     # the reference misjudges an RSS
+@example((np.array([0.0] * 63 + [1.0, 355.0, 0.0, 1.0, 0.0, 0.0]), None))  # so do the
+@example((np.array([-2.0] * 28 + [-3.0, 448.9909520440915, 3.0, 1.0, -1.0,  # reflections
+                                  999.1800348582522]), 8))
 def test_lag_search_matches_reference(case):
     series, max_lag = case
     got, want = outcome(adf_test, series, max_lag), outcome(ref.adf_test, series, max_lag)
