@@ -235,6 +235,10 @@ def cmd_regress(inputs: RunInputs) -> None:
     sales = inputs.sales if in_window.all() else inputs.sales.select(in_window)
     gas = inputs.read("gas", market.ingest_gas)
     fx = inputs.read("fx", market.ingest_fx)
+    for key, series in (("gas", gas), ("fx", fx)):
+        inputs.warnings += [f"{getattr(config, key)}: implausible value {value!r} on {day}: "
+                            "over 10 times or under 1/10 of each neighbouring day's"
+                            for day, value in market.implausible_days(series)]
     active, volume = market.daily_aggregates(sales, fx)
     changes = {}        # series name -> (relative changes, gap days)
     for name, series in (("active_wallets", active), ("sales_volume", volume), ("fx", fx)):

@@ -6,10 +6,9 @@ the unit-root test is an augmented Dickey-Fuller regression with a
 constant, lag order picked by AIC, and response-surface critical values
 for the constant-only case.  Every fit and correlation sums its n-vectors
 with elementwise numpy and ``np.add.reduce``, never with BLAS, so no such
-sum depends on the BLAS thread count.  Only a near-singular ADF design
-calls LAPACK: the lag search's SVD rank test and its truncated solves on
-the small triangular factor; its RSS are then taken in exact rational
-arithmetic where that agrees with the SVD on a prefix's rank.
+sum depends on the BLAS thread count, and no fit calls LAPACK.  One rank
+rule (_rejected_columns) judges every fit's columns; the ADF lag search
+takes a near-singular design's RSS in exact rational arithmetic.
 
 Student-t p-values come from the regularized incomplete beta function,
 computed here without scipy: the continued fraction of DiDonato & Morris
@@ -365,11 +364,20 @@ def _householder(A: np.ndarray, b: np.ndarray,
     return R, b
 
 
+def _rejected_columns(R: np.ndarray, n: int) -> np.ndarray:
+    """The rank rule of every fit: whether |R_jj| <= max(n, k) · ε · maxᵢ |R_ij|
+    for each column j of the n-row design that R factors, so units decide
+    no rank.  R's column j does not depend on later columns, so the verdict
+    holds for each column prefix of the design."""
+    tol = max(n, R.shape[1]) * np.finfo(float).eps * np.maximum.reduce(np.abs(R), initial=0.0)
+    return np.abs(np.diagonal(R)) <= tol
+
+
 def _fit(X: np.ndarray, y: np.ndarray, names: tuple[str, ...]):
     """The classical fit of a checked float design with n > k, one name per
     column: ``(beta, se, t_stats, rss)``, a t-ratio ±inf or 0 where its
-    standard error is 0.  Column j is a SingularDesignError when |R_jj| is
-    within rounding of 0 against its column's largest |R_ij|: units decide no rank.
+    standard error is 0.  The columns that _rejected_columns rejects are a
+    SingularDesignError.
     The columns whose R (see _householder), β or standard error is not
     finite, every column where the RSS is not, are a NonFiniteFitError.
 
@@ -382,8 +390,7 @@ def _fit(X: np.ndarray, y: np.ndarray, names: tuple[str, ...]):
     """
     n, k = X.shape
     R, qty = _householder(np.array(X, order="F"), y.copy(), names)
-    tol = max(n, k) * np.finfo(float).eps * np.maximum.reduce(np.abs(R), initial=0.0)
-    bad = [names[j] for j in range(k) if abs(R[j, j]) <= tol[j]]
+    bad = [names[j] for j in np.flatnonzero(_rejected_columns(R, n))]
     if bad:
         raise SingularDesignError(bad)
 
@@ -502,35 +509,32 @@ def _integers(v: np.ndarray) -> tuple[list[int], int]:
     return [n << (shift + 1 - d.bit_length()) for n, d in ratios], shift
 
 
-def _exact_prefix_fits(columns: list[np.ndarray], y: np.ndarray) -> list[tuple[float, int]]:
-    """``(rss, rank)`` of the least-squares fit of y on each column prefix,
-    of 1 up to all the columns, in exact rational arithmetic: the Gram
-    matrix of the columns and y, each scaled by a power of 2 to integers
-    (which moves no span), eliminated symmetrically, where a zero pivot is
-    a column the ones before it span.  Each RSS is rounded once, and is
+def _exact_prefix_fits(columns: list[np.ndarray], y: np.ndarray,
+                       rejected: np.ndarray) -> list[float]:
+    """The RSS of the least-squares fit of y on each column prefix, of 1 up
+    to all the columns, without the ``rejected`` ones, in exact rational
+    arithmetic: the Gram matrix of the columns and y, each scaled by a power
+    of 2 to integers (which moves no span), eliminated symmetrically, where
+    a rejected column's pivot counts as 0.  Each RSS is rounded once, and is
     inf past the double range."""
     cols = [_integers(c)[0] for c in columns]
     ys, shift = _integers(y)
     k = len(cols)
     rows = [[Fraction(reduce(add, map(mul, a, b), 0)) for b in (*cols, ys)] for a in cols]
-    left, rank, fits = Fraction(reduce(add, map(mul, ys, ys), 0)), 0, []
+    left, fits = Fraction(reduce(add, map(mul, ys, ys), 0)), []
     for j in range(k):
-        pivot = rows[j][j]
+        pivot = 0 if rejected[j] else rows[j][j]
         if pivot:
-            rank += 1
             left -= rows[j][k] ** 2 / pivot
             for i in range(j + 1, k):
                 factor = rows[i][j] / pivot
                 if factor:
                     rows[i] = [a - factor * b for a, b in zip(rows[i], rows[j])]
-        # left / 2^e lies in [1/2, 2) and rounds once; the power of 2 then
-        # moves it exactly unless it leaves the normal range
-        e = left.numerator.bit_length() - left.denominator.bit_length()
         try:
-            rss = math.ldexp(float(left / Fraction(2) ** e), e - 2 * shift) if left else 0.0
+            rss = float(left / 4 ** shift)  # an int quotient, rounded once
         except OverflowError:
             rss = math.inf
-        fits.append((rss, rank))
+        fits.append(rss)
     return fits
 
 
@@ -541,31 +545,19 @@ def _aic_lag(y: np.ndarray, max_lag: int) -> int:
     The widest design is reflected once by _householder with its columns
     ordered ``[level, const, Δy_{t-1..max_lag}]``, so the model of each
     lag is a column prefix, and the RSS of the prefix of k columns is the
-    tail sum of the squared reflected target from row k on, squared after
-    _unit_scale as in _sum_of_squares.  A prefix that an SVD fit would
-    truncate as rank deficient, where σ_min ≤ cutoff · σ_max with
-    cutoff = rows · ε, adds the residual of that truncated least-squares
-    solve on its triangular block of R, so its projection is the one an
-    SVD fit of the prefix makes.  No column prefix is worse conditioned
-    than the whole design, so only the whole R needs the test.
-
-    The SVD runs only where _condition_bound(R) fails to exceed
-    4 · width · cutoff.  Above that factor the SVD rule decides "full
-    rank" too.  Each column of the computed R⁻¹ solves a perturbation of R
-    within γ_width |R| (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, Thm 8.5), which keeps the true σ_min/σ_max at least
-    1 − 1/(8 · rows) times the bound.  Since rows ≥ width + 2, the ratio of
-    the SVD's computed singular values then exceeds cutoff unless each is
-    off by more than 3 · width² · ε · σ_max, where LAPACK bounds that error
-    by a modestly growing p(width) · ε · σ_max.  So every rank decided is
-    the SVD rule's, and a well-conditioned series calls no LAPACK.
+    _sum_of_squares of the reflected target from row k on, where
+    _condition_bound(R) exceeds 4 · width · cutoff, cutoff = rows · ε.
+    Each column of the computed R⁻¹ solves a perturbation of R within
+    γ_width |R| (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    Thm 8.5), which keeps the true σ_min/σ_max above 1 − 1/(8 · rows)
+    times the bound, so above it _fit's rule accepts every column, since
+    |R_jj| ≥ σ_min > cutoff · σ_max ≥ cutoff · maxᵢ |R_ij|.
 
     A design that fails the bound is near enough to rank deficient that
     no double-precision fit need get a prefix's RSS right: a lag-4 prefix
     of condition 2.4e13 has the exact RSS 0.981, its reflections give 1.37
-    and an SVD fit 4.9.  There every prefix whose rank the SVD rule and
-    exact arithmetic agree on takes the RSS of _exact_prefix_fits, and the
-    others keep the one above.
+    and an SVD fit 4.9.  There each prefix's RSS is _exact_prefix_fits'
+    without the columns that _fit's rule (_rejected_columns) rejects on R.
     """
     dy = np.diff(y)
     m = dy.shape[0]
@@ -576,25 +568,10 @@ def _aic_lag(y: np.ndarray, max_lag: int) -> int:
     rows, width = X.shape
     R, qty = _householder(X, target.copy(),
                           ("level", "const", *(f"lag_{i}" for i in range(1, max_lag + 1))))
-    scale = _unit_scale(qty)
-    scaled = qty * scale
-    squares = scaled * scaled
-    rss = [float(np.add.reduce(squares[k:])) / scale / scale        # lags 0..
-           for k in range(2, width + 1)]
-    cutoff = rows * np.finfo(float).eps
-    if _condition_bound(R) <= 4 * width * cutoff:
-        exact = _exact_prefix_fits(columns, target)
-        singular = np.linalg.svd(R, compute_uv=False)
-        truncates = singular[-1] <= cutoff * singular[0]
-        for k in range(2, width + 1):
-            rank = k
-            if truncates:
-                z, _, rank, _ = np.linalg.lstsq(R[:k, :k], qty[:k], rcond=cutoff)
-            if rank == exact[k - 1][1]:
-                rss[k - 2] = exact[k - 1][0]
-            elif rank < k:
-                rss[k - 2] += _sum_of_squares(
-                    qty[:k] - np.add.reduce(R[:k, :k] * z, axis=1))
+    if _condition_bound(R) <= 4 * width * rows * np.finfo(float).eps:
+        rss = _exact_prefix_fits(columns, target, _rejected_columns(R, rows))[1:]
+    else:
+        rss = [_sum_of_squares(qty[k:]) for k in range(2, width + 1)]     # lags 0..
 
     # Floor the RSS at numerical-noise level so a (near-)perfect fit
     # resolves deterministically to the smallest lag via the 2k penalty.

@@ -249,6 +249,22 @@ def ingest_fx(source) -> DailySeries:
     return _ingest_two_column_series(source, "fx", "date", "eth_usd_close")
 
 
+def implausible_days(series: DailySeries) -> list[tuple[dt.date, float]]:
+    """The days of the series whose value is more than 10 times or under
+    1/10 of each neighbouring day's value, an endpoint's one neighbour
+    alone, each with its value, in date order.  Ratios are compared, not
+    differences of rounded logs, so a value exactly 10 times its
+    neighbour's is not one."""
+    values = series.values
+    if len(values) < 2:
+        return []
+    with np.errstate(over="ignore"):        # an infinite ratio is far too
+        ratios = values[1:] / values[:-1]
+    far = (ratios > 10.0) | (ratios < 0.1)  # each day from the day after it
+    flagged = np.flatnonzero(np.append(True, far) & np.append(far, True))
+    return list(zip(series.days[flagged].tolist(), values[flagged].tolist()))
+
+
 def _combinations(sales: Sales, rows=slice(None)) -> np.ndarray:
     """The (gender, skin tone) cell of each sale in ``rows``, as
     ``gender * len(SKIN_TONES) + skin``."""

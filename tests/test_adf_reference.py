@@ -8,12 +8,13 @@ default ceiling.  The chosen lag, the sample size and the bits of the
 statistic must match, or both must raise the same error.
 
 They may differ only on a degenerate design within rounding of rank
-deficient, where the reference's SVD fits are ill-conditioned.  If
-those fits judge every candidate's rank right, the lag picked must be
-the one exact rational arithmetic picks, and the reference's must not
-be.  If an SVD fit gets a rank wrong, as with a 974 among values of 0
-and 2, double precision cannot tell the fits apart and any lag is
-allowed.
+deficient, where the reference's SVD fits are ill-conditioned and the
+package takes each lag's RSS in exact rational arithmetic, less the
+columns its one rank rule rejects.  If the SVD fits judge every
+candidate's rank right, the lag picked must be the one exact rational
+arithmetic picks, and the reference's must not be.  If an SVD fit gets a
+rank wrong, as with a 974 among values of 0 and 2, double precision
+cannot tell the fits apart and any lag is allowed.
 """
 
 import math
@@ -155,16 +156,67 @@ def test_lag_search_matches_reference(case):
     np.array([1.0] * 16 + [0.0] * 4),                   # lags 4-7 are columns of 0
     np.array([0.0, 3.0, 1.0, 4.0, 1.0, 5.0, 9.0] * 9),  # lags 1-7 of a period-7 series
 ])                                                      # sum to 0
-def test_collinear_widest_design_takes_the_svd_branch(series, monkeypatch):
+def test_collinear_widest_design_takes_the_exact_pass(series, monkeypatch):
     """An exactly collinear widest design fails the condition bound, so
-    the SVD rank test and the truncated solves run, and the lag is the
-    reference's."""
-    calls, svd, lstsq = [], np.linalg.svd, np.linalg.lstsq
-    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append("svd") or svd(*a, **k))
-    monkeypatch.setattr(np.linalg, "lstsq",
-                        lambda *a, **k: calls.append("lstsq") or lstsq(*a, **k))
+    every lag's RSS comes from one exact pass, no LAPACK routine runs, and
+    the lag is the reference's."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK called")
+    calls, exact = [], econometrics._exact_prefix_fits
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    monkeypatch.setattr(econometrics, "_exact_prefix_fits",
+                        lambda *args: calls.append(args) or exact(*args))
     max_lag = ref.selection_max_lag(len(series), None)
     lag = econometrics._aic_lag(series, max_lag)
-    assert calls == ["svd"] + ["lstsq"] * (max_lag + 1)
+    assert len(calls) == 1
     monkeypatch.undo()
     assert lag == ref.aic_lag(series, max_lag)
+
+
+@st.composite
+def masked_designs(draw):
+    """Columns of small integers, each times its own power of 2, with
+    repeats and sums of earlier columns among them, a response, and a
+    rejection mask."""
+    rows = draw(st.integers(3, 12))
+    entries = st.lists(st.integers(-9, 9), min_size=rows, max_size=rows).map(np.array)
+    columns = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["new", "repeat", "sum"]) if columns else st.just("new"))
+        if kind == "new":
+            column = draw(entries).astype(float)
+        elif kind == "repeat":
+            column = draw(st.sampled_from(columns)).copy()
+        else:
+            column = draw(st.sampled_from(columns)) + draw(st.sampled_from(columns))
+        columns.append(column * 2.0 ** draw(st.integers(-40, 40)))
+    y = draw(entries) * 2.0 ** draw(st.integers(-40, 40))
+    rejected = np.array(draw(st.lists(st.booleans(), min_size=len(columns),
+                                      max_size=len(columns))))
+    return columns, y, rejected
+
+
+@settings(max_examples=300, deadline=None)
+@given(masked_designs())
+def test_exact_prefix_fits_leave_out_rejected_columns(design):
+    """Each prefix's RSS is exact_fit's on that prefix without its rejected
+    columns, rounded once."""
+    columns, y, rejected = design
+    fits = econometrics._exact_prefix_fits(columns, y, rejected)
+    assert len(fits) == len(columns)
+    for k, rss in enumerate(fits, start=1):
+        kept = [c for c, out in zip(columns[:k], rejected[:k]) if not out]
+        X = np.column_stack(kept) if kept else np.empty((len(y), 0))
+        assert rss == float(exact_fit(X, y)[0])
+
+
+def test_column_the_rank_rule_rejects_picks_no_lag():
+    """17 values of 1.05108351e-115 then 0, 1, 0: exact arithmetic gives
+    lag 1 a lower RSS through a column that the refit's rank rule would
+    reject.  Leaving that column out keeps lag 0, whose refit gives a
+    statistic."""
+    series = np.array([1.05108351e-115] * 17 + [0.0, 1.0, 0.0])
+    result = adf_test(series)
+    assert result["lags"] == 0
+    assert math.isfinite(result["statistic"])

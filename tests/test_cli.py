@@ -538,7 +538,8 @@ class TestRegress:
         reason = doc["stationarity"]["gas_price_gwei"]["skip_reason"]
         assert reason.startswith("non-finite fit in columns: level")
         assert capsys.readouterr().err == (
-            f"warning: stationarity screen of gas_price_gwei skipped: {reason}\n")
+            implausible_warning(gas, "1e+200", "2020-09-05")
+            + f"warning: stationarity screen of gas_price_gwei skipped: {reason}\n")
         assert doc["skipped_windows"] == {}
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -566,7 +567,8 @@ class TestRegress:
         skipped = "non-finite fit in columns: gas_price_gwei"
         assert doc["skipped_windows"] == {"2017-2021": skipped, "2017-2022": skipped}
         assert capsys.readouterr().err == (
-            f"warning: stationarity screen of gas_price_gwei skipped: {reason}\n"
+            implausible_warning(gas, "1e+308", "2020-09-05")
+            + f"warning: stationarity screen of gas_price_gwei skipped: {reason}\n"
             f"warning: window 2017-2021 skipped: {skipped}\n"
             f"warning: window 2017-2022 skipped: {skipped}\n")
 
@@ -689,6 +691,12 @@ class TestSuiteBlocks:
         assert all(list(entry) == ["skip_reason"] for entry in doc["stationarity"].values())
 
 
+def implausible_warning(path, value, day):
+    """The stderr line of a gas or FX day far from each of its neighbours."""
+    return (f"warning: {path}: implausible value {value} on {day}: "
+            "over 10 times or under 1/10 of each neighbouring day's\n")
+
+
 def replace_line(path, number, text):
     """Replace line ``number`` (1 is the header) of a CSV file."""
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -765,18 +773,37 @@ class TestBadMarketValues:
         """A close of 1e-307, which ingest accepts: the next day's FX change,
         from 1e-307 to about 1,000 USD, overflows, and so does its USD
         volume change.  Each is a pct_change gap, not an infinity in the
-        panel, and the run ends with exit 0 and no numpy warning."""
+        panel, and the run ends with exit 0, the close's implausibility
+        warning and no numpy warning."""
         fx = synthetic_dataset.parent / "fx.csv"
         day = fx.read_text(encoding="utf-8").splitlines()[100].split(",")[0]
         replace_line(fx, 101, f"{day},1e-307")
         assert self.run_all(synthetic_dataset, tmp_path) == 0
-        assert capsys.readouterr().err == ""
+        assert capsys.readouterr().err == implausible_warning(fx, "1e-307", day)
         doc = json.loads((tmp_path / "out" / "suite.json").read_text())
         assert doc["panel_coverage"]["pct_change_gaps"] == {
             "active_wallets": 0, "sales_volume": 1, "fx": 1}
         assert doc["skipped_windows"] == {}
         assert all("statistic" in entry for entry in doc["stationarity"].values())
         assert "inf" not in (tmp_path / "out" / "panel.csv").read_text()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_fx_close_far_from_both_neighbours_warns_and_is_kept(self, synthetic_dataset,
+                                                                 tmp_path, capsys):
+        """A close of 1e-307 among closes near 1,000 USD: a warning naming
+        the file, the day and the value, exit 0, and the row kept, so its
+        sales' USD prices use it."""
+        fx = synthetic_dataset.parent / "fx.csv"
+        rows = fx.read_text(encoding="utf-8").splitlines()[1:]
+        sale_days = {row[1] for row in read_csv(synthetic_dataset.parent / "sales.csv")}
+        number, day = next((n, row.split(",")[0]) for n, row in enumerate(rows, start=2)
+                           if 3 < n < len(rows) and row.split(",")[0] in sale_days)
+        replace_line(fx, number, f"{day},1e-307")
+        assert self.run_all(synthetic_dataset, tmp_path) == 0
+        assert capsys.readouterr().err == implausible_warning(fx, "1e-307", day)
+        with open(tmp_path / "out" / "panel.csv", encoding="utf-8", newline="") as fh:
+            kept = [row for row in csv.DictReader(fh) if row["date"] == day]
+        assert kept and all(float(row["log_usd_price"]) < -700 for row in kept)
 
     def test_sale_day_missing_from_fx_is_a_counted_drop(self, synthetic_dataset, tmp_path):
         """The day's sales lack fx_close, fx_pct and, since the day has no
@@ -922,8 +949,8 @@ class TestAll:
 
     def test_well_conditioned_run_calls_no_lapack(self, synthetic_dataset, tmp_path,
                                                   monkeypatch):
-        """Every ADF design clears the condition bound, so with the SVD
-        and lstsq refused the outputs are byte for byte the same."""
+        """No fit calls LAPACK, so with the SVD and lstsq refused the
+        outputs are byte for byte the same."""
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert main(["--config", str(synthetic_dataset), "--output-dir", str(out_a),
                      "all"]) == 0

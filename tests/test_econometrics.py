@@ -14,10 +14,10 @@ from conftest import builtin_only
 from punk_hedonics import econometrics
 from punk_hedonics.econometrics import (ConstantColumnError, InsufficientDataError,
                                         NonFiniteFitError, SingularDesignError,
-                                        _condition_bound, adf_critical_values,
-                                        adf_test, ols_fit, pearson_matrix,
-                                        regularized_incomplete_beta, significance_stars,
-                                        student_t_two_sided_p)
+                                        _condition_bound, _rejected_columns,
+                                        adf_critical_values, adf_test, ols_fit,
+                                        pearson_matrix, regularized_incomplete_beta,
+                                        significance_stars, student_t_two_sided_p)
 
 MIN_NORMAL = sys.float_info.min
 LEAST_SUBNORMAL = math.ulp(0.0)
@@ -454,8 +454,10 @@ def triangular_with_singular_values(rng, singular, rows):
 
 
 class TestConditionBound:
-    """The lower bound on σ_min/σ_max by which the ADF lag search skips
-    its SVD rank test."""
+    """The lower bound on σ_min/σ_max above which the ADF lag search takes
+    each lag's RSS from the reflections and below which it takes it in
+    exact arithmetic; above it the rank rule of every fit accepts each
+    column, and an SVD would find no rank deficiency either."""
 
     @settings(max_examples=400, deadline=None)
     @given(width=st.integers(2, 30), extra_rows=st.integers(2, 2000),
@@ -473,6 +475,7 @@ class TestConditionBound:
         computed = np.linalg.svd(R, compute_uv=False)
         if _condition_bound(R) > 4 * width * cutoff:
             assert computed[-1] > cutoff * computed[0]
+            assert not _rejected_columns(R, rows).any()
 
     def test_is_the_frobenius_bound(self):
         R = np.array([[2.0, 1.0], [0.0, 0.5]])

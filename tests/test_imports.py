@@ -15,6 +15,9 @@ Python versions or need ``ingest``'s row numbers and errors.
 
 No module uses builtin ``sum``, whose float total is compensated from
 Python 3.12 on, so that no output depends on the Python version.
+
+No module reads numpy's ``linalg``: no fit calls LAPACK, and one rank
+rule judges every fit.
 """
 
 import ast
@@ -154,3 +157,39 @@ def test_builtin_sum_guard_finds_each_form():
               "math.fsum(values)\n"
               "normalize_valence_sum(total)\n")
     assert builtin_sum_uses(source) == [(1, "sum"), (2, "sum")]
+
+
+def linalg_uses(source):
+    """(line, name) of each read of ``linalg`` in the module source: an
+    attribute or a name ``linalg``, or an import of or from a module path
+    holding it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "linalg":
+            found.append((node.lineno, ast.unparse(node)))
+        elif isinstance(node, ast.Name) and node.id == "linalg":
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, name) for name in (node.module or "", *(
+                alias.name for alias in node.names)) if "linalg" in name.split(".")]
+        elif isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if "linalg" in alias.name.split(".")]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_reads_linalg(path):
+    assert linalg_uses(path.read_text(encoding="utf-8")) == []
+
+
+def test_linalg_guard_finds_each_form():
+    source = ("s = np.linalg.svd(R, compute_uv=False)\n"
+              "module = numpy.linalg\n"
+              "from numpy.linalg import lstsq\n"
+              "from numpy import linalg\n"
+              "import numpy.linalg as la\n"
+              "np.add.reduce(v)\n"
+              "np.linalg_like\n")
+    assert linalg_uses(source) == [(1, "np.linalg"), (2, "numpy.linalg"), (3, "numpy.linalg"),
+                                   (4, "linalg"), (5, "numpy.linalg")]

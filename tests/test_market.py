@@ -8,8 +8,9 @@ import pytest
 from conftest import Sale, make_sales, mapping_of, series_of
 from punk_hedonics.ingest import SchemaError
 from punk_hedonics.market import (GENDERS, SKIN_TONES, Gender, Sales, SkinTone,
-                                  attribute_distribution, daily_aggregates, ingest_fx,
-                                  ingest_gas, ingest_sales, rarity_score)
+                                  attribute_distribution, daily_aggregates,
+                                  implausible_days, ingest_fx, ingest_gas, ingest_sales,
+                                  rarity_score)
 from punk_hedonics.series import pct_change
 
 HEADER = "punk_id,date,price_eth,skin_tone,gender,buyer,seller"
@@ -182,6 +183,34 @@ class TestSeriesIngest:
     def test_missing_column_is_schema_error(self):
         with pytest.raises(SchemaError, match="eth_usd_close"):
             ingest_fx("date,close\n2021-05-01,1\n")
+
+
+def days_of(values):
+    """A DailySeries of ``values`` on consecutive days from 2021-05-01."""
+    return series_of({dt.date(2021, 5, 1) + dt.timedelta(i): v for i, v in enumerate(values)})
+
+
+class TestImplausibleDays:
+    @pytest.mark.parametrize("values, flagged", [
+        ([50.0, 60.0, 1e200, 55.0, 45.0], [2]),         # far above both neighbours
+        ([3000.0, 2900.0, 1e-307, 3100.0, 3050.0], [2]),  # far below both
+        ([50.0, 60.0, 4.0, 601.0, 55.0, 45.0], [2, 3]),  # below one, above the other
+        ([50.0, 500.0, 50.0], []),                      # exactly 10 times is not over
+        ([50.0, 5.0, 50.0], []),                        # nor exactly 1/10 under
+        ([1.0, 1.0, 1000.0, 1000.0], []),               # a step: each day has a near one
+        ([1.1, 1.0, 31.6, 1000.0, 1100.0], [2]),        # between neighbours 1,000x apart
+        ([1e-307, 50.0, 60.0], [0]),                    # an endpoint: its one neighbour,
+        ([50.0, 1e4, 60.0, 70.0], [0, 1]),              # so also one beside a far day
+        ([50.0, 60.0, 601.0], [2]),
+        ([1e300, 1e-300, 1e300], [0, 1, 2]),            # ratios that over- and underflow
+        ([5.0, 100.0], [0, 1]),
+        ([5.0], []),
+        ([], []),
+    ])
+    def test_days_far_from_each_neighbour(self, values, flagged):
+        series = days_of(values)
+        assert implausible_days(series) == [(series.days[i].item(), values[i])
+                                            for i in flagged]
 
 
 def cell(gender, skin):
