@@ -8,7 +8,9 @@ for the constant-only case.  Every fit and correlation sums its n-vectors
 with elementwise numpy and ``np.add.reduce``, never with BLAS, so no such
 sum depends on the BLAS thread count, and no fit calls LAPACK.  One rank
 rule (_rejected_columns) judges every fit's columns; the ADF lag search
-takes a near-singular design's RSS in exact rational arithmetic.
+takes a near-singular design's RSS by exact integer (fraction-free)
+elimination, and there picks only among the lags whose own refit the
+rule accepts.
 
 Student-t p-values come from the regularized incomplete beta function,
 computed here without scipy: the continued fraction of DiDonato & Morris
@@ -20,7 +22,6 @@ prefix x^a (1−x)^b / B(a, b) taken in logs carried past double precision.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import reduce
 from operator import add, mul
 
@@ -483,6 +484,22 @@ def _adf_design(y: np.ndarray, lag: int):
     return np.vstack(cols).T, dy[lag:m]
 
 
+def _adf_names(lag: int) -> tuple[str, ...]:
+    """The names of _adf_design's columns with `lag` lagged differences."""
+    return ("level", *(f"lag_{i}" for i in range(1, lag + 1)), "const")
+
+
+def _refit_refused(y: np.ndarray, lag: int) -> bool:
+    """Whether _fit refuses adf_test's refit at `lag` on its R: a column
+    that _rejected_columns rejects, or one that leaves the double range."""
+    X, dy = _adf_design(y, lag)
+    try:
+        R, _ = _householder(X, dy, _adf_names(lag))
+    except NonFiniteFitError:
+        return True
+    return bool(_rejected_columns(R, X.shape[0]).any())
+
+
 def _condition_bound(R: np.ndarray) -> float:
     """1/(‖R‖_F ‖R⁻¹‖_F), a lower bound on σ_min/σ_max of the upper
     triangular R, with R⁻¹ from _back_substitute on R scaled by a power
@@ -512,26 +529,33 @@ def _integers(v: np.ndarray) -> tuple[list[int], int]:
 def _exact_prefix_fits(columns: list[np.ndarray], y: np.ndarray,
                        rejected: np.ndarray) -> list[float]:
     """The RSS of the least-squares fit of y on each column prefix, of 1 up
-    to all the columns, without the ``rejected`` ones, in exact rational
-    arithmetic: the Gram matrix of the columns and y, each scaled by a power
-    of 2 to integers (which moves no span), eliminated symmetrically, where
-    a rejected column's pivot counts as 0.  Each RSS is rounded once, and is
-    inf past the double range."""
-    cols = [_integers(c)[0] for c in columns]
+    to all the columns, without the ``rejected`` ones, by exact integer
+    (fraction-free) elimination: the columns and y, each scaled by a power
+    of 2 to integers (which moves no span), give an integer Gram matrix G,
+    whose upper triangle Bareiss's elimination (*Math. Comp.* 22, 1968)
+    reduces at each pivot p that is neither rejected nor 0 as
+    (p·a − g·b) // prev, prev the last such pivot.  After the pivots S,
+    each entry is the minor det G[S+i, S+c] and prev is det G[S, S]
+    (Sylvester's identity), so every division is exact, and the RSS is the
+    y entry over prev, rounded once, and inf past the double range."""
+    vectors = [_integers(c)[0] for c in columns]
     ys, shift = _integers(y)
-    k = len(cols)
-    rows = [[Fraction(reduce(add, map(mul, a, b), 0)) for b in (*cols, ys)] for a in cols]
-    left, fits = Fraction(reduce(add, map(mul, ys, ys), 0)), []
+    vectors.append(ys)
+    k = len(columns)
+    # rows[i][c - i] holds entry (i, c) for c >= i; the matrix stays symmetric.
+    rows = [[reduce(add, map(mul, a, b), 0) for b in vectors[i:]]
+            for i, a in enumerate(vectors)]
+    prev, fits = 1, []
     for j in range(k):
-        pivot = 0 if rejected[j] else rows[j][j]
-        if pivot:
-            left -= rows[j][k] ** 2 / pivot
-            for i in range(j + 1, k):
-                factor = rows[i][j] / pivot
-                if factor:
-                    rows[i] = [a - factor * b for a, b in zip(rows[i], rows[j])]
+        row = rows[j]
+        pivot = row[0]
+        if pivot and not rejected[j]:
+            for i in range(j + 1, k + 1):
+                g = row[i - j]
+                rows[i] = [(pivot * a - g * b) // prev for a, b in zip(rows[i], row[i - j:])]
+            prev = pivot
         try:
-            rss = float(left / 4 ** shift)  # an int quotient, rounded once
+            rss = rows[k][0] / (prev * 4 ** shift)     # an int quotient, rounded once
         except OverflowError:
             rss = math.inf
         fits.append(rss)
@@ -557,7 +581,13 @@ def _aic_lag(y: np.ndarray, max_lag: int) -> int:
     no double-precision fit need get a prefix's RSS right: a lag-4 prefix
     of condition 2.4e13 has the exact RSS 0.981, its reflections give 1.37
     and an SVD fit 4.9.  There each prefix's RSS is _exact_prefix_fits'
-    without the columns that _fit's rule (_rejected_columns) rejects on R.
+    exact integer (fraction-free) elimination without the columns that
+    _fit's rule (_rejected_columns) rejects on R.  The search orders and
+    samples the columns unlike adf_test's refit, so on this path a lag is
+    eligible only if _fit would accept the R of its own refit
+    (_refit_refused, asked only of a lag whose AIC beats the best so far);
+    the least AIC is taken over the eligible lags, and the lag is 0 where
+    none is.
     """
     dy = np.diff(y)
     m = dy.shape[0]
@@ -568,7 +598,8 @@ def _aic_lag(y: np.ndarray, max_lag: int) -> int:
     rows, width = X.shape
     R, qty = _householder(X, target.copy(),
                           ("level", "const", *(f"lag_{i}" for i in range(1, max_lag + 1))))
-    if _condition_bound(R) <= 4 * width * rows * np.finfo(float).eps:
+    exact = _condition_bound(R) <= 4 * width * rows * np.finfo(float).eps
+    if exact:
         rss = _exact_prefix_fits(columns, target, _rejected_columns(R, rows))[1:]
     else:
         rss = [_sum_of_squares(qty[k:]) for k in range(2, width + 1)]     # lags 0..
@@ -579,7 +610,7 @@ def _aic_lag(y: np.ndarray, max_lag: int) -> int:
     best_lag, best_aic = 0, math.inf
     for lag, lag_rss in enumerate(rss):
         aic = rows * math.log(max(lag_rss, floor) / rows) + 2 * (lag + 2)
-        if aic < best_aic:
+        if aic < best_aic and not (exact and _refit_refused(y, lag)):
             best_aic, best_lag = aic, lag
     return best_lag
 
@@ -614,8 +645,7 @@ def adf_test(series, max_lag: int | None = None) -> dict:
     X, dy = _adf_design(y, best_lag)
     rows = X.shape[0]
     # The t-ratio alone: the screen reads no p-value of this fit.
-    names = ("level", *(f"lag_{i}" for i in range(1, best_lag + 1)), "const")
-    _, _, t_stats, _ = _fit(X, dy, names)
+    _, _, t_stats, _ = _fit(X, dy, _adf_names(best_lag))
     statistic = float(t_stats[0])
     critical = adf_critical_values(rows)
     return {"statistic": statistic, "lags": best_lag, "n_obs": rows,

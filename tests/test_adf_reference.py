@@ -9,12 +9,13 @@ statistic must match, or both must raise the same error.
 
 They may differ only on a degenerate design within rounding of rank
 deficient, where the reference's SVD fits are ill-conditioned and the
-package takes each lag's RSS in exact rational arithmetic, less the
-columns its one rank rule rejects.  If the SVD fits judge every
-candidate's rank right, the lag picked must be the one exact rational
-arithmetic picks, and the reference's must not be.  If an SVD fit gets a
-rank wrong, as with a 974 among values of 0 and 2, double precision
-cannot tell the fits apart and any lag is allowed.
+package takes each lag's RSS by exact integer elimination, less the
+columns its one rank rule rejects, among the lags whose refit that rule
+accepts.  If the SVD fits judge every candidate's rank right, the lag
+picked must be the one exact rational arithmetic picks, and the
+reference's must not be.  If an SVD fit gets a rank wrong, as with a
+974 among values of 0 and 2, double precision cannot tell the fits
+apart and any lag is allowed.
 """
 
 import math
@@ -117,6 +118,32 @@ def exact_fit(X, y):
     return sum(v * v for v in ys) - explained, rank
 
 
+def fraction_prefix_fits(columns, y, rejected):
+    """_exact_prefix_fits as it was in ``Fraction``s: the integer Gram
+    matrix of the columns and y eliminated symmetrically in exact rational
+    arithmetic, a rejected column's pivot counted as 0, each prefix's RSS
+    rounded once and inf past the double range."""
+    cols = [econometrics._integers(c)[0] for c in columns]
+    ys, shift = econometrics._integers(y)
+    k = len(cols)
+    rows = [[Fraction(sum(map(mul, a, b))) for b in (*cols, ys)] for a in cols]
+    left, fits = Fraction(sum(map(mul, ys, ys))), []
+    for j in range(k):
+        pivot = 0 if rejected[j] else rows[j][j]
+        if pivot:
+            left -= rows[j][k] ** 2 / pivot
+            for i in range(j + 1, k):
+                factor = rows[i][j] / pivot
+                if factor:
+                    rows[i] = [a - factor * b for a, b in zip(rows[i], rows[j])]
+        try:
+            rss = float(left / 4 ** shift)
+        except OverflowError:
+            rss = math.inf
+        fits.append(rss)
+    return fits
+
+
 def exact_selection(y, max_lag):
     """The reference's AIC rule, floor and tie rule included, on exact RSS,
     and whether an SVD fit gets the rank of any candidate design wrong."""
@@ -175,23 +202,24 @@ def test_collinear_widest_design_takes_the_exact_pass(series, monkeypatch):
 
 
 @st.composite
-def masked_designs(draw):
-    """Columns of small integers, each times its own power of 2, with
-    repeats and sums of earlier columns among them, a response, and a
-    rejection mask."""
+def masked_designs(draw, values=st.integers(-9, 9), exponents=st.integers(-40, 40)):
+    """Columns of ``values``, each times its own power of 2 (2^exponent),
+    with repeats and sums of earlier columns among them, so that some are
+    exactly dependent, a response, and a rejection mask."""
     rows = draw(st.integers(3, 12))
-    entries = st.lists(st.integers(-9, 9), min_size=rows, max_size=rows).map(np.array)
-    columns = []
+    entries = st.lists(values, min_size=rows, max_size=rows).map(np.array)
+    bases, columns = [], []
     for _ in range(draw(st.integers(1, 6))):
-        kind = draw(st.sampled_from(["new", "repeat", "sum"]) if columns else st.just("new"))
+        kind = draw(st.sampled_from(["new", "repeat", "sum"]) if bases else st.just("new"))
         if kind == "new":
-            column = draw(entries).astype(float)
+            base = draw(entries).astype(float)
         elif kind == "repeat":
-            column = draw(st.sampled_from(columns)).copy()
+            base = draw(st.sampled_from(bases))
         else:
-            column = draw(st.sampled_from(columns)) + draw(st.sampled_from(columns))
-        columns.append(column * 2.0 ** draw(st.integers(-40, 40)))
-    y = draw(entries) * 2.0 ** draw(st.integers(-40, 40))
+            base = draw(st.sampled_from(bases)) + draw(st.sampled_from(bases))
+        bases.append(base)
+        columns.append(base * 2.0 ** draw(exponents))
+    y = draw(entries) * 2.0 ** draw(exponents)
     rejected = np.array(draw(st.lists(st.booleans(), min_size=len(columns),
                                       max_size=len(columns))))
     return columns, y, rejected
@@ -209,6 +237,50 @@ def test_exact_prefix_fits_leave_out_rejected_columns(design):
         kept = [c for c, out in zip(columns[:k], rejected[:k]) if not out]
         X = np.column_stack(kept) if kept else np.empty((len(y), 0))
         assert rss == float(exact_fit(X, y)[0])
+
+
+EXTREME = st.integers(-40, 40) | st.integers(-1000, -960) | st.integers(960, 1000)
+
+
+@settings(max_examples=400, deadline=None)
+@given(masked_designs(values=st.integers(-9, 9) | st.floats(-1e3, 1e3), exponents=EXTREME))
+@example(([np.array([1.0, 2.0, 3.0]) * 2.0 ** 1000], np.array([5.0, -1.0, 2.0]) * 2.0 ** 1000,
+          np.array([False])))                               # an RSS past the double range
+@example(([np.array([1.0, 2.0, 3.0]), np.array([2.0, 4.0, 6.0]) * 2.0 ** -1000],
+          np.array([1.0, 0.0, 2.0]) * 2.0 ** -1000, np.array([False, False])))  # a 0 pivot
+def test_exact_prefix_fits_match_the_fraction_elimination(design):
+    """Fraction-free integer elimination gives each prefix the bits of
+    the RSS that elimination in ``Fraction``s gives, inf included, with
+    rejected columns, exactly dependent ones, columns scaled by powers of
+    2 and values near 1e±300."""
+    fits = econometrics._exact_prefix_fits(*design)
+    assert [rss.hex() for rss in fits] == [rss.hex() for rss in fraction_prefix_fits(*design)]
+
+
+def test_lag_whose_refit_the_rank_rule_refuses_is_not_chosen():
+    """35 values of 3.9708616189636916e-186 then 0, 0, 0, 1, 3: on the
+    search's common sample lag 3 has the least AIC, but the refit of each
+    lag from 1 on, in its own column order and sample, has a column the
+    rank rule rejects.  The search keeps lag 0, as the reference does, and
+    the statistic is the reference's."""
+    series = np.array([3.9708616189636916e-186] * 35 + [0.0, 0.0, 0.0, 1.0, 3.0])
+    got, want = adf_test(series, max_lag=5), ref.adf_test(series, max_lag=5)
+    assert got["lags"] == want["lags"] == 0
+    assert got["statistic"].hex() == want["statistic"].hex()
+
+
+def test_lag_whose_refit_overflows_is_not_a_candidate():
+    """Two values of 1.3e308, 30 zeros, then six normal draws: the design
+    is near singular, and only lag 0's refit holds both large values in
+    its level column, whose norm leaves the double range.  The search
+    checks that lag's refit without raising and picks lag 3, whose refit
+    gives a finite statistic."""
+    series = np.array([1.3e308, 1.3e308] + [0.0] * 30 + [
+        0.1257302210933933, -0.1321048632913019, 0.6404226504432821,
+        0.10490011715303971, -0.535669373161111, 0.36159505490948474])
+    result = adf_test(series, max_lag=5)
+    assert result["lags"] == 3
+    assert math.isfinite(result["statistic"])
 
 
 def test_column_the_rank_rule_rejects_picks_no_lag():

@@ -18,9 +18,16 @@ Python 3.12 on, so that no output depends on the Python version.
 
 No module reads numpy's ``linalg``: no fit calls LAPACK, and one rank
 rule judges every fit.
+
+No module imports ``fractions`` or ``decimal``, and importing
+``punk_hedonics.cli`` loads neither: the exact ADF fits run in integers,
+so no run pays for those modules' memory.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -193,3 +200,50 @@ def test_linalg_guard_finds_each_form():
               "np.linalg_like\n")
     assert linalg_uses(source) == [(1, "np.linalg"), (2, "numpy.linalg"), (3, "numpy.linalg"),
                                    (4, "linalg"), (5, "numpy.linalg")]
+
+
+EXACT_NUMBER_MODULES = ("fractions", "decimal")
+
+
+def exact_number_imports(source):
+    """(line, module) of each import of or from ``fractions`` or ``decimal``
+    in the module source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names
+                  if name.partition(".")[0] in EXACT_NUMBER_MODULES]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_fractions_or_decimal(path):
+    assert exact_number_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_exact_number_guard_finds_each_form():
+    source = ("from fractions import Fraction\n"
+              "import decimal\n"
+              "import os, fractions as fr\n"
+              "from decimal import Decimal as D\n"
+              "from .fractions import helper\n"
+              "import numbers\n")
+    assert exact_number_imports(source) == [(1, "fractions"), (2, "decimal"), (3, "fractions"),
+                                            (4, "decimal")]
+
+
+def test_cli_import_loads_neither_fractions_nor_decimal():
+    """A fresh interpreter that imports the command line, numpy and every
+    package module with it, has neither module loaded."""
+    env = {**os.environ, "PYTHONPATH": str(Path(punk_hedonics.__file__).parent.parent)}
+    env.pop("PYTHONSTARTUP", None)
+    probe = ("import sys, punk_hedonics.cli; "
+             "print(sorted(m for m in ('fractions', 'decimal') if m in sys.modules))")
+    loaded = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, check=True).stdout
+    assert loaded.strip() == "[]"
