@@ -374,11 +374,21 @@ def _rejected_columns(R: np.ndarray, n: int) -> np.ndarray:
     return np.abs(np.diagonal(R)) <= tol
 
 
+def _checked_householder(X: np.ndarray, y: np.ndarray, names: tuple[str, ...]):
+    """R and Qᵀy of copies of X and y (see _householder); the columns that
+    _rejected_columns rejects on R are a SingularDesignError."""
+    R, qty = _householder(np.array(X, order="F"), y.copy(), names)
+    bad = [names[j] for j in np.flatnonzero(_rejected_columns(R, X.shape[0]))]
+    if bad:
+        raise SingularDesignError(bad)
+    return R, qty
+
+
 def _fit(X: np.ndarray, y: np.ndarray, names: tuple[str, ...]):
     """The classical fit of a checked float design with n > k, one name per
     column: ``(beta, se, t_stats, rss)``, a t-ratio ±inf or 0 where its
-    standard error is 0.  The columns that _rejected_columns rejects are a
-    SingularDesignError.
+    standard error is 0, and ±inf where β/se passes the double range.  The
+    columns that _rejected_columns rejects are a SingularDesignError.
     The columns whose R (see _householder), β or standard error is not
     finite, every column where the RSS is not, are a NonFiniteFitError.
 
@@ -390,10 +400,7 @@ def _fit(X: np.ndarray, y: np.ndarray, names: tuple[str, ...]):
     calls BLAS, and none raises a numpy warning.
     """
     n, k = X.shape
-    R, qty = _householder(np.array(X, order="F"), y.copy(), names)
-    bad = [names[j] for j in np.flatnonzero(_rejected_columns(R, n))]
-    if bad:
-        raise SingularDesignError(bad)
+    R, qty = _checked_householder(X, y, names)
 
     with np.errstate(over="ignore", invalid="ignore"):
         solved = _back_substitute(R, np.column_stack([qty[:k], np.eye(k)]))
@@ -410,7 +417,7 @@ def _fit(X: np.ndarray, y: np.ndarray, names: tuple[str, ...]):
     if not finite.all():
         raise NonFiniteFitError([names[j] for j in np.flatnonzero(~finite)])
 
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         t_stats = np.where(se > 0, beta / np.where(se > 0, se, 1.0),
                            np.where(beta == 0, 0.0, np.inf * np.sign(beta)))
     return beta, se, t_stats, rss
@@ -490,14 +497,14 @@ def _adf_names(lag: int) -> tuple[str, ...]:
 
 
 def _refit_refused(y: np.ndarray, lag: int) -> bool:
-    """Whether _fit refuses adf_test's refit at `lag` on its R: a column
-    that _rejected_columns rejects, or one that leaves the double range."""
-    X, dy = _adf_design(y, lag)
+    """Whether _fit refuses the R of adf_test's refit at `lag`
+    (_checked_householder): a column the rank rule rejects, or one that
+    leaves the double range."""
     try:
-        R, _ = _householder(X, dy, _adf_names(lag))
-    except NonFiniteFitError:
+        _checked_householder(*_adf_design(y, lag), _adf_names(lag))
+    except (SingularDesignError, NonFiniteFitError):
         return True
-    return bool(_rejected_columns(R, X.shape[0]).any())
+    return False
 
 
 def _condition_bound(R: np.ndarray) -> float:

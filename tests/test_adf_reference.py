@@ -202,21 +202,26 @@ def test_collinear_widest_design_takes_the_exact_pass(series, monkeypatch):
 
 
 @st.composite
-def masked_designs(draw, values=st.integers(-9, 9), exponents=st.integers(-40, 40)):
+def masked_designs(draw, values=st.integers(-9, 9), exponents=st.integers(-40, 40),
+                   scale_once=False):
     """Columns of ``values``, each times its own power of 2 (2^exponent),
     with repeats and sums of earlier columns among them, so that some are
-    exactly dependent, a response, and a rejection mask."""
+    exactly dependent, a response, and a rejection mask.  A repeat or sum rescales earlier scaled columns, so
+    exponents compound and a sum mixes magnitudes; with ``scale_once`` it
+    is built from the unscaled columns and scaled once, so that a column
+    near 2^±1000 is never scaled past the double range."""
     rows = draw(st.integers(3, 12))
     entries = st.lists(values, min_size=rows, max_size=rows).map(np.array)
     bases, columns = [], []
     for _ in range(draw(st.integers(1, 6))):
-        kind = draw(st.sampled_from(["new", "repeat", "sum"]) if bases else st.just("new"))
+        kind = draw(st.sampled_from(["new", "repeat", "sum"]) if columns else st.just("new"))
+        earlier = bases if scale_once else columns
         if kind == "new":
             base = draw(entries).astype(float)
         elif kind == "repeat":
-            base = draw(st.sampled_from(bases))
+            base = draw(st.sampled_from(earlier)).copy()
         else:
-            base = draw(st.sampled_from(bases)) + draw(st.sampled_from(bases))
+            base = draw(st.sampled_from(earlier)) + draw(st.sampled_from(earlier))
         bases.append(base)
         columns.append(base * 2.0 ** draw(exponents))
     y = draw(entries) * 2.0 ** draw(exponents)
@@ -243,7 +248,8 @@ EXTREME = st.integers(-40, 40) | st.integers(-1000, -960) | st.integers(960, 100
 
 
 @settings(max_examples=400, deadline=None)
-@given(masked_designs(values=st.integers(-9, 9) | st.floats(-1e3, 1e3), exponents=EXTREME))
+@given(masked_designs(values=st.integers(-9, 9) | st.floats(-1e3, 1e3), exponents=EXTREME,
+                      scale_once=True))
 @example(([np.array([1.0, 2.0, 3.0]) * 2.0 ** 1000], np.array([5.0, -1.0, 2.0]) * 2.0 ** 1000,
           np.array([False])))                               # an RSS past the double range
 @example(([np.array([1.0, 2.0, 3.0]), np.array([2.0, 4.0, 6.0]) * 2.0 ** -1000],
@@ -281,6 +287,18 @@ def test_lag_whose_refit_overflows_is_not_a_candidate():
     result = adf_test(series, max_lag=5)
     assert result["lags"] == 3
     assert math.isfinite(result["statistic"])
+
+
+def test_t_ratio_past_the_double_range_is_inf():
+    """The series above at ``max_lag=3``: lag 1's refit is finite, but its
+    β over its standard error passes the double range.  The statistic is
+    -inf, as the reference's is, and no overflow warning is raised."""
+    series = np.array([1.3e308, 1.3e308] + [0.0] * 30 + [
+        0.1257302210933933, -0.1321048632913019, 0.6404226504432821,
+        0.10490011715303971, -0.535669373161111, 0.36159505490948474])
+    got, want = adf_test(series, max_lag=3), ref.adf_test(series, max_lag=3)
+    assert got["lags"] == want["lags"] == 1
+    assert got["statistic"] == want["statistic"] == -math.inf
 
 
 def test_column_the_rank_rule_rejects_picks_no_lag():
