@@ -2,7 +2,7 @@
 CryptoPunks market: lexicon scoring, panel construction, OLS/ADF
 numerics, and the nested-model study grid."""
 
-from .econometrics import adf_test, ols_fit, pearson_matrix, significance_stars
+from .econometrics import adf_test, ols_fit, pearson_matrix, reflect_design, significance_stars
 from .market import (Gender, Sales, SkinTone, attribute_distribution, daily_aggregates,
                      ingest_fx, ingest_gas, ingest_sales, rarity_score)
 from .panel import CoverageReport, Panel, build_panel, stationarity_screen, write_panel_csv

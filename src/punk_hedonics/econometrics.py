@@ -7,10 +7,12 @@ constant, lag order picked by AIC, and response-surface critical values
 for the constant-only case.  Every fit and correlation sums its n-vectors
 with elementwise numpy and ``np.add.reduce``, never with BLAS, so no such
 sum depends on the BLAS thread count, and no fit calls LAPACK.  One rank
-rule (_rejected_columns) judges every fit's columns; the ADF lag search
-takes a near-singular design's RSS by exact integer (fraction-free)
-elimination, and there picks only among the lags whose own refit the
-rule accepts.
+rule (_rejected_columns) judges every fit's columns.  Nested designs
+share one reflection of the widest (reflect_design, ols_fit's
+``reflection``), since the QR of a column prefix is the prefix of the QR;
+the ADF lag search reflects its widest design once too, takes a
+near-singular design's RSS by exact integer (fraction-free) elimination,
+and there picks only among the lags whose own refit the rule accepts.
 
 Student-t p-values come from the regularized incomplete beta function,
 computed here without scipy: the continued fraction of DiDonato & Morris
@@ -317,11 +319,9 @@ def _back_substitute(R: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return rhs
 
 
-def _householder(A: np.ndarray, b: np.ndarray,
-                 names: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+def _householder(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(R, Qᵀb)`` of the Householder QR of the Fortran-ordered n × k
-    design A (n >= k), whose columns ``names`` names, which this
-    overwrites, as it does the response b.
+    design A (n >= k), which this overwrites, as it does the response b.
     Q is never formed (Golub & Van Loan, *Matrix Computations*, §5.2).
 
     Step j reflects the remainder x = A[j:, j] onto α e₁, α = −sign(x₀)‖x‖,
@@ -332,12 +332,18 @@ def _householder(A: np.ndarray, b: np.ndarray,
     Only elementwise operations and ``np.add.reduce`` touch n-vectors, so
     no BLAS, and no BLAS thread count, enters a bit of the result.
 
+    Step j changes only later columns, and only rows j.. of b, so the
+    leading k' × k' block of R and the first k' entries of Qᵀb are, bit
+    for bit, those of the design's first k' columns alone: one reflection
+    of the widest of nested designs serves each of them (_checked_block).
+
     Each column and b are first scaled by a power of 2 to a largest
     magnitude below 1, and R and Qᵀb scaled back, all exactly: the bits are
     those of the unscaled reflections wherever those neither overflow nor
     underflow, and a column of magnitude 1e200 squares without overflow.
-    The columns of R that leave the double range when scaled back are a
-    NonFiniteFitError, and such a Qᵀb is infinite, with no numpy warning.
+    A column of R that leaves the double range when scaled back is not
+    finite (_check_finite), and such a Qᵀb is infinite, with no numpy
+    warning.
     """
     k = A.shape[1]
     scales = np.array([_unit_scale(A[:, j]) for j in range(k)])
@@ -359,9 +365,6 @@ def _householder(A: np.ndarray, b: np.ndarray,
     with np.errstate(over="ignore"):
         R = np.triu(A[:k]) / scales
         b /= b_scale
-    overflowed = [names[j] for j in range(k) if not np.isfinite(R[:, j]).all()]
-    if overflowed:
-        raise NonFiniteFitError(overflowed)
     return R, b
 
 
@@ -374,17 +377,31 @@ def _rejected_columns(R: np.ndarray, n: int) -> np.ndarray:
     return np.abs(np.diagonal(R)) <= tol
 
 
-def _checked_householder(X: np.ndarray, y: np.ndarray, names: tuple[str, ...]):
-    """R and Qᵀy of copies of X and y (see _householder); the columns that
-    _rejected_columns rejects on R are a SingularDesignError."""
-    R, qty = _householder(np.array(X, order="F"), y.copy(), names)
-    bad = [names[j] for j in np.flatnonzero(_rejected_columns(R, X.shape[0]))]
+def _check_finite(R: np.ndarray, names: tuple[str, ...]) -> None:
+    """A NonFiniteFitError naming the columns of R that left the double
+    range (see _householder)."""
+    overflowed = [names[j] for j in range(R.shape[1]) if not np.isfinite(R[:, j]).all()]
+    if overflowed:
+        raise NonFiniteFitError(overflowed)
+
+
+def _checked_block(R: np.ndarray, n: int, names: tuple[str, ...]) -> np.ndarray:
+    """The leading k × k block of R, k = len(names), which factors the
+    first k columns of the n-row design that R factors (see _householder).
+    Its columns that left the double range are a NonFiniteFitError, and
+    then those that _rejected_columns rejects a SingularDesignError, so a
+    fit names only its own columns."""
+    k = len(names)
+    R = R[:k, :k]
+    _check_finite(R, names)
+    bad = [names[j] for j in np.flatnonzero(_rejected_columns(R, n))]
     if bad:
         raise SingularDesignError(bad)
-    return R, qty
+    return R
 
 
-def _fit(X: np.ndarray, y: np.ndarray, names: tuple[str, ...]):
+def _fit(X: np.ndarray, y: np.ndarray, names: tuple[str, ...],
+         reflection: tuple[np.ndarray, np.ndarray] | None = None):
     """The classical fit of a checked float design with n > k, one name per
     column: ``(beta, se, t_stats, rss)``, a t-ratio ±inf or 0 where its
     standard error is 0, and ±inf where β/se passes the double range.  The
@@ -392,15 +409,21 @@ def _fit(X: np.ndarray, y: np.ndarray, names: tuple[str, ...]):
     The columns whose R (see _householder), β or standard error is not
     finite, every column where the RSS is not, are a NonFiniteFitError.
 
-    R and Qᵀy come from _householder; β and R⁻¹ from one back-substitution
-    of R [β | R⁻¹] = [Qᵀy | I]; the residuals y − Xβ are built one column
-    at a time, and the RSS and the standard errors sqrt(s² Σ R⁻¹ᵢⱼ²) are
-    ``np.add.reduce`` sums, the residuals and each row of R⁻¹ scaled by a
-    power of 2 before they are squared, so no square overflows.  No step
-    calls BLAS, and none raises a numpy warning.
+    R and Qᵀy come from _householder, on a copy of X, or are the k × k
+    block and first k entries of ``reflection``, the (R, Qᵀy) of a design
+    whose first k columns are X with the response y (_checked_block); β
+    and R⁻¹ from one back-substitution of R [β | R⁻¹] = [Qᵀy | I]; the
+    residuals y − Xβ are built one column at a time, and the RSS and the
+    standard errors sqrt(s² Σ R⁻¹ᵢⱼ²) are ``np.add.reduce`` sums, the
+    residuals and each row of R⁻¹ scaled by a power of 2 before they are
+    squared, so no square overflows.  No step calls BLAS, and none raises
+    a numpy warning.
     """
     n, k = X.shape
-    R, qty = _checked_householder(X, y, names)
+    if reflection is None:
+        reflection = _householder(np.array(X, order="F"), y.copy())
+    R, qty = reflection
+    R = _checked_block(R, n, names)
 
     with np.errstate(over="ignore", invalid="ignore"):
         solved = _back_substitute(R, np.column_stack([qty[:k], np.eye(k)]))
@@ -423,13 +446,61 @@ def _fit(X: np.ndarray, y: np.ndarray, names: tuple[str, ...]):
     return beta, se, t_stats, rss
 
 
+def _checked_arrays(design, response) -> tuple[np.ndarray, np.ndarray]:
+    """The design as a 2-D float array and the response as a float vector
+    of as many rows, both finite, or a ValueError."""
+    X = np.asarray(design, dtype=float)
+    y = np.asarray(response, dtype=float).ravel()
+    if X.ndim != 2:
+        raise ValueError("design must be a 2-D matrix")
+    if y.shape[0] != X.shape[0]:
+        raise ValueError(f"design has {X.shape[0]} rows but response has {y.shape[0]}")
+    if not np.isfinite(X).all():
+        raise ValueError("design has non-finite values")
+    if not np.isfinite(y).all():
+        raise ValueError("response has non-finite values")
+    return X, y
+
+
+def reflect_design(design: np.ndarray, response: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(R, Qᵀy)`` of the Householder QR of an n × K design (n >= K)
+    with its response, for ``ols_fit``'s ``reflection``: R is K × K and
+    Qᵀy has n entries.  A design that is already a Fortran-ordered float64
+    array, as ``study.design_for``'s is, is overwritten in place, so no
+    second n × K array is made; any other is reflected as a copy.  The
+    response is copied.  A non-finite value in either is a ValueError.
+
+    This raises no fit error: a column that the rank rule rejects, or
+    whose R leaves the double range, is an error only of the fits that
+    include it.
+    """
+    X, y = _checked_arrays(design, response)
+    n, k = X.shape
+    if n < k:
+        raise InsufficientDataError(f"need n >= k, got n={n}, k={k}")
+    return _householder(np.asarray(X, order="F"), y.copy())
+
+
 def ols_fit(design: np.ndarray, response: np.ndarray,
-            names: tuple[str, ...] | None = None) -> dict:
+            names: tuple[str, ...] | None = None,
+            reflection: tuple[np.ndarray, np.ndarray] | None = None) -> dict:
     """Classical OLS with homoskedastic standard errors.
 
     `design` must already carry its intercept column.  p-values are
     two-sided Student-t with n - k degrees of freedom.  A non-finite value
     in the design or the response is a ValueError.
+
+    `reflection`, if given, is what ``reflect_design`` returned for a
+    design whose first k columns are `design`, in order, with this
+    `response`, as each of nested models' designs is a column prefix of
+    the widest one's.  The fit then takes the leading k × k block of its
+    R and the first k entries of its Qᵀy instead of reflecting `design`,
+    and returns the same bits: step j of the reflection changes only later
+    columns, and rows j.. of the response.  The rank rule and the overflow
+    check judge that block alone, so the errors name only this fit's
+    columns.  A reflection of fewer than k columns, or of another number
+    of rows, is a ValueError; that its columns lead with `design` is the
+    caller's contract and is not checked.
 
     Returns the fit as the plain-JSON ``results`` entry of ``suite.json``,
     in this key order: ``names``, then one list per column each of
@@ -437,13 +508,8 @@ def ols_fit(design: np.ndarray, response: np.ndarray,
     ``stars`` (significance_stars of the p-value), then ``r2``,
     ``adj_r2``, ``n_obs`` and ``n_params``.
     """
-    X = np.asarray(design, dtype=float)
-    y = np.asarray(response, dtype=float).ravel()
-    if X.ndim != 2:
-        raise ValueError("design must be a 2-D matrix")
+    X, y = _checked_arrays(design, response)
     n, k = X.shape
-    if y.shape[0] != n:
-        raise ValueError(f"design has {n} rows but response has {y.shape[0]}")
     if names is None:
         names = tuple(f"x{i}" for i in range(k))
     names = tuple(names)
@@ -451,12 +517,12 @@ def ols_fit(design: np.ndarray, response: np.ndarray,
         raise ValueError("names length must match design columns")
     if n <= k:
         raise InsufficientDataError(f"need n > k, got n={n}, k={k}")
-    if not np.isfinite(X).all():
-        raise ValueError("design has non-finite values")
-    if not np.isfinite(y).all():
-        raise ValueError("response has non-finite values")
+    if reflection is not None and (reflection[0].shape[0] < k
+                                   or reflection[1].shape != (n,)):
+        raise ValueError(f"reflection of {reflection[0].shape[0]} columns and "
+                         f"{reflection[1].shape[0]} rows cannot fit {k} columns of {n} rows")
 
-    beta, se, t_stats, rss = _fit(X, y, names)
+    beta, se, t_stats, rss = _fit(X, y, names, reflection)
     t_stats = t_stats.tolist()
     p_values = [student_t_two_sided_p(t, n - k) for t in t_stats]
 
@@ -498,10 +564,11 @@ def _adf_names(lag: int) -> tuple[str, ...]:
 
 def _refit_refused(y: np.ndarray, lag: int) -> bool:
     """Whether _fit refuses the R of adf_test's refit at `lag`
-    (_checked_householder): a column the rank rule rejects, or one that
-    leaves the double range."""
+    (_checked_block): a column the rank rule rejects, or one that leaves
+    the double range."""
+    X, dy = _adf_design(y, lag)
     try:
-        _checked_householder(*_adf_design(y, lag), _adf_names(lag))
+        _checked_block(_householder(X, dy)[0], X.shape[0], _adf_names(lag))
     except (SingularDesignError, NonFiniteFitError):
         return True
     return False
@@ -603,8 +670,8 @@ def _aic_lag(y: np.ndarray, max_lag: int) -> int:
                *(dy[max_lag - i : m - i] for i in range(1, max_lag + 1))]
     X = np.vstack(columns).T
     rows, width = X.shape
-    R, qty = _householder(X, target.copy(),
-                          ("level", "const", *(f"lag_{i}" for i in range(1, max_lag + 1))))
+    R, qty = _householder(X, target.copy())
+    _check_finite(R, ("level", "const", *(f"lag_{i}" for i in range(1, max_lag + 1))))
     exact = _condition_bound(R) <= 4 * width * rows * np.finfo(float).eps
     if exact:
         rss = _exact_prefix_fits(columns, target, _rejected_columns(R, rows))[1:]

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .econometrics import (ConstantColumnError, InsufficientDataError, NonFiniteFitError,
-                           SingularDesignError, ols_fit, pearson_matrix)
+                           SingularDesignError, ols_fit, pearson_matrix, reflect_design)
 from .panel import DUMMY_COLUMNS, Panel
 from .tweets import STUDY_WINDOW_END, STUDY_WINDOW_START
 
@@ -87,7 +87,11 @@ def default_windows(study_start: dt.date = STUDY_WINDOW_START,
 
 def design_for(panel: Panel, model: ModelSpec) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
     """Design matrix (intercept first, Fortran-ordered, so that each column
-    a fit reads is contiguous), response, and column names."""
+    a fit reads is contiguous), response, and column names.
+
+    The models are nested, so each model's design is, column for column, a
+    prefix of the widest model's, which is what lets run_suite fit all four
+    from one reflection of model 4's (ols_fit's ``reflection``)."""
     names = (INTERCEPT,) + model.regressors
     X = np.vstack([np.ones(len(panel)), *(panel[reg] for reg in model.regressors)]).T
     return X, panel["log_usd_price"], names
@@ -96,6 +100,13 @@ def design_for(panel: Panel, model: ModelSpec) -> tuple[np.ndarray, np.ndarray, 
 def run_suite(panel: Panel, windows: tuple[WindowSpec, ...]) -> dict:
     """Fit every (window, model) cell; windows that cannot support the
     widest model are skipped with a reason, the rest still run.
+
+    Each window's model 4 design is reflected once, in place
+    (reflect_design), and each model is fitted by ``ols_fit`` on its own
+    design from that reflection's leading block, which gives the bits of
+    a fit that reflects the model's design itself.  A window is skipped
+    with the error of the first model, in order, that fails the rank rule
+    or leaves the double range, naming only that model's columns.
 
     Returns the fits' part of ``suite.json``: ``schema_version``,
     ``windows``, ``skipped_windows``, ``results`` (``<window>.<model>`` →
@@ -115,9 +126,11 @@ def run_suite(panel: Panel, windows: tuple[WindowSpec, ...]) -> dict:
             skipped[window.label] = f"only {len(in_window)} rows for {max_params} parameters"
             continue
         try:
+            reflection = reflect_design(*design_for(in_window, specs[-1])[:2])
             for spec in specs:
                 X, y, names = design_for(in_window, spec)
-                fits[(window.label, spec.id)] = ols_fit(X, y, names=names)
+                fits[(window.label, spec.id)] = ols_fit(X, y, names=names,
+                                                        reflection=reflection)
         except (InsufficientDataError, ConstantColumnError, SingularDesignError,
                 NonFiniteFitError) as exc:
             skipped[window.label] = str(exc)

@@ -36,6 +36,16 @@ def builtin_only(value):
     return type(value) in (str, int, float, bool)
 
 
+def hexed(value):
+    """``value`` with each float, in dicts and lists, as its ``float.hex``,
+    so that == compares every bit (0.0 and -0.0 differ)."""
+    if type(value) is dict:
+        return {k: hexed(v) for k, v in value.items()}
+    if type(value) is list:
+        return [hexed(v) for v in value]
+    return value.hex() if type(value) is float else value
+
+
 @pytest.fixture(scope="session")
 def lexicon():
     return load_lexicon(BASIC_LEXICON_TEXT)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from conftest import builtin_only
+from conftest import builtin_only, hexed
 from punk_hedonics import econometrics
 from punk_hedonics.econometrics import (ConstantColumnError, InsufficientDataError,
                                         NonFiniteFitError, SingularDesignError,
@@ -35,6 +35,31 @@ def normal_equations_oracle(X, y):
     tss = ((y - y.mean()) ** 2).sum()
     r2 = 1.0 - (resid @ resid) / tss
     return beta, se, r2
+
+
+@st.composite
+def nested_designs(draw):
+    """An intercept and 1-11 normal columns, each kept, a repeat of an
+    earlier column, or scaled by 2^±600, and a response."""
+    k = draw(st.integers(2, 12))
+    n = draw(st.integers(k + 1, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = np.column_stack([np.ones(n), rng.normal(size=(n, k - 1))])
+    for j in range(1, k):
+        kind = draw(st.sampled_from(["normal", "repeat", "scaled"]))
+        if kind == "repeat":
+            X[:, j] = X[:, draw(st.integers(0, j - 1))]
+        elif kind == "scaled":
+            X[:, j] = np.ldexp(X[:, j], draw(st.sampled_from([-600, 600])))
+    return X, rng.normal(size=n)
+
+
+def fit_or_error(design, response, **kwargs):
+    """ols_fit's result with its floats hexed, or its fit error's type and text."""
+    try:
+        return hexed(ols_fit(design, response, **kwargs))
+    except (SingularDesignError, NonFiniteFitError) as exc:
+        return type(exc), str(exc)
 
 
 class TestOls:
@@ -255,8 +280,7 @@ def reduced_before(draw):
 
 
 def kernel(X, y):
-    return econometrics._householder(np.array(X, order="F"), y.copy(),
-                                     tuple(f"x{i}" for i in range(X.shape[1])))
+    return econometrics._householder(np.array(X, order="F"), y.copy())
 
 
 class TestHouseholderKernel:
@@ -319,6 +343,96 @@ class TestHouseholderKernel:
         scaled_r, scaled_qty = kernel(X, np.ldexp(y, power))
         assert np.array_equal(scaled_r, R)
         assert np.array_equal(scaled_qty, np.ldexp(qty, power))
+
+    @given(st.one_of(nested_designs(), reduced_before().map(lambda case: case[:2])))
+    @settings(max_examples=200, deadline=None)
+    def test_reflection_of_a_column_prefix_is_the_prefix_of_the_reflection(self, case):
+        """Step j changes only later columns and rows j.. of b, so each
+        prefix of k columns has, bit for bit, the leading k × k block of R
+        and the first k entries of Qᵀb, and the rank rule's verdicts on
+        them, also with repeated columns, columns scaled by 2^±600 and a
+        column whose remainder is exactly 0."""
+        X, y = case
+        rows, width = X.shape
+        R, qty = kernel(X, y)
+        widest_verdicts = _rejected_columns(R, rows)
+        for k in range(1, width + 1):
+            own_r, own_qty = kernel(X[:, :k], y)
+            assert R[:k, :k].tobytes() == own_r.tobytes()
+            assert qty[:k].tobytes() == own_qty[:k].tobytes()
+            verdicts = _rejected_columns(own_r, rows)
+            assert np.array_equal(_rejected_columns(R[:k, :k], rows), verdicts)
+            assert np.array_equal(widest_verdicts[:k], verdicts)
+
+    @given(st.one_of(nested_designs(), reduced_before().map(lambda case: case[:2])))
+    @settings(max_examples=100, deadline=None)
+    def test_fit_from_the_widest_reflection_is_the_direct_fit(self, case):
+        """ols_fit of each column prefix from the widest design's reflection
+        gives the bits, or the error, of the prefix's own fit."""
+        X, y = case
+        reflection = econometrics.reflect_design(X.copy(order="F"), y)
+        for k in range(1, X.shape[1] + 1):
+            names = tuple(f"x{i}" for i in range(k))
+            assert (fit_or_error(X[:, :k], y, names=names, reflection=reflection)
+                    == fit_or_error(X[:, :k], y, names=names))
+
+    def test_fit_names_only_its_own_columns(self):
+        """A repeated and an overflowed column past the prefix do not
+        reach the prefix's fit; the widest fit names each by its own
+        error."""
+        rng = np.random.default_rng(9)
+        X = np.column_stack([np.ones(50), rng.normal(size=(50, 3))])
+        X[:, 2] = X[:, 1]
+        y = rng.normal(size=50)
+        reflection = econometrics.reflect_design(X.copy(order="F"), y)
+        assert (fit_or_error(X[:, :2], y, reflection=reflection)
+                == fit_or_error(X[:, :2], y))
+        with pytest.raises(SingularDesignError) as exc:
+            ols_fit(X, y, names=("c", "a", "a_again", "b"), reflection=reflection)
+        assert exc.value.columns == ["a_again"]
+        X[[3, 9, 15, 21], 3] = 1e308
+        reflection = econometrics.reflect_design(X.copy(order="F"), y)
+        assert ols_fit(X[:, :2], y, reflection=reflection)["n_params"] == 2
+        with pytest.raises(NonFiniteFitError) as exc:
+            ols_fit(X, y, names=("c", "a", "a_again", "b"), reflection=reflection)
+        assert exc.value.columns == ["b"]
+
+    def test_reflection_of_another_shape_is_an_error(self):
+        rng = np.random.default_rng(10)
+        X = np.column_stack([np.ones(30), rng.normal(size=(30, 2))])
+        y = rng.normal(size=30)
+        reflection = econometrics.reflect_design(X[:, :2].copy(order="F"), y)
+        with pytest.raises(ValueError, match="cannot fit 3 columns of 30 rows"):
+            ols_fit(X, y, reflection=reflection)
+        with pytest.raises(ValueError, match="cannot fit 2 columns of 29 rows"):
+            ols_fit(X[1:, :2], y[1:], reflection=reflection)
+        with pytest.raises(InsufficientDataError):
+            econometrics.reflect_design(X[:2], y[:2])
+
+    def test_reflect_design_overwrites_only_a_fortran_float_design(self):
+        """The Fortran-ordered float64 design is reflected in place, any
+        other as a copy; the response is never overwritten."""
+        rng = np.random.default_rng(11)
+        X = np.column_stack([np.ones(30), rng.normal(size=(30, 2))])
+        y = rng.normal(size=30)
+        kept_x, kept_y = X.copy(), y.copy()
+        R, qty = econometrics.reflect_design(X, y)
+        assert np.array_equal(X, kept_x) and np.array_equal(y, kept_y)
+        fortran = X.copy(order="F")
+        assert np.array_equal(econometrics.reflect_design(fortran, y)[0], R)
+        assert not np.array_equal(fortran, kept_x)
+        assert np.array_equal(y, kept_y)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_reflect_design_refuses_non_finite_input(self, bad):
+        X = np.ones((5, 2))
+        X[:, 1] = np.arange(5.0)
+        y = np.arange(5.0)
+        with pytest.raises(ValueError, match="response has non-finite values"):
+            econometrics.reflect_design(X, np.where(y == 2, bad, y))
+        X[2, 1] = bad
+        with pytest.raises(ValueError, match="design has non-finite values"):
+            econometrics.reflect_design(X, y)
 
     @given(reduced_before())
     @settings(max_examples=100, deadline=None)

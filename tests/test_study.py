@@ -2,7 +2,13 @@ import datetime as dt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import hexed
+from punk_hedonics import econometrics, study
+from punk_hedonics.econometrics import (ConstantColumnError, InsufficientDataError,
+                                        NonFiniteFitError, SingularDesignError, ols_fit)
 from punk_hedonics.panel import PANEL_COLUMNS, Panel
 from punk_hedonics.study import (AlignmentError, correlation_precheck,
                                  default_windows, design_for, model_specs,
@@ -44,6 +50,46 @@ def synthetic_panel(n=4000, seed=0, noise=1.0, coeffs=TRUE_COEFFS,
         for name, value in dict(fields, date=date, log_usd_price=y).items():
             columns[name].append(value)
     return Panel(columns)
+
+
+def direct_fits(panel, windows):
+    """run_suite's ``results`` and ``skipped_windows`` with each cell fitted
+    by ols_fit on its own design alone, one reflection per cell: the
+    reference for the grid that shares one reflection per window."""
+    specs = model_specs()
+    max_params = 1 + len(specs[-1].regressors)
+    fits, skipped = {}, {}
+    dates = panel["date"]
+    for window in windows:
+        mask = (dates >= np.datetime64(window.start)) & (dates <= np.datetime64(window.end))
+        in_window = panel if mask.all() else panel.select(mask)
+        if len(in_window) <= max_params:
+            skipped[window.label] = f"only {len(in_window)} rows for {max_params} parameters"
+            continue
+        try:
+            for spec in specs:
+                X, y, names = design_for(in_window, spec)
+                fits[(window.label, spec.id)] = ols_fit(X, y, names=names)
+        except (InsufficientDataError, ConstantColumnError, SingularDesignError,
+                NonFiniteFitError) as exc:
+            skipped[window.label] = str(exc)
+            fits = {k: v for k, v in fits.items() if k[0] != window.label}
+    results = {f"{label}.{model_id}": fit for (label, model_id), fit in sorted(fits.items())}
+    return results, dict(sorted(skipped.items()))
+
+
+def assert_grid_is_the_direct_fits(panel, windows):
+    suite = run_suite(panel, windows)
+    results, skipped = direct_fits(panel, windows)
+    assert list(suite["results"]) == list(results)
+    assert hexed(suite["results"]) == hexed(results)
+    assert suite["skipped_windows"] == skipped
+    return suite
+
+
+# A column that each model adds to the one before it, by model id.
+ADDED_COLUMN = {1: "rarity", 2: "gas_price_gwei", 3: "fx_pct", 4: "sentiment"}
+GRID_PANEL = synthetic_panel(n=600, seed=21)
 
 
 class TestModelSpecs:
@@ -151,6 +197,89 @@ class TestRunSuite:
             for field in ("coefficients", "standard_errors", "t_stats", "p_values"):
                 assert a[field] == b[field], field
             assert (a["r2"], a["adj_r2"], a["n_obs"]) == (b["r2"], b["adj_r2"], b["n_obs"])
+
+    @given(rarity_power=st.integers(-600, 600), gas_power=st.integers(-600, 600))
+    @settings(max_examples=25, deadline=None)
+    def test_every_cell_is_the_direct_fit(self, rarity_power, gas_power):
+        """Each window's four fits come from one reflection of model 4's
+        design, with the bits of fitting each model's design alone, also
+        where rarity and gas are scaled by 2^±600."""
+        panel = Panel({**GRID_PANEL.columns,
+                       "rarity": np.ldexp(GRID_PANEL["rarity"], rarity_power),
+                       "gas_price_gwei": np.ldexp(GRID_PANEL["gas_price_gwei"], gas_power)})
+        suite = assert_grid_is_the_direct_fits(panel, default_windows())
+        assert suite["skipped_windows"] == {}
+
+    @pytest.mark.parametrize("seed", [31, 32])
+    def test_seeded_panels_are_the_direct_fits(self, seed):
+        assert_grid_is_the_direct_fits(synthetic_panel(n=1500, seed=seed), default_windows())
+
+    @pytest.mark.parametrize("failure", ["rank", "overflow"])
+    @pytest.mark.parametrize("model_id", [1, 2, 3, 4])
+    def test_window_skipped_by_the_first_model_that_fails(self, model_id, failure):
+        """The columns of model `model_id` and of every later model fail
+        before the split, each as a multiple of the intercept or with four
+        values of 1e308.  The pre-split and full windows are skipped naming
+        the first failing model's column alone, as the direct fits do."""
+        windows = default_windows()
+        pre_split = GRID_PANEL["date"] < np.datetime64(windows[1].start)
+        broken = dict(GRID_PANEL.columns)
+        for column in (ADDED_COLUMN[m] for m in range(model_id, 5)):
+            values = GRID_PANEL[column].astype(float)
+            if failure == "rank":
+                values = np.where(pre_split, 2.0, values)
+            else:
+                values[np.flatnonzero(pre_split)[[3, 9, 15, 21]]] = 1e308
+            broken[column] = values
+        suite = assert_grid_is_the_direct_fits(Panel(broken), windows)
+        message = ("design matrix is rank deficient in columns: " if failure == "rank"
+                   else "non-finite fit in columns: ") + ADDED_COLUMN[model_id]
+        skipped = suite["skipped_windows"]
+        assert skipped[windows[0].label] == message
+        assert set(skipped) == ({windows[0].label} if failure == "rank"
+                                else {windows[0].label, windows[2].label})
+
+    def test_reflects_one_design_per_window(self, monkeypatch):
+        """Three reflections of model 4's design, not one per fit, and still
+        one ols_fit per (window, model) with that model's own design."""
+        reflected, fitted = [], []
+        householder, fit = econometrics._householder, ols_fit
+
+        def counted_householder(A, b):
+            reflected.append(A.shape[1])
+            return householder(A, b)
+
+        def counted_fit(design, *args, **kwargs):
+            fitted.append(design.shape[1])
+            return fit(design, *args, **kwargs)
+        monkeypatch.setattr(econometrics, "_householder", counted_householder)
+        monkeypatch.setattr(study, "ols_fit", counted_fit)
+        suite = run_suite(GRID_PANEL, default_windows())
+        assert len(suite["results"]) == 12
+        assert reflected == [12, 12, 12]
+        assert fitted == [7, 10, 11, 12] * 3
+
+    def test_near_singular_design_the_rule_accepts_is_reported(self):
+        """Sentiment is half of fx_pct plus 2e-13 of noise: each window's
+        model 4 has a 1-norm condition estimate ‖R‖₁‖R⁻¹‖₁ of about 0.45/ε,
+        and the rank rule accepts its diagonal by a factor of 3.7 or more,
+        so every window is fitted and reported, bit for bit as the direct
+        fits."""
+        noise = np.random.default_rng(22).normal(size=len(GRID_PANEL))
+        panel = Panel({**GRID_PANEL.columns,
+                       "sentiment": 0.5 * GRID_PANEL["fx_pct"] + 2e-13 * noise})
+        windows = default_windows()
+        for window in windows:
+            dates = panel["date"]
+            in_window = panel.select((dates >= np.datetime64(window.start))
+                                     & (dates <= np.datetime64(window.end)))
+            X, y, _ = design_for(in_window, model_specs()[-1])
+            R, _ = econometrics.reflect_design(X, y)
+            assert not econometrics._rejected_columns(R, len(in_window)).any()
+            condition = np.linalg.norm(R, 1) * np.linalg.norm(np.linalg.inv(R), 1)
+            assert 0.1 / np.finfo(float).eps < condition < 10 / np.finfo(float).eps
+        suite = assert_grid_is_the_direct_fits(panel, windows)
+        assert suite["skipped_windows"] == {} and len(suite["results"]) == 12
 
     def test_determinism(self):
         panel = synthetic_panel(seed=5, n=800)
