@@ -201,11 +201,13 @@ def _chunks(lines, width: int, what: str) -> Iterator[tuple[Sequence[int], list[
         if columns is None:
             break
         yield range(row_number + 1, row_number + 1 + len(chunk)), columns
+        del columns                     # not held while the next chunk is read
         row_number += len(chunk)
     records = _numbered(csv.reader(chain(chunk, rest)), width, what, row_number)
     while batch := list(islice(records, CHUNK_LINES)):
         numbers, rows = zip(*batch)
         yield numbers, [list(column) for column in islice(zip(*rows), width)]
+        del batch, rows
 
 
 def _plain_columns(chunk: list[str], width: int, limit: int) -> list[list[str]] | None:

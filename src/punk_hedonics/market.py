@@ -52,8 +52,9 @@ class Sales(Table):
       where the row gives none (a rarity given is finite and > 0);
     - ``skin`` and ``gender``, int8 codes: ``SKIN_TONES[code]`` and
       ``GENDERS[code]`` are the sale's SkinTone and Gender;
-    - ``buyer`` and ``seller``, wallet ids interned per file: two ids are
-      equal when the two addresses are equal after stripping whitespace.
+    - ``buyer`` and ``seller``, wallet ids, dense from 0 in first-seen order
+      chunk by chunk (a chunk's buyers before its sellers): two are equal
+      exactly when the two addresses are equal after stripping whitespace.
     """
 
     DTYPES = {"punk_id": np.int64, "day": "datetime64[D]", "price_eth": np.float64,
@@ -172,17 +173,16 @@ def ingest_sales(source) -> tuple[Sales, IngestReport]:
     number counts CSV records with the header as 1; blank lines are not
     counted.  See Sales for the columns of the accepted rows.
 
-    The CSV is read one ``csv_columns`` chunk at a time, and each chunk is
-    checked a column at a time, so at most one chunk is held decoded.
+    The CSV is read, checked and interned a ``csv_columns`` chunk at a time:
+    what is held decoded is one chunk plus each distinct stripped address.
     """
     index, chunks = csv_columns(source, SALES_COLUMNS, "sales")
     memos = {"date": _Memo(_day_number),       # each distinct field parsed once
              "skin_tone": _Memo(lambda raw: _SKIN_CODES.get((raw or "").strip().lower())),
              "gender": _Memo(lambda raw: _GENDER_CODES.get((raw or "").strip().lower())),
              "rarity": _Memo(_rarity)}
-    parts = {name: [np.empty(0, Sales.DTYPES[name])]
-             for name in ("punk_id", "day", "price_eth", "rarity", "skin", "gender")}
-    wallets = {"buyer": [], "seller": []}       # the accepted addresses as read
+    parts = {name: [np.empty(0, dtype)] for name, dtype in Sales.DTYPES.items()}
+    ids: dict[str, int] = {}                    # stripped address -> wallet id
     report = IngestReport()
     for rows, columns in chunks:
         raw = {name: columns[i] for name, i in index.items()}
@@ -194,14 +194,12 @@ def ingest_sales(source) -> tuple[Sales, IngestReport]:
             keep[bad] = False
         for name, column in values.items():
             parts[name].append(np.asarray(column, dtype=Sales.DTYPES[name])[keep])
-        for role, addresses in wallets.items():
-            addresses += compress(raw[role], keep.tolist()) if reasons else raw[role]
+        for role in ("buyer", "seller"):
+            addresses = compress(raw[role], keep.tolist()) if reasons else raw[role]
+            parts[role].append(np.array([ids.setdefault((address or "").strip(), len(ids))
+                                         for address in addresses], dtype=np.int64))
+        del raw, columns, values, addresses     # not held while the next chunk is read
     columns = {name: np.concatenate(arrays) for name, arrays in parts.items()}
-    # Wallet ids number the stripped addresses in first-seen order, over
-    # the buyers and then the sellers.
-    ids: dict[str, int] = {}
-    for role, addresses in wallets.items():
-        columns[role] = [ids.setdefault((raw or "").strip(), len(ids)) for raw in addresses]
     report.accepted = len(columns["punk_id"])
     return Sales(columns), report
 

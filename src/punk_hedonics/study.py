@@ -104,16 +104,21 @@ def run_suite(panel: Panel, windows: tuple[WindowSpec, ...]) -> dict:
     Each window's model 4 design is reflected once, in place
     (reflect_design), and each model is fitted by ``ols_fit`` on its own
     design from that reflection's leading block, which gives the bits of
-    a fit that reflects the model's design itself.  A window is skipped
-    with the error of the first model, in order, that fails the rank rule
-    or leaves the double range, naming only that model's columns.
+    a fit that reflects the model's design itself; at most one model
+    design and the window's reflection are held at a time.  A window is
+    skipped with the error of the first model, in order, that fails the
+    rank rule or leaves the double range, naming only that model's columns.
 
     Returns the fits' part of ``suite.json``: ``schema_version``,
     ``windows``, ``skipped_windows``, ``results`` (``<window>.<model>`` →
     what ``ols_fit`` returns, sorted by window label and model id) and
     ``structural_change``, which compares model 4 of the first two windows
-    (pre-split and post-split) or gives the ``skip_reason``.
+    (pre-split and post-split) or gives the ``skip_reason``.  A window
+    label given twice is a ValueError.
     """
+    labels = [w.label for w in windows]
+    if len(set(labels)) < len(labels):
+        raise ValueError(f"window label {max(labels, key=labels.count)!r} is given twice")
     specs = model_specs()
     max_params = 1 + len(specs[-1].regressors)
     fits: dict[tuple[str, int], dict] = {}
@@ -127,17 +132,17 @@ def run_suite(panel: Panel, windows: tuple[WindowSpec, ...]) -> dict:
             continue
         try:
             reflection = reflect_design(*design_for(in_window, specs[-1])[:2])
-            for spec in specs:
-                X, y, names = design_for(in_window, spec)
-                fits[(window.label, spec.id)] = ols_fit(X, y, names=names,
-                                                        reflection=reflection)
+            fits.update({(window.label, spec.id): ols_fit(*design_for(in_window, spec),
+                                                          reflection=reflection)
+                         for spec in specs})
         except (InsufficientDataError, ConstantColumnError, SingularDesignError,
                 NonFiniteFitError) as exc:
             skipped[window.label] = str(exc)
-            fits = {k: v for k, v in fits.items() if k[0] != window.label}
     results = {f"{label}.{model_id}": fit for (label, model_id), fit in sorted(fits.items())}
     pair_skipped = [f"window {w.label} skipped: {skipped[w.label]}"
                     for w in windows[:2] if w.label in skipped]
+    if len(windows) < 2:
+        pair_skipped = [f"two windows needed, {len(windows)} given"]
     return {
         "schema_version": 1,
         "windows": [{"label": w.label, "start": w.start.isoformat(),

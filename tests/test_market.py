@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import Sale, make_sales, mapping_of, series_of
+from punk_hedonics import ingest
 from punk_hedonics.ingest import SchemaError
 from punk_hedonics.market import (GENDERS, SKIN_TONES, Gender, Sales, SkinTone,
                                   attribute_distribution, daily_aggregates,
@@ -132,6 +133,20 @@ class TestIngestSales:
         sales, _ = ingest_sales(csv_text)
         assert sales["buyer"].tolist() == sales["seller"].tolist()[::-1]
         assert sales["buyer"][0] != sales["buyer"][1]
+
+    def test_wallet_ids_are_dense_and_first_seen_chunk_by_chunk(self, monkeypatch):
+        """Two-line chunks: the first chunk's buyers take ids before its
+        sellers, a rejected row's addresses take none, and the second
+        chunk's new addresses continue from there."""
+        monkeypatch.setattr(ingest, "CHUNK_LINES", 2)
+        csv_text = (f"{HEADER}\n1,2021-05-01,1,Dark,Male,0xa,0xb\n"
+                    "2,2021-05-01,oops,Dark,Male,0xr,0xs\n"
+                    "3,2021-05-01,1,Dark,Male, 0xc,0xa\n"
+                    "4,2021-05-01,1,Dark,Male,0xb ,0xd\n")
+        sales, report = ingest_sales(csv_text)
+        assert report.rejects == [(3, "bad price_eth")]
+        assert sales["buyer"].tolist() == [0, 2, 1]
+        assert sales["seller"].tolist() == [1, 0, 3]
 
     def test_select_keeps_order(self):
         sales = make_sales([sale(i, dt.date(2021, 5, 1 + i)) for i in range(4)])

@@ -1,4 +1,5 @@
 import datetime as dt
+import weakref
 
 import numpy as np
 import pytest
@@ -258,6 +259,42 @@ class TestRunSuite:
         assert len(suite["results"]) == 12
         assert reflected == [12, 12, 12]
         assert fitted == [7, 10, 11, 12] * 3
+
+    def test_no_design_outlives_its_fit(self, monkeypatch):
+        """Each model's design is dropped with its fit, and model 4's
+        reflected design once its reflection is taken: when a design is
+        built, no design built before it is still alive."""
+        built, alive = [], []
+        build = study.design_for
+
+        def tracked(panel, model):
+            alive.append(sum(design() is not None for design in built))
+            X, y, names = build(panel, model)
+            built.append(weakref.ref(X))
+            return X, y, names
+        monkeypatch.setattr(study, "design_for", tracked)
+        suite = run_suite(GRID_PANEL, default_windows())
+        assert len(suite["results"]) == 12
+        assert alive == [0] * 15
+
+    def test_fewer_than_two_windows_skip_the_comparison(self):
+        windows = default_windows()
+        suite = run_suite(GRID_PANEL, windows[2:])
+        full = run_suite(GRID_PANEL, windows)["results"]
+        assert suite["results"] == {f"{windows[2].label}.{m}": full[f"{windows[2].label}.{m}"]
+                                    for m in (1, 2, 3, 4)}
+        assert suite["structural_change"] == {"skip_reason": "two windows needed, 1 given"}
+        suite = run_suite(GRID_PANEL, ())
+        assert suite["windows"] == [] and suite["results"] == {}
+        assert suite["structural_change"] == {"skip_reason": "two windows needed, 0 given"}
+
+    def test_repeated_window_label_is_a_value_error(self):
+        w0, _, w2 = default_windows()
+        with pytest.raises(ValueError, match="'2017-2021'"):
+            run_suite(GRID_PANEL, (w0, w0, w2))
+        with pytest.raises(ValueError, match="'full'"):
+            run_suite(GRID_PANEL, (WindowSpec("full", w2.start, w2.end), w0,
+                                   WindowSpec("full", w0.start, w0.end)))
 
     def test_near_singular_design_the_rule_accepts_is_reported(self):
         """Sentiment is half of fx_pct plus 2e-13 of noise: each window's
